@@ -21,12 +21,7 @@ from .attention import (
     norm_ratio_probe,
     sliding_window_attention_head,
 )
-from .causal import (
-    SegmentProjection,
-    causal_aggregate_head,
-    causal_full_attention_oracle,
-    causal_segment_projection,
-)
+from .causal import causal_aggregate_head, causal_full_attention_oracle
 from .config import LSConfig, charlm_causal_config, desk_causal_config
 from .errors import ConfigError, DivergenceError, FullyMaskedRowError, ShapeError
 from .params import HeadParams, LnParams, MultiHeadParams, init_head_params, init_multi_head_params

@@ -17,7 +17,7 @@ import numpy as np
 from .config import LSConfig
 from .errors import ConfigError, ShapeError
 from .params import HeadParams, MultiHeadParams, init_head_params
-from .spans import bidirectional_key_mask, segment_window_indices
+from .spans import _causal_mask_cached, bidirectional_key_mask, segment_window_indices
 from .tensor import (
     Rng,
     Tensor,
@@ -35,7 +35,6 @@ from .tensor import (
 __all__ = [
     "ProjectedKV",
     "AttentionWeights",
-    "WeightsPiece",
     "full_attention_head",
     "multi_head",
     "sliding_window_attention_head",
@@ -67,24 +66,19 @@ class ProjectedKV:
 
 
 @dataclass
-class WeightsPiece:
-    """A block of attention rows (..., queries, keys) with its key mask."""
+class AttentionWeights:
+    """Attention weights (..., queries, keys) in query order, with the key mask.
+
+    Rows past seq_len belong to padded queries.
+    """
 
     weights: np.ndarray
     attendable: np.ndarray | None
-
-
-@dataclass
-class AttentionWeights:
-    """Attention weights in query order, split into (..., queries, keys) blocks."""
-
-    pieces: list[WeightsPiece]
     seq_len: int
 
     def row_sums(self) -> np.ndarray:
         """Sum of attendable weights per real query, shape (..., seq_len)."""
-        total = np.concatenate([p.weights.sum(axis=-1) for p in self.pieces], axis=-1)
-        return total[..., : self.seq_len]
+        return self.weights.sum(axis=-1)[..., : self.seq_len]
 
 
 def _check_input(x: Tensor, p: HeadParams, cfg: LSConfig | None) -> None:
@@ -118,7 +112,7 @@ def full_attention_head(
     weights = masked_softmax(logits)
     out = matmul(weights, v)
     if return_weights:
-        info = AttentionWeights([WeightsPiece(weights.data, None)], x.shape[-2])
+        info = AttentionWeights(weights.data, None, x.shape[-2])
         return out, info
     return out
 
@@ -143,10 +137,16 @@ def dynamic_projection(
 ) -> ProjectedKV:
     """Compress keys and values through token distributions learned from x.
 
-    The projection logits are normalized over the token axis, so each of the
-    `rank` output rows is a convex combination of token embeddings. Excluded
-    tokens (padding) receive exactly zero weight. `keys`/`values` may pass in
-    precomputed x@wk and x@wv.
+    The tokens are cut into projection segments: bidirectionally the whole
+    sequence is one segment, causally each run of seg_len tokens is one
+    (x is padded to whole segments). Within a segment the projection logits
+    are normalized over the tokens, so each of its `rank` output rows is a
+    convex combination of that segment's token embeddings and depends on no
+    other token. Excluded tokens (padding) receive exactly zero weight; a
+    segment with no valid token averages its zero rows uniformly.
+    `keys`/`values` may pass in precomputed x@wk and x@wv.
+
+    Shapes: p is (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
     """
     if cfg.rank == 0:
         dk = cfg.head_dim
@@ -155,11 +155,24 @@ def dynamic_projection(
         return ProjectedKV(p=empty_p, kbar=empty, vbar=empty)
     if p.wp is None:
         raise ShapeError("head has no projection matrix but rank > 0")
-    logits_t = transpose_last(matmul(x, p.wp))
-    pt = masked_softmax(logits_t, token_mask)
+    n = x.shape[-2]
+    l = cfg.seg_len if cfg.mode == "causal" else n
+    n_pad = -(-n // l) * l
+    if n_pad > n:
+        x = _pad_rows(x, n_pad)
+        token_mask = np.arange(n_pad) < n
+    mask = None
+    if token_mask is not None:
+        valid = np.asarray(token_mask, dtype=bool).reshape(-1, l)
+        mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
+    batch, m, r, dk = x.shape[:-2], n_pad // l, cfg.rank, cfg.head_dim
     k = keys if keys is not None else matmul(x, p.wk)
     v = values if values is not None else matmul(x, p.wv)
-    return ProjectedKV(p=transpose_last(pt), kbar=matmul(pt, k), vbar=matmul(pt, v))
+    x_seg = x.reshape(*batch, m, l, x.shape[-1])
+    pt = masked_softmax(transpose_last(matmul(x_seg, p.wp)), mask)
+    kbar = matmul(pt, k.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
+    vbar = matmul(pt, v.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
+    return ProjectedKV(p=transpose_last(pt).reshape(*batch, n_pad, r), kbar=kbar, vbar=vbar)
 
 
 def long_range_attention_head(
@@ -177,7 +190,7 @@ def long_range_attention_head(
     weights = masked_softmax(logits)
     out = matmul(weights, pkv.vbar)
     if return_weights:
-        info = AttentionWeights([WeightsPiece(weights.data, None)], x.shape[-2])
+        info = AttentionWeights(weights.data, None, x.shape[-2])
         return out, info
     return out
 
@@ -223,10 +236,17 @@ def _aggregate(
     cfg: LSConfig,
     dual_ln: bool,
     return_weights: bool,
+    mode: str = "bidirectional",
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
+    """One softmax per query over [2w window slots | all projected slots].
+
+    Bidirectionally every projected slot is attendable. Causally slot c
+    (from projection segment c // rank) is attendable for query t only when
+    that segment lies wholly before t's own, i.e. c // rank < t // seg_len.
+    """
     _check_input(x, p, cfg)
-    if cfg.mode != "bidirectional":
-        raise ConfigError("use the causal module for causal configurations")
+    if cfg.mode != mode:
+        raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
     n, w, r, dk = cfg.seq_len, cfg.window, cfg.rank, cfg.head_dim
 
     if w == 0:
@@ -248,51 +268,52 @@ def _aggregate(
     k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias) if dual_ln else k
     v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias) if dual_ln else v
 
-    indices = segment_window_indices(n_pad, w, "bidirectional")
+    indices = segment_window_indices(n_pad, w, mode)
     segments = indices.shape[0]
     gather = np.clip(indices, 0, n_pad - 1)
     k_gath = take(k_win, gather, axis=-2)
     v_gath = take(v_win, gather, axis=-2)
-    q_seg = q.reshape(*q.shape[:-2], segments, w, dk)
+    batch = q.shape[:-2]
+    q_seg = q.reshape(*batch, segments, w, dk)
     inv_scale = 1.0 / math.sqrt(dk)
     local_logits = scale(matmul(q_seg, transpose_last(k_gath)), inv_scale)
-    local_mask = np.broadcast_to(
-        bidirectional_key_mask(indices, n)[:, None, :], (segments, w, 2 * w)
-    )
+    if mode == "causal":
+        local_mask = _causal_mask_cached(n_pad, w, n)
+    else:
+        local_mask = np.broadcast_to(
+            bidirectional_key_mask(indices, n)[:, None, :], (segments, w, 2 * w)
+        )
 
     if r == 0:
         weights = masked_softmax(local_logits, local_mask)
         out = matmul(weights, v_gath)
-        out = slice_axis(out.reshape(*q.shape[:-2], n_pad, dk), -2, 0, n)
+        out = slice_axis(out.reshape(*batch, n_pad, dk), -2, 0, n)
         if return_weights:
-            piece = WeightsPiece(
-                weights.data.reshape(*q.shape[:-2], n_pad, 2 * w),
-                local_mask.reshape(n_pad, 2 * w),
-            )
-            return out, AttentionWeights([piece], n)
+            dense = weights.data.reshape(*batch, n_pad, 2 * w)
+            return out, AttentionWeights(dense, local_mask.reshape(n_pad, 2 * w), n)
         return out
 
     pkv = dynamic_projection(x_pad, p, cfg, token_mask=token_valid, keys=k, values=v)
     kbar = layer_norm(pkv.kbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.kbar
     vbar = layer_norm(pkv.vbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.vbar
+    slots = kbar.shape[-2]
+    if mode == "causal":
+        visible = np.arange(slots) // r < (np.arange(n_pad) // cfg.seg_len)[:, None]
+    else:
+        visible = np.ones((n_pad, slots), dtype=bool)
     global_logits = scale(matmul(q, transpose_last(kbar)), inv_scale)
-    global_seg = global_logits.reshape(*q.shape[:-2], segments, w, r)
+    global_seg = global_logits.reshape(*batch, segments, w, slots)
     logits = concat([local_logits, global_seg], axis=-1)
-    mask = np.concatenate(
-        [local_mask, np.ones((segments, w, r), dtype=bool)], axis=-1
-    )
+    mask = np.concatenate([local_mask, visible.reshape(segments, w, slots)], axis=-1)
     weights = masked_softmax(logits, mask)
     w_local = slice_axis(weights, -1, 0, 2 * w)
-    w_global = slice_axis(weights, -1, 2 * w, 2 * w + r)
-    out_local = matmul(w_local, v_gath).reshape(*q.shape[:-2], n_pad, dk)
-    out_global = matmul(w_global.reshape(*q.shape[:-2], n_pad, r), vbar)
+    w_global = slice_axis(weights, -1, 2 * w, 2 * w + slots)
+    out_local = matmul(w_local, v_gath).reshape(*batch, n_pad, dk)
+    out_global = matmul(w_global.reshape(*batch, n_pad, slots), vbar)
     out = slice_axis(out_local + out_global, -2, 0, n)
     if return_weights:
-        piece = WeightsPiece(
-            weights.data.reshape(*q.shape[:-2], n_pad, 2 * w + r),
-            mask.reshape(n_pad, 2 * w + r),
-        )
-        return out, AttentionWeights([piece], n)
+        dense = weights.data.reshape(*batch, n_pad, 2 * w + slots)
+        return out, AttentionWeights(dense, mask.reshape(n_pad, 2 * w + slots), n)
     return out
 
 

@@ -60,7 +60,11 @@ def gradients(
     params: Sequence[Tensor],
     seed: np.ndarray | float | None = None,
 ) -> list[np.ndarray]:
-    """Gradients of `output` w.r.t. each parameter; zeros when disconnected."""
+    """Gradients of `output` w.r.t. each parameter; zeros when disconnected.
+
+    Interior gradients are dropped as soon as they have been routed to the
+    node's parents, so only the requested parameters keep a .grad.
+    """
     if seed is None:
         seed_arr = np.ones(output.shape, dtype=np.float64)
     else:
@@ -73,9 +77,12 @@ def gradients(
     for p in params:
         p.grad = None
     output.grad = seed_arr
+    keep = {id(p) for p in params}
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward()
+            if id(node) not in keep:
+                node.grad = None
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 

@@ -1,148 +1,28 @@
-"""Autoregressive attention: causal windows plus segment-wise projections.
+"""Autoregressive attention: causal long-short aggregation and its exact oracle.
 
 A query at position t sees the non-future part of its window segment, the
 window-size tokens before that segment, and the projected summaries of all
 fully past projection segments (those containing neither t nor any future
-token). Projections are built segment by segment, so any evaluation order
-gives identical results.
+token). Each projection segment is projected on its own, so any evaluation
+order gives identical results. The aggregation itself is shared with the
+bidirectional form (`attention._aggregate`); only the masks differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, WeightsPiece, _check_input, _pad_rows
+from .attention import AttentionWeights, _aggregate, _check_input
 from .config import LSConfig
-from .errors import ConfigError
 from .params import HeadParams
-from .spans import _causal_mask_cached, segment_window_indices
-from .tensor import (
-    Tensor,
-    concat,
-    layer_norm,
-    masked_softmax,
-    matmul,
-    scale,
-    slice_axis,
-    take,
-    transpose_last,
-)
+from .tensor import Tensor, masked_softmax, matmul, scale, transpose_last
 
 __all__ = [
-    "SegmentProjection",
-    "causal_segment_projection",
     "causal_aggregate_head",
     "causal_full_attention_oracle",
 ]
-
-
-@dataclass
-class SegmentProjection:
-    """Per-segment token distributions and compressed keys/values.
-
-    Segment s covers tokens [s*seg_len, (s+1)*seg_len) and depends on no
-    other tokens. Segments made entirely of padding carry zero summaries and
-    are only ever visible to padded queries.
-    """
-
-    p_segments: list[Tensor]
-    kbar_segments: list[Tensor]
-    vbar_segments: list[Tensor]
-    seg_len: int
-    rank: int
-
-    @property
-    def num_segments(self) -> int:
-        return len(self.kbar_segments)
-
-    def kbar_upto(self, count: int) -> Tensor:
-        """Stacked keys of the first `count` segments, shape (..., count*rank, dk)."""
-        return concat(self.kbar_segments[:count], axis=-2)
-
-    def vbar_upto(self, count: int) -> Tensor:
-        return concat(self.vbar_segments[:count], axis=-2)
-
-
-def causal_segment_projection(
-    x: Tensor,
-    p: HeadParams,
-    cfg: LSConfig,
-    keys: Tensor | None = None,
-    values: Tensor | None = None,
-) -> SegmentProjection:
-    """Project each equal-length segment of the (padded) sequence on its own.
-
-    `keys`/`values` may pass in precomputed x@wk and x@wv over the padded
-    sequence; otherwise they are computed here.
-    """
-    _check_input(x, p, None)
-    if cfg.mode != "causal":
-        raise ConfigError("segment projection applies to causal mode")
-    if cfg.rank < 1:
-        raise ConfigError("segment projection requires rank >= 1")
-    n = x.shape[-2]
-    n_pad = cfg.padded_len if n == cfg.seq_len else -(-n // cfg.seg_len) * cfg.seg_len
-    x_pad = _pad_rows(x, n_pad)
-    if keys is None:
-        keys = matmul(x_pad, p.wk)
-    if values is None:
-        values = matmul(x_pad, p.wv)
-    l, r, dk = cfg.seg_len, cfg.rank, cfg.head_dim
-    batch = x.shape[:-2]
-    p_segments: list[Tensor] = []
-    kbar_segments: list[Tensor] = []
-    vbar_segments: list[Tensor] = []
-    for s in range(n_pad // l):
-        start = s * l
-        if start >= n:
-            # Padding-only segment: visible only to padded queries.
-            p_segments.append(Tensor(np.zeros(batch + (l, r))))
-            kbar_segments.append(Tensor(np.zeros(batch + (r, dk))))
-            vbar_segments.append(Tensor(np.zeros(batch + (r, dk))))
-            continue
-        x_s = slice_axis(x_pad, -2, start, start + l)
-        valid = (np.arange(start, start + l) < n)
-        logits_t = transpose_last(matmul(x_s, p.wp))
-        pt = masked_softmax(logits_t, valid)
-        k_s = slice_axis(keys, -2, start, start + l)
-        v_s = slice_axis(values, -2, start, start + l)
-        p_segments.append(transpose_last(pt))
-        kbar_segments.append(matmul(pt, k_s))
-        vbar_segments.append(matmul(pt, v_s))
-    return SegmentProjection(
-        p_segments=p_segments,
-        kbar_segments=kbar_segments,
-        vbar_segments=vbar_segments,
-        seg_len=l,
-        rank=r,
-    )
-
-
-def _batched_segment_projection(
-    x_pad: Tensor, p: HeadParams, cfg: LSConfig, keys: Tensor, values: Tensor, n: int
-) -> tuple[Tensor, Tensor]:
-    """All segment summaries stacked, shapes (..., segments*rank, head_dim).
-
-    Padding-only segments come out as zero rows: their inputs are zero, so
-    the uniform fallback distribution averages zeros.
-    """
-    l, r, dk = cfg.seg_len, cfg.rank, cfg.head_dim
-    n_pad = x_pad.shape[-2]
-    m = n_pad // l
-    batch = x_pad.shape[:-2]
-    valid = (np.arange(n_pad) < n).reshape(m, l)
-    # Fully padded segments would leave softmax rows empty; let them fall
-    # back to a uniform average of zero rows instead.
-    mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
-    x_seg = x_pad.reshape(*batch, m, l, x_pad.shape[-1])
-    logits_t = transpose_last(matmul(x_seg, p.wp))
-    pt = masked_softmax(logits_t, mask)
-    kbar = matmul(pt, keys.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
-    vbar = matmul(pt, values.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
-    return kbar, vbar
 
 
 def causal_aggregate_head(
@@ -150,84 +30,11 @@ def causal_aggregate_head(
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
     """Joint softmax over the causal window and all fully past projections.
 
-    Queries whose projection history is empty fall back to window-only
-    attention. With cfg.dual_ln the two branches are normalized separately
-    before mixing.
+    Queries whose projection history is empty attend their window only.
+    With cfg.dual_ln the two branches are normalized separately before
+    mixing.
     """
-    _check_input(x, p, cfg)
-    if cfg.mode != "causal":
-        raise ConfigError("causal aggregation requires causal mode")
-    n, w, r, l, dk = cfg.seq_len, cfg.window, cfg.rank, cfg.seg_len, cfg.head_dim
-    dual = cfg.dual_ln
-    n_pad = cfg.padded_len
-    x_pad = _pad_rows(x, n_pad)
-    q = matmul(x_pad, p.wq)
-    k = matmul(x_pad, p.wk)
-    v = matmul(x_pad, p.wv)
-    k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias) if dual else k
-    v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias) if dual else v
-
-    indices = segment_window_indices(n_pad, w, "causal")
-    w_segments = indices.shape[0]
-    gather = np.clip(indices, 0, n_pad - 1)
-    k_gath = take(k_win, gather, axis=-2)
-    v_gath = take(v_win, gather, axis=-2)
-    batch = x.shape[:-2]
-    q_seg = q.reshape(*batch, w_segments, w, dk)
-    inv_scale = 1.0 / math.sqrt(dk)
-    local_logits = scale(matmul(q_seg, transpose_last(k_gath)), inv_scale)
-    local_logits = local_logits.reshape(*batch, n_pad, 2 * w)
-    local_mask = _causal_mask_cached(n_pad, w, n).reshape(n_pad, 2 * w)
-
-    kbar_t = vbar_all = None
-    if r > 0:
-        kbar_all, vbar_all = _batched_segment_projection(x_pad, p, cfg, k, v, n)
-        if dual:
-            kbar_all = layer_norm(kbar_all, p.ln_global.gain, p.ln_global.bias)
-            vbar_all = layer_norm(vbar_all, p.ln_global.gain, p.ln_global.bias)
-        kbar_t = transpose_last(kbar_all)
-
-    groups = n_pad // l
-    outputs: list[Tensor] = []
-    pieces: list[WeightsPiece] = []
-    first_wseg = np.arange(groups) * l // w
-    last_wseg = (np.arange(groups) * l + l - 1) // w
-    row_to_wseg = np.arange(n_pad) // w
-    for g in range(groups):
-        start = g * l
-        logits_g = slice_axis(local_logits, -2, start, start + l)
-        mask_g = local_mask[start : start + l]
-        if first_wseg[g] == last_wseg[g]:
-            # Whole group shares one window segment; broadcast instead of gathering.
-            v_rows = slice_axis(v_gath, -3, first_wseg[g], first_wseg[g] + 1)
-        else:
-            v_rows = take(v_gath, row_to_wseg[start : start + l], axis=-3)
-        if r > 0 and g > 0:
-            q_g = slice_axis(q, -2, start, start + l)
-            global_logits = scale(
-                matmul(q_g, slice_axis(kbar_t, -1, 0, g * r)), inv_scale
-            )
-            logits_g = concat([logits_g, global_logits], axis=-1)
-            mask_g = np.concatenate(
-                [mask_g, np.ones((l, g * r), dtype=bool)], axis=-1
-            )
-            weights = masked_softmax(logits_g, mask_g)
-            w_local = slice_axis(weights, -1, 0, 2 * w)
-            w_global = slice_axis(weights, -1, 2 * w, 2 * w + g * r)
-            local_out = matmul(w_local.reshape(*batch, l, 1, 2 * w), v_rows)
-            global_out = matmul(w_global, slice_axis(vbar_all, -2, 0, g * r))
-            out_g = local_out.reshape(*batch, l, dk) + global_out
-        else:
-            weights = masked_softmax(logits_g, mask_g)
-            out_g = matmul(weights.reshape(*batch, l, 1, 2 * w), v_rows)
-            out_g = out_g.reshape(*batch, l, dk)
-        outputs.append(out_g)
-        if return_weights and start < n:
-            pieces.append(WeightsPiece(weights.data, mask_g))
-    out = slice_axis(concat(outputs, axis=-2), -2, 0, n)
-    if return_weights:
-        return out, AttentionWeights(pieces, n)
-    return out
+    return _aggregate(x, p, cfg, cfg.dual_ln, return_weights, mode="causal")
 
 
 def causal_full_attention_oracle(
@@ -243,5 +50,5 @@ def causal_full_attention_oracle(
     weights = masked_softmax(logits, mask)
     out = matmul(weights, v)
     if return_weights:
-        return out, AttentionWeights([WeightsPiece(weights.data, mask)], n)
+        return out, AttentionWeights(weights.data, mask, n)
     return out

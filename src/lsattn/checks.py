@@ -52,7 +52,7 @@ def _oracle_equivalence(seed: int) -> CheckResult:
 
 
 def _stochasticity(seed: int) -> CheckResult:
-    worst = 0.0
+    worst, negative = 0.0, False
     configs = [
         LSConfig(seq_len=12, model_dim=8, heads=1, window=2, rank=3),
         LSConfig(seq_len=12, model_dim=8, heads=1, window=4, rank=2, dual_ln=True),
@@ -69,10 +69,18 @@ def _stochasticity(seed: int) -> CheckResult:
         else:
             _, info = aggregate_plain_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
-        if cfg.rank > 0 and cfg.mode == "bidirectional":
-            pkv = dynamic_projection(x, p, cfg)
-            worst = max(worst, float(np.abs(pkv.p.data.sum(axis=0) - 1.0).max()))
-    return CheckResult("row-column-stochasticity", worst <= 1e-12, f"max |sum-1| {worst:.2e}")
+        if cfg.rank > 0:
+            # Projection columns are distributions over each projection
+            # segment: the whole sequence bidirectionally, seg_len causally.
+            proj = dynamic_projection(x, p, cfg).p.data
+            seg = cfg.seg_len if cfg.mode == "causal" else proj.shape[0]
+            sums = proj.reshape(-1, seg, cfg.rank).sum(axis=1)
+            worst = max(worst, float(np.abs(sums - 1.0).max()))
+            negative |= bool((proj < 0).any())
+    return CheckResult(
+        "row-column-stochasticity", worst <= 1e-12 and not negative,
+        f"max |sum-1| {worst:.2e}, negative weights {negative}",
+    )
 
 
 def _causality(seed: int) -> CheckResult:

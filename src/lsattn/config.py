@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -71,9 +71,6 @@ class LSConfig:
         if self.mode == "causal" and self.rank > 0:
             multiple = math.lcm(multiple, self.seg_len)
         return -(-self.seq_len // multiple) * multiple
-
-    def with_seq_len(self, seq_len: int) -> "LSConfig":
-        return replace(self, seq_len=seq_len)
 
 
 def desk_causal_config(

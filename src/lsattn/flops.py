@@ -14,12 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (
-    aggregate_dualln_head,
-    aggregate_plain_head,
-    full_attention_head,
-    multi_head,
-)
+from .attention import aggregate_head, full_attention_head, multi_head
 from .causal import causal_aggregate_head, causal_full_attention_oracle
 from .config import LSConfig
 from .errors import ConfigError
@@ -61,8 +56,12 @@ class ArchSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.layers < 1 or self.docs < 1:
-            raise ConfigError("layers and docs must be positive")
+        if min(self.layers, self.docs, self.seq_len, self.model_dim, self.ffn_dim) < 1:
+            raise ConfigError("layers, docs, seq_len, model_dim and ffn_dim must be positive")
+        if self.heads < 1 or self.model_dim % self.heads != 0:
+            raise ConfigError(
+                f"model_dim {self.model_dim} must be divisible by heads {self.heads}"
+            )
         if self.variant == "window" and self.window < 2:
             raise ConfigError("window variant requires window >= 2")
         if self.variant == "projection":
@@ -135,34 +134,18 @@ def count_flops(arch: ArchSpec) -> FlopReport:
         comp["attention_values"] = h * n * n * dk
         return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
+    # One softmax per query over 2w window slots plus every projected slot:
+    # r bidirectionally, r per projection segment causally (masked by segment).
     w, r = cfg.window, cfg.rank
-    if arch.mode == "bidirectional":
-        span = 2 * w + r if w > 0 else r
-        comp["attention_scores"] = h * n_att * span * dk
-        comp["attention_values"] = h * n_att * span * dk
-        if r > 0:
-            comp["dynamic_projection"] = h * n_att * d * r
-            comp["projected_kv"] = 2 * h * n_att * r * dk
-            if dual:
-                comp["layer_norm"] += 4 * 2 * h * r * dk
-        if dual and w > 0:
-            comp["layer_norm"] += 4 * 2 * h * n_att * dk
-        return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
-
-    # Causal: batched window scores plus per-group growing projection spans.
-    comp["attention_scores"] = h * n_att * 2 * w * dk
-    comp["attention_values"] = h * n_att * 2 * w * dk
+    slots = r * (n_att // cfg.seg_len) if arch.mode == "causal" else r
+    comp["attention_scores"] = h * n_att * (2 * w + slots) * dk
+    comp["attention_values"] = h * n_att * (2 * w + slots) * dk
     if r > 0:
-        l = cfg.seg_len
-        m = n_att // l
         comp["dynamic_projection"] = h * n_att * d * r
         comp["projected_kv"] = 2 * h * n_att * r * dk
-        past_pairs = m * (m - 1) // 2
-        comp["attention_scores"] += h * dk * r * l * past_pairs
-        comp["attention_values"] += h * dk * r * l * past_pairs
         if dual:
-            comp["layer_norm"] += 4 * 2 * h * m * r * dk
-    if dual:
+            comp["layer_norm"] += 4 * 2 * h * slots * dk
+    if dual and w > 0:
         comp["layer_norm"] += 4 * 2 * h * n_att * dk
     return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
@@ -222,9 +205,7 @@ class ReferenceEncoder:
             return lambda x, hp: full_attention_head(x, hp)
         if arch.mode == "causal":
             return lambda x, hp: causal_aggregate_head(x, hp, cfg)
-        if cfg.dual_ln:
-            return lambda x, hp: aggregate_dualln_head(x, hp, cfg)
-        return lambda x, hp: aggregate_plain_head(x, hp, cfg)
+        return lambda x, hp: aggregate_head(x, hp, cfg)
 
     def forward(self, x: Tensor) -> Tensor:
         head_fn = self._head_fn()
@@ -304,7 +285,10 @@ def load_preset_file(path: str | Path) -> ArchSpec:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _INT_FIELDS:
-            values[key] = int(value)
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad integer {value!r} for {key}") from None
         elif key in _STR_FIELDS:
             values[key] = value
         elif key == "dual_ln":

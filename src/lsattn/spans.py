@@ -68,14 +68,6 @@ def segment_window_indices(padded_len: int, window: int, mode: str) -> np.ndarra
     return _window_indices_cached(padded_len, window, mode)
 
 
-@lru_cache(maxsize=256)
-def _bidirectional_mask_cached(padded_len: int, window: int, seq_len: int) -> np.ndarray:
-    indices = _window_indices_cached(padded_len, window, "bidirectional")
-    out = (indices >= 0) & (indices < seq_len)
-    out.setflags(write=False)
-    return out
-
-
 def bidirectional_key_mask(indices: np.ndarray, seq_len: int) -> np.ndarray:
     """Attendable slots: in range and not padding. Shape (segments, 2w)."""
     return (indices >= 0) & (indices < seq_len)

@@ -152,9 +152,13 @@ def test_criterion_3_stochasticity():
         else:
             _, info = aggregate_plain_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
-        if cfg.rank > 0 and cfg.mode == "bidirectional":
+        if cfg.rank > 0:
+            # Columns are distributions over each projection segment: the
+            # whole sequence bidirectionally, each seg_len block causally.
             pkv = dynamic_projection(x, p, cfg)
-            worst = max(worst, float(np.abs(pkv.p.data.sum(axis=0) - 1.0).max()))
+            seg = cfg.seg_len if cfg.mode == "causal" else cfg.seq_len
+            sums = pkv.p.data.reshape(-1, seg, cfg.rank).sum(axis=1)
+            worst = max(worst, float(np.abs(sums - 1.0).max()))
             assert (pkv.p.data >= 0).all()
     assert worst <= 1e-12
     report("3 stochasticity", f"100 configs, max |sum-1| {worst:.2e}")

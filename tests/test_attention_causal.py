@@ -9,8 +9,8 @@ from lsattn import (
     Tensor,
     causal_aggregate_head,
     causal_full_attention_oracle,
-    causal_segment_projection,
     causal_window_span,
+    dynamic_projection,
     full_attention_head,
     init_head_params,
 )
@@ -77,38 +77,39 @@ def causal_oracle(x, p, cfg):
 
 
 class TestSegmentProjection:
+    """Causally, dynamic_projection projects each seg_len block on its own."""
+
     def test_segment_columns_are_distributions(self):
         cfg = causal_cfg(n=12, w=2, r=2, l=4)
         p, x = make_head(cfg, seed=1)
-        proj = causal_segment_projection(x, p, cfg)
-        assert proj.num_segments == 3
-        for ps in proj.p_segments:
-            assert np.abs(ps.data.sum(axis=0) - 1.0).max() <= 1e-12
-            assert (ps.data >= 0.0).all()
+        proj = dynamic_projection(x, p, cfg)
+        assert proj.kbar.shape[-2] == 3 * cfg.rank
+        for ps in proj.p.data.reshape(3, 4, 2):
+            assert np.abs(ps.sum(axis=0) - 1.0).max() <= 1e-12
+            assert (ps >= 0.0).all()
 
     def test_segment_locality_is_bitwise(self):
         cfg = causal_cfg(n=12, w=2, r=2, l=4)
         p, x = make_head(cfg, seed=2)
-        base = causal_segment_projection(x, p, cfg)
+        base = dynamic_projection(x, p, cfg)
         x.data[0] += 3.0  # outside segment 1
         x.data[9] -= 2.0  # outside segment 1
-        bumped = causal_segment_projection(x, p, cfg)
-        assert np.array_equal(base.p_segments[1].data, bumped.p_segments[1].data)
-        assert np.array_equal(base.kbar_segments[1].data, bumped.kbar_segments[1].data)
-        assert np.array_equal(base.vbar_segments[1].data, bumped.vbar_segments[1].data)
+        bumped = dynamic_projection(x, p, cfg)
+        assert np.array_equal(base.p.data[4:8], bumped.p.data[4:8])
+        assert np.array_equal(base.kbar.data[2:4], bumped.kbar.data[2:4])
+        assert np.array_equal(base.vbar.data[2:4], bumped.vbar.data[2:4])
 
     def test_one_pass_equals_segment_at_a_time(self):
         cfg = causal_cfg(n=12, w=2, r=2, l=4)
         p, x = make_head(cfg, seed=3)
-        whole = causal_segment_projection(x, p, cfg)
+        whole = dynamic_projection(x, p, cfg)
         for s in range(3):
             cfg_one = causal_cfg(n=4, w=2, r=2, l=4)
-            piece = causal_segment_projection(
-                Tensor(x.data[s * 4:(s + 1) * 4]), p, cfg_one
-            )
-            assert np.array_equal(whole.p_segments[s].data, piece.p_segments[0].data)
-            assert np.array_equal(whole.kbar_segments[s].data, piece.kbar_segments[0].data)
-            assert np.array_equal(whole.vbar_segments[s].data, piece.vbar_segments[0].data)
+            piece = dynamic_projection(Tensor(x.data[s * 4:(s + 1) * 4]), p, cfg_one)
+            rows, slots = slice(s * 4, (s + 1) * 4), slice(s * 2, (s + 1) * 2)
+            assert np.array_equal(whole.p.data[rows], piece.p.data)
+            assert np.array_equal(whole.kbar.data[slots], piece.kbar.data)
+            assert np.array_equal(whole.vbar.data[slots], piece.vbar.data)
 
 
 class TestCausalAggregate:
@@ -134,8 +135,9 @@ class TestCausalAggregate:
         p, x = make_head(cfg, seed=6)
         _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
         # Group 0 lacks global slots; group 1 sees exactly one past segment.
-        assert info.pieces[0].weights.shape[-1] == 2 * cfg.window
-        assert info.pieces[1].weights.shape[-1] == 2 * cfg.window + cfg.rank
+        projected = info.attendable[:, 2 * cfg.window:]
+        assert not projected[:4].any()
+        assert (projected[4:8].sum(axis=-1) == cfg.rank).all()
 
     def test_home_segment_is_excluded_from_global_branch(self):
         # The last token of projection segment 1 still sees only segment 0.
@@ -149,6 +151,7 @@ class TestCausalAggregate:
         (16, 4, 2, 4, True),
         (12, 2, 1, 2, False),
         (9, 4, 3, 4, True),
+        (5, 4, 2, 2, True),
     ])
     def test_matches_stepwise_oracle(self, n, w, r, l, dual):
         cfg = causal_cfg(n=n, w=w, r=r, l=l, dual=dual)
@@ -162,9 +165,7 @@ class TestCausalAggregate:
         p, x = make_head(cfg, seed=8)
         _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
         assert np.abs(info.row_sums() - 1.0).max() <= 1e-12
-        for piece in info.pieces:
-            if piece.attendable is not None:
-                assert (piece.weights[~np.broadcast_to(piece.attendable, piece.weights.shape)] == 0.0).all()
+        assert (info.weights[~np.broadcast_to(info.attendable, info.weights.shape)] == 0.0).all()
 
     def test_leading_batch_axis_matches_per_sequence(self):
         cfg = causal_cfg(n=12, w=2, r=2, l=4, dual=True)

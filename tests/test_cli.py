@@ -126,6 +126,27 @@ class TestUsageErrors:
             main(["flops", "--bogus"])
         assert excinfo.value.code == 2
 
+    def test_non_integer_preset_value_exits_2(self, capsys, tmp_path):
+        preset = tmp_path / "words.preset"
+        preset.write_text(
+            "layers = two\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\n"
+        )
+        code, out, err = run_cli(capsys, "flops", "--preset-file", str(preset))
+        assert code == 2
+        assert "words.preset:1" in err and "'two'" in err
+        assert "Traceback" not in err and out == ""
+
+    def test_full_variant_bad_shape_exits_2(self, capsys, tmp_path):
+        preset = tmp_path / "negative.preset"
+        preset.write_text(
+            "layers = 2\nmodel_dim = 64\nheads = 3\nffn_dim = 128\nseq_len = -5\n"
+            "variant = full\n"
+        )
+        code, out, err = run_cli(capsys, "flops", "--preset-file", str(preset))
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err and "total" not in out
+
     def test_invalid_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "64", "--variant",
                                "long-short", "--w", "3", "--r", "2")

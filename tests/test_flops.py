@@ -53,11 +53,12 @@ class TestDualRouteParity:
             assert count_flops(arch).total == measured_flops(arch)
 
     def test_parity_with_padding(self):
-        # Sequence lengths that are not multiples of the segment sizes.
-        for n in (13, 29, 31):
+        # Sequence lengths that are not multiples of the segment sizes. With
+        # n=5, w=4, l=2 tokens 6-7 form a padding-only projection segment.
+        for n, w, l in ((13, 4, 4), (29, 4, 4), (31, 4, 4), (5, 4, 2)):
             arch = ArchSpec(
                 layers=1, model_dim=8, heads=1, ffn_dim=8, seq_len=n,
-                variant="long-short", window=4, rank=2, seg_len=4, mode="causal",
+                variant="long-short", window=w, rank=2, seg_len=l, mode="causal",
                 dual_ln=True,
             )
             assert count_flops(arch).total == measured_flops(arch)
