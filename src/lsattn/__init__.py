@@ -6,20 +6,16 @@ toy language model, an exact FLOP model, and benchmarking/probing tools
 behind the `lsattn` command line.
 """
 
-from .autodiff import backward, finite_diff_check, gradients, zero_grads
+from .autodiff import backward, finite_diff_check, gradients
 from .attention import (
     AttentionWeights,
     NormRatioResult,
     ProjectedKV,
-    aggregate_dualln_head,
     aggregate_head,
-    aggregate_plain_head,
     dynamic_projection,
     full_attention_head,
-    long_range_attention_head,
     multi_head,
     norm_ratio_probe,
-    sliding_window_attention_head,
 )
 from .causal import causal_aggregate_head, causal_full_attention_oracle
 from .config import LSConfig, charlm_causal_config, desk_causal_config
@@ -30,7 +26,6 @@ from .tensor import (
     Rng,
     Tensor,
     concat,
-    concat_rows,
     count_flops_runtime,
     init_matrix,
     layer_norm,

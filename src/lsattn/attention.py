@@ -1,4 +1,8 @@
-"""Bidirectional attention heads: exact, windowed, projected, and combined.
+"""Bidirectional attention heads, the long-short aggregation, and the block.
+
+`full_attention_head` is exact attention; `aggregate_head` covers windowed,
+projected and combined attention. The aggregation is shared with the causal
+mode, and `block_forward` is the pre-LN block that runs any per-head attention.
 
 All operations accept inputs of shape (..., n, d) with optional leading batch
 axes and return per-head outputs of shape (..., n, head_dim). Sequences are
@@ -9,23 +13,25 @@ outputs and are dropped before returning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import LSConfig
 from .errors import ConfigError, ShapeError
-from .params import HeadParams, MultiHeadParams, init_head_params
+from .params import BlockParams, HeadParams, MultiHeadParams, init_head_params
 from .spans import _causal_mask_cached, bidirectional_key_mask, segment_window_indices
 from .tensor import (
     Rng,
     Tensor,
+    add,
     concat,
     layer_norm,
     masked_softmax,
     matmul,
     no_grad,
+    relu,
     scale,
     slice_axis,
     take,
@@ -37,11 +43,8 @@ __all__ = [
     "AttentionWeights",
     "full_attention_head",
     "multi_head",
-    "sliding_window_attention_head",
+    "block_forward",
     "dynamic_projection",
-    "long_range_attention_head",
-    "aggregate_plain_head",
-    "aggregate_dualln_head",
     "aggregate_head",
     "norm_ratio_probe",
     "NormRatioResult",
@@ -127,6 +130,24 @@ def multi_head(
     return matmul(concat(outputs, axis=-1), p.wo)
 
 
+def block_forward(
+    x: Tensor,
+    block: BlockParams,
+    attn: Callable[[Tensor, HeadParams], Tensor],
+    dropout: Callable[[Tensor], Tensor] = lambda t: t,
+) -> Tensor:
+    """One pre-LN block: x + attention(LN(x)), then x + FFN(LN(x)).
+
+    The FFN is relu(h @ ffn_in + b_in) @ ffn_out + b_out. `dropout` is applied
+    to the attention output and to the FFN hidden layer, in that order.
+    """
+    normed = layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
+    x = add(x, dropout(multi_head(normed, block.attn, attn)))
+    normed = layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
+    hidden = dropout(relu(add(matmul(normed, block.ffn_in), block.ffn_in_bias)))
+    return add(x, add(matmul(hidden, block.ffn_out), block.ffn_out_bias))
+
+
 def dynamic_projection(
     x: Tensor,
     p: HeadParams,
@@ -175,66 +196,24 @@ def dynamic_projection(
     return ProjectedKV(p=transpose_last(pt).reshape(*batch, n_pad, r), kbar=kbar, vbar=vbar)
 
 
-def long_range_attention_head(
-    x: Tensor,
-    pkv: ProjectedKV,
-    p: HeadParams,
-    cfg: LSConfig,
-    return_weights: bool = False,
-) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """Every query attends the projected keys and values only."""
-    if cfg.rank < 1:
-        raise ConfigError("long-range attention requires rank >= 1")
-    q = matmul(x, p.wq)
-    logits = scale(matmul(q, transpose_last(pkv.kbar)), 1.0 / math.sqrt(cfg.head_dim))
-    weights = masked_softmax(logits)
-    out = matmul(weights, pkv.vbar)
-    if return_weights:
-        info = AttentionWeights(weights.data, None, x.shape[-2])
-        return out, info
-    return out
-
-
-def sliding_window_attention_head(
-    x: Tensor, p: HeadParams, cfg: LSConfig, return_weights: bool = False
-) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """Softmax attention restricted to each query's window span."""
-    if cfg.window < 2:
-        raise ConfigError("sliding window attention requires window >= 2")
-    return _aggregate(x, p, replace(cfg, rank=0), dual_ln=False, return_weights=return_weights)
-
-
-def aggregate_plain_head(
-    x: Tensor, p: HeadParams, cfg: LSConfig, return_weights: bool = False
-) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """One softmax per query over the union of window and projected slots."""
-    return _aggregate(x, p, cfg, dual_ln=False, return_weights=return_weights)
-
-
-def aggregate_dualln_head(
-    x: Tensor, p: HeadParams, cfg: LSConfig, return_weights: bool = False
-) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """Aggregated attention with branch-wise key/value normalization.
-
-    Window keys/values and projected keys/values pass through separate layer
-    norms before the joint softmax, which equalizes their row norms at
-    initialization.
-    """
-    return _aggregate(x, p, cfg, dual_ln=True, return_weights=return_weights)
-
-
 def aggregate_head(
     x: Tensor, p: HeadParams, cfg: LSConfig, return_weights: bool = False
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """Aggregated attention following cfg.dual_ln."""
-    return _aggregate(x, p, cfg, dual_ln=cfg.dual_ln, return_weights=return_weights)
+    """One softmax per query over its window span and all projected slots.
+
+    cfg selects the variant: rank 0 gives sliding-window attention, window 0
+    gives attention over the projected keys and values only, and cfg.dual_ln
+    passes window and projected keys/values through separate layer norms
+    before the joint softmax, which equalizes their row norms at
+    initialization.
+    """
+    return _aggregate(x, p, cfg, return_weights)
 
 
 def _aggregate(
     x: Tensor,
     p: HeadParams,
     cfg: LSConfig,
-    dual_ln: bool,
     return_weights: bool,
     mode: str = "bidirectional",
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
@@ -247,35 +226,39 @@ def _aggregate(
     _check_input(x, p, cfg)
     if cfg.mode != mode:
         raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
-    n, w, r, dk = cfg.seq_len, cfg.window, cfg.rank, cfg.head_dim
-
-    if w == 0:
-        pkv = dynamic_projection(x, p, cfg)
-        if dual_ln:
-            pkv = ProjectedKV(
-                p=pkv.p,
-                kbar=layer_norm(pkv.kbar, p.ln_global.gain, p.ln_global.bias),
-                vbar=layer_norm(pkv.vbar, p.ln_global.gain, p.ln_global.bias),
-            )
-        return long_range_attention_head(x, pkv, p, cfg, return_weights=return_weights)
-
+    n, w, r, dk, dual_ln = cfg.seq_len, cfg.window, cfg.rank, cfg.head_dim, cfg.dual_ln
     n_pad = cfg.padded_len
     x_pad = _pad_rows(x, n_pad)
-    token_valid = np.arange(n_pad) < n
     q = matmul(x_pad, p.wq)
     k = matmul(x_pad, p.wk)
     v = matmul(x_pad, p.wv)
+    batch = q.shape[:-2]
+    inv_scale = 1.0 / math.sqrt(dk)
+
+    if r > 0:
+        token_valid = np.arange(n_pad) < n
+        pkv = dynamic_projection(x_pad, p, cfg, token_mask=token_valid, keys=k, values=v)
+        kbar = layer_norm(pkv.kbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.kbar
+        vbar = layer_norm(pkv.vbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.vbar
+        slots = kbar.shape[-2]
+
+    if w == 0:
+        # Projected slots only; LSConfig allows this in bidirectional mode
+        # alone, where nothing is padded and every slot is attendable.
+        weights = masked_softmax(scale(matmul(q, transpose_last(kbar)), inv_scale))
+        out = matmul(weights, vbar)
+        if return_weights:
+            return out, AttentionWeights(weights.data, None, n)
+        return out
+
     k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias) if dual_ln else k
     v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias) if dual_ln else v
-
     indices = segment_window_indices(n_pad, w, mode)
     segments = indices.shape[0]
     gather = np.clip(indices, 0, n_pad - 1)
     k_gath = take(k_win, gather, axis=-2)
     v_gath = take(v_win, gather, axis=-2)
-    batch = q.shape[:-2]
     q_seg = q.reshape(*batch, segments, w, dk)
-    inv_scale = 1.0 / math.sqrt(dk)
     local_logits = scale(matmul(q_seg, transpose_last(k_gath)), inv_scale)
     if mode == "causal":
         local_mask = _causal_mask_cached(n_pad, w, n)
@@ -293,10 +276,6 @@ def _aggregate(
             return out, AttentionWeights(dense, local_mask.reshape(n_pad, 2 * w), n)
         return out
 
-    pkv = dynamic_projection(x_pad, p, cfg, token_mask=token_valid, keys=k, values=v)
-    kbar = layer_norm(pkv.kbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.kbar
-    vbar = layer_norm(pkv.vbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.vbar
-    slots = kbar.shape[-2]
     if mode == "causal":
         visible = np.arange(slots) // r < (np.arange(n_pad) // cfg.seg_len)[:, None]
     else:

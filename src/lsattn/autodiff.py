@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-__all__ = ["backward", "gradients", "zero_grads", "finite_diff_check"]
+__all__ = ["backward", "gradients", "finite_diff_check"]
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -40,8 +40,8 @@ def backward(output: Tensor, seed: np.ndarray | float | None = None) -> None:
     """Accumulate gradients of `output` into every reachable tensor's .grad.
 
     `seed` is the upstream gradient and must match the output's shape; it
-    defaults to ones. Gradients add onto existing .grad values, so call
-    `zero_grads` between passes.
+    defaults to ones. Gradients add onto existing .grad values; `gradients`
+    clears them before its pass.
     """
     if seed is None:
         seed_arr = np.ones(output.shape, dtype=np.float64)
@@ -84,13 +84,6 @@ def gradients(
             if id(node) not in keep:
                 node.grad = None
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-
-def zero_grads(roots: Sequence[Tensor]) -> None:
-    """Clear .grad on every tensor reachable from the given roots."""
-    for root in roots:
-        for node in _topo_order(root):
-            node.grad = None
 
 
 def finite_diff_check(

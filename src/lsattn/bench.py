@@ -76,6 +76,8 @@ def run_scaling(
     _check_single_threaded()
     if reps < 5:
         raise ConfigError("need at least 5 timed repetitions")
+    if not seq_lens:
+        raise ConfigError("need at least one sequence length")
     if list(seq_lens) != sorted(set(seq_lens)):
         raise ConfigError("sequence lengths must be strictly increasing")
     rows = []

@@ -34,7 +34,7 @@ def causal_aggregate_head(
     With cfg.dual_ln the two branches are normalized separately before
     mixing.
     """
-    return _aggregate(x, p, cfg, cfg.dual_ln, return_weights, mode="causal")
+    return _aggregate(x, p, cfg, return_weights, mode="causal")
 
 
 def causal_full_attention_oracle(

@@ -14,8 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .attention import (
-    aggregate_dualln_head,
-    aggregate_plain_head,
+    aggregate_head,
     dynamic_projection,
     full_attention_head,
     norm_ratio_probe,
@@ -45,7 +44,7 @@ def _oracle_equivalence(seed: int) -> CheckResult:
         p = init_head_params(rng, cfg, trainable=False)
         x = Tensor(rng.child(9).normal((n, 8)))
         gap = np.abs(
-            aggregate_plain_head(x, p, cfg).data - full_attention_head(x, p).data
+            aggregate_head(x, p, cfg).data - full_attention_head(x, p).data
         ).max()
         worst = max(worst, float(gap))
     return CheckResult("oracle-equivalence", worst <= 1e-12, f"max |diff| {worst:.2e}")
@@ -64,10 +63,8 @@ def _stochasticity(seed: int) -> CheckResult:
         x = Tensor(rng.child(5).normal((12, 8)))
         if cfg.mode == "causal":
             _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
-        elif cfg.dual_ln:
-            _, info = aggregate_dualln_head(x, p, cfg, return_weights=True)
         else:
-            _, info = aggregate_plain_head(x, p, cfg, return_weights=True)
+            _, info = aggregate_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
         if cfg.rank > 0:
             # Projection columns are distributions over each projection
@@ -103,7 +100,7 @@ def _gradients(seed: int) -> CheckResult:
     worst = 0.0
     setups: list[tuple[LSConfig, Callable]] = [
         (LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2, dual_ln=True),
-         aggregate_dualln_head),
+         aggregate_head),
         (LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=1, seg_len=4,
                   mode="causal", dual_ln=True),
          causal_aggregate_head),

@@ -39,6 +39,22 @@ def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
                         help="normalize window and projected branches separately")
 
 
+def _add_lm_flags(parser: argparse.ArgumentParser, steps: int) -> None:
+    parser.add_argument("--corpus", type=Path, required=True)
+    parser.add_argument("--steps", type=int, default=steps)
+    parser.add_argument("--lr", type=float, default=0.5)
+    parser.add_argument("--seq-len", type=int, default=64)
+    parser.add_argument("--d", type=int, default=32)
+    parser.add_argument("--heads", type=int, default=2)
+    parser.add_argument("--layers", type=int, default=2)
+    parser.add_argument("--ffn", type=int, default=64)
+    parser.add_argument("--w", type=int, default=4)
+    parser.add_argument("--r", type=int, default=1)
+    parser.add_argument("--l", type=int, default=4)
+    parser.add_argument("--batch", type=int, default=8)
+    parser.add_argument("--out", type=Path, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsattn",
@@ -79,38 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_norms.add_argument("--out", type=Path, default=None)
 
     p_train = sub.add_parser("train", help="train the byte-level LM on a corpus file")
-    p_train.add_argument("--corpus", type=Path, required=True)
-    p_train.add_argument("--steps", type=int, default=200)
-    p_train.add_argument("--lr", type=float, default=0.5)
-    p_train.add_argument("--seq-len", type=int, default=64)
-    p_train.add_argument("--d", type=int, default=32)
-    p_train.add_argument("--heads", type=int, default=2)
-    p_train.add_argument("--layers", type=int, default=2)
-    p_train.add_argument("--ffn", type=int, default=64)
-    p_train.add_argument("--w", type=int, default=4)
-    p_train.add_argument("--r", type=int, default=1)
-    p_train.add_argument("--l", type=int, default=4)
-    p_train.add_argument("--batch", type=int, default=8)
+    _add_lm_flags(p_train, steps=200)
     p_train.add_argument("--dropout", type=float, default=0.0)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--no-dual-ln", action="store_true")
-    p_train.add_argument("--out", type=Path, default=None)
 
     p_ablate = sub.add_parser("ablate", help="paired training runs with and without dual LN")
-    p_ablate.add_argument("--corpus", type=Path, required=True)
-    p_ablate.add_argument("--steps", type=int, default=250)
+    _add_lm_flags(p_ablate, steps=250)
     p_ablate.add_argument("--seeds", type=int, default=5)
-    p_ablate.add_argument("--lr", type=float, default=0.5)
-    p_ablate.add_argument("--seq-len", type=int, default=64)
-    p_ablate.add_argument("--d", type=int, default=32)
-    p_ablate.add_argument("--heads", type=int, default=2)
-    p_ablate.add_argument("--layers", type=int, default=2)
-    p_ablate.add_argument("--ffn", type=int, default=64)
-    p_ablate.add_argument("--w", type=int, default=4)
-    p_ablate.add_argument("--r", type=int, default=1)
-    p_ablate.add_argument("--l", type=int, default=4)
-    p_ablate.add_argument("--batch", type=int, default=8)
-    p_ablate.add_argument("--out", type=Path, default=None)
 
     p_check = sub.add_parser("check", help="run the invariant suite; nonzero exit on failure")
     p_check.add_argument("--seed", type=int, default=1)
@@ -121,7 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_out(stack: ExitStack, out: Path | None):
     if out is None:
         return sys.stdout
-    return stack.enter_context(open(out, "w", newline=""))
+    try:
+        return stack.enter_context(open(out, "w", newline=""))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_flops(args) -> int:
@@ -134,9 +129,9 @@ def _cmd_flops(args) -> int:
     else:
         arch = ArchSpec(
             layers=args.layers, model_dim=args.d, heads=args.heads, ffn_dim=args.ffn,
-            seq_len=args.n if args.n else 2048, variant=args.variant or "full",
+            seq_len=args.n if args.n is not None else 2048, variant=args.variant or "full",
             window=args.w, rank=args.r, seg_len=args.l, mode=args.mode,
-            dual_ln=args.dual_ln, docs=args.docs or 1,
+            dual_ln=args.dual_ln, docs=args.docs if args.docs is not None else 1,
         )
     if args.preset is not None or args.preset_file is not None:
         overrides = {}
@@ -194,19 +189,22 @@ def _model_config(args, dual_ln: bool) -> ModelConfig:
     )
     return ModelConfig(
         attention=attention, layers=args.layers, ffn_dim=args.ffn,
-        dropout=getattr(args, "dropout", 0.0), learning_rate=args.lr,
-        steps=args.steps, batch_size=args.batch, seed=args.seed,
+        learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
     )
 
 
 def _read_corpus(path: Path) -> np.ndarray:
     if not path.exists():
         raise ConfigError(f"corpus file {path} does not exist")
-    return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    try:
+        return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    except OSError as exc:
+        raise ConfigError(f"cannot read corpus file {path}: {exc.strerror}") from None
 
 
 def _cmd_train(args) -> int:
-    cfg = _model_config(args, dual_ln=not args.no_dual_ln)
+    cfg = replace(_model_config(args, dual_ln=not args.no_dual_ln),
+                  dropout=args.dropout, seed=args.seed)
     _, report = train(cfg, _read_corpus(args.corpus))
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
@@ -220,14 +218,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+    cfg = _model_config(args, dual_ln=True)
     corpus = _read_corpus(args.corpus)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
         rows = [["seed", "step", "val_bpc_with_dual_ln", "val_bpc_without_dual_ln"]]
         for seed in range(args.seeds):
-            run_args = argparse.Namespace(**{**vars(args), "seed": seed})
-            cfg = _model_config(run_args, dual_ln=True)
-            with_report, without_report = dualln_ablation(cfg, corpus)
+            with_report, without_report = dualln_ablation(replace(cfg, seed=seed), corpus)
             for a, b in zip(with_report.steps, without_report.steps):
                 rows.append([str(seed), str(a.step), fmt(a.val_bpc), fmt(b.val_bpc)])
             rows.append([str(seed), "final", fmt(with_report.final_val_bpc),

@@ -12,23 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
-from .attention import aggregate_head, full_attention_head, multi_head
+from .attention import aggregate_head, block_forward, full_attention_head
 from .causal import causal_aggregate_head, causal_full_attention_oracle
-from .config import LSConfig
+from .config import MODES, LSConfig
 from .errors import ConfigError
-from .params import MultiHeadParams, init_multi_head_params
-from .tensor import (
-    Rng,
-    Tensor,
-    count_flops_runtime,
-    init_matrix,
-    layer_norm,
-    matmul,
-    no_grad,
-    relu,
-)
+from .params import BlockParams, init_block_params
+from .tensor import Rng, Tensor, count_flops_runtime, no_grad
 
 __all__ = ["ArchSpec", "FlopReport", "count_flops", "measured_flops",
            "PRESETS", "load_preset_file", "ReferenceEncoder"]
@@ -56,6 +45,10 @@ class ArchSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.window < 0 or self.rank < 0 or self.seg_len < 1:
+            raise ConfigError("window and rank must be non-negative and seg_len positive")
         if min(self.layers, self.docs, self.seq_len, self.model_dim, self.ffn_dim) < 1:
             raise ConfigError("layers, docs, seq_len, model_dim and ffn_dim must be positive")
         if self.heads < 1 or self.model_dim % self.heads != 0:
@@ -151,26 +144,15 @@ def count_flops(arch: ArchSpec) -> FlopReport:
 
 
 @dataclass
-class LayerParams:
-    ln_attn_gain: Tensor
-    ln_attn_bias: Tensor
-    attn: MultiHeadParams
-    ln_ffn_gain: Tensor
-    ln_ffn_bias: Tensor
-    ffn_in: Tensor
-    ffn_out: Tensor
-
-
-@dataclass
 class ReferenceEncoder:
-    """A bare pre-LN block stack used for cost measurement and timing.
+    """A bare stack of the LM's pre-LN blocks, for cost measurement and timing.
 
-    No embeddings, classifier, or final norm: exactly the per-layer work the
-    cost model describes.
+    No embeddings, classifier, final norm or dropout: exactly the per-layer
+    work the cost model describes.
     """
 
     arch: ArchSpec
-    layers: list[LayerParams] = field(default_factory=list)
+    layers: list[BlockParams] = field(default_factory=list)
 
     @classmethod
     def build(cls, arch: ArchSpec, rng: Rng) -> "ReferenceEncoder":
@@ -179,21 +161,10 @@ class ReferenceEncoder:
             seq_len=arch.seq_len, model_dim=arch.model_dim, heads=arch.heads,
             window=2, rank=0,
         )
-        d, ffn = arch.model_dim, arch.ffn_dim
-        layers = []
-        for i in range(arch.layers):
-            lrng = rng.child(i)
-            layers.append(
-                LayerParams(
-                    ln_attn_gain=Tensor(np.ones(d)),
-                    ln_attn_bias=Tensor(np.zeros(d)),
-                    attn=init_multi_head_params(lrng, ls_cfg, trainable=False),
-                    ln_ffn_gain=Tensor(np.ones(d)),
-                    ln_ffn_bias=Tensor(np.zeros(d)),
-                    ffn_in=init_matrix(lrng.child(100), d, ffn),
-                    ffn_out=init_matrix(lrng.child(101), ffn, d),
-                )
-            )
+        layers = [
+            init_block_params(rng.child(i), ls_cfg, arch.ffn_dim, trainable=False)
+            for i in range(arch.layers)
+        ]
         return cls(arch=arch, layers=layers)
 
     def _head_fn(self):
@@ -209,11 +180,8 @@ class ReferenceEncoder:
 
     def forward(self, x: Tensor) -> Tensor:
         head_fn = self._head_fn()
-        for layer in self.layers:
-            normed = layer_norm(x, layer.ln_attn_gain, layer.ln_attn_bias)
-            x = x + multi_head(normed, layer.attn, head_fn)
-            normed = layer_norm(x, layer.ln_ffn_gain, layer.ln_ffn_bias)
-            x = x + matmul(relu(matmul(normed, layer.ffn_in)), layer.ffn_out)
+        for block in self.layers:
+            x = block_forward(x, block, head_fn)
         return x
 
 
@@ -276,8 +244,14 @@ _STR_FIELDS = ("variant", "mode")
 
 def load_preset_file(path: str | Path) -> ArchSpec:
     """Parse a `key = value` preset file (one setting per line, # comments)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read preset file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"preset file {path} is not UTF-8 text") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -11,15 +11,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .attention import multi_head
+from .attention import block_forward
 from .causal import causal_aggregate_head
 from .config import LSConfig
 from .errors import ConfigError, DivergenceError, ShapeError
-from .params import LnParams, MultiHeadParams, init_multi_head_params
+from .params import BlockParams, LnParams, _ln_params, init_block_params
 from .tensor import (
     Rng,
     Tensor,
@@ -29,7 +29,6 @@ from .tensor import (
     layer_norm,
     matmul,
     no_grad,
-    relu,
     scale_by_array,
     take,
 )
@@ -69,28 +68,6 @@ class ModelConfig:
 
 
 @dataclass
-class BlockParams:
-    ln_attn: LnParams
-    attn: MultiHeadParams
-    ln_ffn: LnParams
-    ffn_in: Tensor
-    ffn_in_bias: Tensor
-    ffn_out: Tensor
-    ffn_out_bias: Tensor
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}ln_attn.gain", self.ln_attn.gain
-        yield f"{prefix}ln_attn.bias", self.ln_attn.bias
-        yield from self.attn.named_parameters(prefix=f"{prefix}attn.")
-        yield f"{prefix}ln_ffn.gain", self.ln_ffn.gain
-        yield f"{prefix}ln_ffn.bias", self.ln_ffn.bias
-        yield f"{prefix}ffn_in", self.ffn_in
-        yield f"{prefix}ffn_in_bias", self.ffn_in_bias
-        yield f"{prefix}ffn_out", self.ffn_out
-        yield f"{prefix}ffn_out_bias", self.ffn_out_bias
-
-
-@dataclass
 class ModelParams:
     config: ModelConfig
     token_embedding: Tensor
@@ -114,32 +91,13 @@ class ModelParams:
         return [t for _, t in self.named_parameters()]
 
 
-def _ln(dim: int, name: str) -> LnParams:
-    return LnParams(
-        gain=Tensor(np.ones(dim), requires_grad=True, name=f"{name}.gain"),
-        bias=Tensor(np.zeros(dim), requires_grad=True, name=f"{name}.bias"),
-    )
-
-
 def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     """Fresh parameters; the output head starts at zero so initial logits are uniform."""
     d = cfg.attention.model_dim
-    blocks = []
-    for i in range(cfg.layers):
-        block_rng = rng.child(10 + i)
-        blocks.append(
-            BlockParams(
-                ln_attn=_ln(d, f"block{i}.ln_attn"),
-                attn=init_multi_head_params(block_rng, cfg.attention),
-                ln_ffn=_ln(d, f"block{i}.ln_ffn"),
-                ffn_in=init_matrix(block_rng.child(100), d, cfg.ffn_dim,
-                                   requires_grad=True, name=f"block{i}.ffn_in"),
-                ffn_in_bias=Tensor(np.zeros(cfg.ffn_dim), requires_grad=True),
-                ffn_out=init_matrix(block_rng.child(101), cfg.ffn_dim, d,
-                                    requires_grad=True, name=f"block{i}.ffn_out"),
-                ffn_out_bias=Tensor(np.zeros(d), requires_grad=True),
-            )
-        )
+    blocks = [
+        init_block_params(rng.child(10 + i), cfg.attention, cfg.ffn_dim, name=f"block{i}")
+        for i in range(cfg.layers)
+    ]
     return ModelParams(
         config=cfg,
         token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d,
@@ -147,7 +105,7 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
         position_embedding=init_matrix(rng.child(1), cfg.seq_len, d,
                                        requires_grad=True, name="position_embedding"),
         blocks=blocks,
-        ln_final=_ln(d, "ln_final"),
+        ln_final=_ln_params(d, True, "ln_final"),
         head_weight=Tensor(np.zeros((d, cfg.vocab_size)), requires_grad=True, name="head_weight"),
         head_bias=Tensor(np.zeros(cfg.vocab_size), requires_grad=True, name="head_bias"),
     )
@@ -157,11 +115,16 @@ def param_count(model: ModelParams) -> int:
     return sum(t.size for t in model.parameter_list())
 
 
-def _dropout_mask(rng: Rng | None, rate: float, shape) -> np.ndarray | None:
+def _dropout(rng: Rng | None, rate: float) -> Callable[[Tensor], Tensor]:
+    """Inverted dropout with masks drawn from rng; the identity without rng or at rate 0."""
     if rng is None or rate <= 0.0:
-        return None
-    keep = rng.uniform(shape) >= rate
-    return keep / (1.0 - rate)
+        return lambda t: t
+
+    def drop(t: Tensor) -> Tensor:
+        keep = rng.uniform(t.shape) >= rate
+        return scale_by_array(t, keep / (1.0 - rate))
+
+    return drop
 
 
 def forward_logits(
@@ -175,23 +138,11 @@ def forward_logits(
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ShapeError("token ids outside vocabulary")
     x = add(take(model.token_embedding, tokens, axis=0), model.position_embedding)
-    rate = cfg.dropout
+    dropout = _dropout(dropout_rng, cfg.dropout)
     for block in model.blocks:
-        normed = layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-        attended = multi_head(
-            normed, block.attn, lambda h, hp: causal_aggregate_head(h, hp, cfg.attention)
+        x = block_forward(
+            x, block, lambda h, hp: causal_aggregate_head(h, hp, cfg.attention), dropout
         )
-        mask = _dropout_mask(dropout_rng, rate, attended.shape)
-        if mask is not None:
-            attended = scale_by_array(attended, mask)
-        x = add(x, attended)
-        normed = layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
-        hidden = relu(add(matmul(normed, block.ffn_in), block.ffn_in_bias))
-        mask = _dropout_mask(dropout_rng, rate, hidden.shape)
-        if mask is not None:
-            hidden = scale_by_array(hidden, mask)
-        ffn = add(matmul(hidden, block.ffn_out), block.ffn_out_bias)
-        x = add(x, ffn)
     x = layer_norm(x, model.ln_final.gain, model.ln_final.bias)
     return add(matmul(x, model.head_weight), model.head_bias)
 

@@ -1,4 +1,4 @@
-"""Learned parameter containers for attention heads."""
+"""Learned parameter containers for attention heads and transformer blocks."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 from .config import LSConfig
 from .tensor import Rng, Tensor, init_matrix
 
-__all__ = ["LnParams", "HeadParams", "MultiHeadParams", "init_head_params", "init_multi_head_params"]
+__all__ = ["LnParams", "HeadParams", "MultiHeadParams", "BlockParams", "init_head_params",
+           "init_multi_head_params", "init_block_params"]
 
 
 @dataclass
@@ -53,6 +54,30 @@ class MultiHeadParams:
         yield f"{prefix}wo", self.wo
 
 
+@dataclass
+class BlockParams:
+    """One pre-LN transformer block: attention and a ReLU feed-forward layer."""
+
+    ln_attn: LnParams
+    attn: MultiHeadParams
+    ln_ffn: LnParams
+    ffn_in: Tensor
+    ffn_in_bias: Tensor
+    ffn_out: Tensor
+    ffn_out_bias: Tensor
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        yield f"{prefix}ln_attn.gain", self.ln_attn.gain
+        yield f"{prefix}ln_attn.bias", self.ln_attn.bias
+        yield from self.attn.named_parameters(prefix=f"{prefix}attn.")
+        yield f"{prefix}ln_ffn.gain", self.ln_ffn.gain
+        yield f"{prefix}ln_ffn.bias", self.ln_ffn.bias
+        yield f"{prefix}ffn_in", self.ffn_in
+        yield f"{prefix}ffn_in_bias", self.ffn_in_bias
+        yield f"{prefix}ffn_out", self.ffn_out
+        yield f"{prefix}ffn_out_bias", self.ffn_out_bias
+
+
 def _ln_params(dim: int, trainable: bool, name: str) -> LnParams:
     return LnParams(
         gain=Tensor(np.ones(dim), requires_grad=trainable, name=f"{name}.gain"),
@@ -89,3 +114,25 @@ def init_multi_head_params(
         requires_grad=trainable, name="wo",
     )
     return MultiHeadParams(heads=heads, wo=wo)
+
+
+def init_block_params(
+    rng: Rng, cfg: LSConfig, ffn_dim: int, trainable: bool = True, name: str = ""
+) -> BlockParams:
+    """Fresh block parameters: heads from rng, FFN matrices from its children 100 and 101.
+
+    Norms start at identity and FFN biases at zero; `name` prefixes tensor names.
+    """
+    d = cfg.model_dim
+    prefix = f"{name}." if name else ""
+    return BlockParams(
+        ln_attn=_ln_params(d, trainable, f"{prefix}ln_attn"),
+        attn=init_multi_head_params(rng, cfg, trainable=trainable),
+        ln_ffn=_ln_params(d, trainable, f"{prefix}ln_ffn"),
+        ffn_in=init_matrix(rng.child(100), d, ffn_dim, requires_grad=trainable,
+                           name=f"{prefix}ffn_in"),
+        ffn_in_bias=Tensor(np.zeros(ffn_dim), requires_grad=trainable),
+        ffn_out=init_matrix(rng.child(101), ffn_dim, d, requires_grad=trainable,
+                            name=f"{prefix}ffn_out"),
+        ffn_out_bias=Tensor(np.zeros(d), requires_grad=trainable),
+    )

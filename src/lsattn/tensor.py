@@ -23,7 +23,6 @@ __all__ = [
     "masked_softmax",
     "layer_norm",
     "concat",
-    "concat_rows",
     "init_matrix",
     "add",
     "sub",
@@ -316,15 +315,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 offset += size
         _attach(out, tuple(tensors), backward)
     return out
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Stack the rows of a above the rows of b; trailing dims must match."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("concat_rows expects matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows trailing dims disagree: {a.shape} vs {b.shape}")
-    return concat([a, b], axis=0)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

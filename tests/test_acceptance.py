@@ -15,16 +15,13 @@ from lsattn import (
     LSConfig,
     Rng,
     Tensor,
-    aggregate_dualln_head,
-    aggregate_plain_head,
+    aggregate_head,
     causal_aggregate_head,
     causal_full_attention_oracle,
     dynamic_projection,
     full_attention_head,
     init_head_params,
-    long_range_attention_head,
     norm_ratio_probe,
-    sliding_window_attention_head,
 )
 from lsattn.autodiff import finite_diff_check
 from lsattn.bench import run_scaling
@@ -111,7 +108,7 @@ def test_criterion_2_oracle_equivalence():
         p = init_head_params(Rng(1000 + case), cfg, trainable=False)
         x = Tensor(Rng(2000 + case).normal((n, d)))
         gap = np.abs(
-            aggregate_plain_head(x, p, cfg).data - full_attention_head(x, p).data
+            aggregate_head(x, p, cfg).data - full_attention_head(x, p).data
         ).max()
         worst = max(worst, float(gap))
     assert worst <= 1e-12
@@ -147,10 +144,8 @@ def test_criterion_3_stochasticity():
         x = Tensor(Rng(int(rng.integers(0, 10_000))).normal((cfg.seq_len, d)))
         if cfg.mode == "causal":
             _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
-        elif cfg.dual_ln:
-            _, info = aggregate_dualln_head(x, p, cfg, return_weights=True)
         else:
-            _, info = aggregate_plain_head(x, p, cfg, return_weights=True)
+            _, info = aggregate_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
         if cfg.rank > 0:
             # Columns are distributions over each projection segment: the
@@ -195,25 +190,21 @@ def test_criterion_5_gradient_checks():
     """Analytic vs central differences for all six variants, 5 seeds each."""
     n, d = 8, 4
 
-    def window_loss(x, p, cfg, probe):
-        return tensor_sum(mul(sliding_window_attention_head(x, p, cfg), probe))
-
-    def projection_loss(x, p, cfg, probe):
-        pkv = dynamic_projection(x, p, cfg)
-        return tensor_sum(mul(long_range_attention_head(x, pkv, p, cfg), probe))
+    def aggregate_loss(x, p, cfg, probe):
+        return tensor_sum(mul(aggregate_head(x, p, cfg), probe))
 
     variants = {
         "full": (LSConfig(seq_len=n, model_dim=d, heads=1, window=2, rank=1),
                  lambda x, p, cfg, probe: tensor_sum(mul(full_attention_head(x, p), probe))),
         "window": (LSConfig(seq_len=n, model_dim=d, heads=1, window=2, rank=0),
-                   window_loss),
+                   aggregate_loss),
         "projection": (LSConfig(seq_len=n, model_dim=d, heads=1, window=0, rank=2),
-                       projection_loss),
+                       aggregate_loss),
         "plain-aggregate": (LSConfig(seq_len=n, model_dim=d, heads=1, window=2, rank=2),
-                            lambda x, p, cfg, probe: tensor_sum(mul(aggregate_plain_head(x, p, cfg), probe))),
+                            aggregate_loss),
         "dualln-aggregate": (LSConfig(seq_len=n, model_dim=d, heads=1, window=2, rank=2,
                                       dual_ln=True),
-                             lambda x, p, cfg, probe: tensor_sum(mul(aggregate_dualln_head(x, p, cfg), probe))),
+                             aggregate_loss),
         "causal-aggregate": (LSConfig(seq_len=n, model_dim=d, heads=1, window=2, rank=1,
                                       seg_len=4, mode="causal", dual_ln=True),
                              lambda x, p, cfg, probe: tensor_sum(mul(causal_aggregate_head(x, p, cfg), probe))),

@@ -7,16 +7,13 @@ from lsattn import (
     LSConfig,
     Rng,
     Tensor,
-    aggregate_dualln_head,
-    aggregate_plain_head,
+    aggregate_head,
     dynamic_projection,
     full_attention_head,
     init_head_params,
     init_multi_head_params,
-    long_range_attention_head,
     matmul,
     multi_head,
-    sliding_window_attention_head,
     window_span,
 )
 
@@ -129,8 +126,8 @@ class TestMultiHead:
         rng = Rng(5)
         mh = init_multi_head_params(rng, cfg, trainable=False)
         x = Tensor(Rng(10).normal((6, 8)))
-        in_order = [aggregate_plain_head(x, h, cfg).data for h in mh.heads]
-        reversed_eval = [aggregate_plain_head(x, h, cfg).data for h in reversed(mh.heads)]
+        in_order = [aggregate_head(x, h, cfg).data for h in mh.heads]
+        reversed_eval = [aggregate_head(x, h, cfg).data for h in reversed(mh.heads)]
         for a, b in zip(in_order, reversed(reversed_eval)):
             assert np.array_equal(a, b)
 
@@ -151,7 +148,7 @@ class TestSlidingWindow:
     def test_whole_sequence_window_equals_full_attention(self):
         cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=8, rank=0)
         p, x = make_head(cfg, seed=6)
-        windowed = sliding_window_attention_head(x, p, cfg)
+        windowed = aggregate_head(x, p, cfg)
         full = full_attention_head(x, p)
         assert np.abs(windowed.data - full.data).max() < 1e-12
 
@@ -162,16 +159,16 @@ class TestSlidingWindow:
         span = window_span(t, cfg)
         inside = set(span.key_indices[span.attendable].tolist())
         outside = next(j for j in range(cfg.seq_len) if j not in inside)
-        base = sliding_window_attention_head(x, p, cfg).data[t].copy()
+        base = aggregate_head(x, p, cfg).data[t].copy()
         x.data[outside] += 10.0
-        bumped = sliding_window_attention_head(x, p, cfg).data[t]
+        bumped = aggregate_head(x, p, cfg).data[t]
         assert np.array_equal(base, bumped)
 
     @pytest.mark.parametrize("n,w", [(8, 2), (8, 4), (12, 2), (10, 4)])
     def test_matches_masked_oracle(self, n, w):
         cfg = LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=0)
         p, x = make_head(cfg, seed=n + w)
-        out = sliding_window_attention_head(x, p, cfg)
+        out = aggregate_head(x, p, cfg)
         ref = self.windowed_oracle(x.data, p, cfg)
         assert np.abs(out.data - ref).max() < 1e-12
 
@@ -229,7 +226,7 @@ class TestLongRange:
         cfg = LSConfig(seq_len=5, model_dim=4, heads=1, window=0, rank=1)
         p, x = make_head(cfg, seed=18)
         pkv = dynamic_projection(x, p, cfg)
-        out = long_range_attention_head(x, pkv, p, cfg)
+        out = aggregate_head(x, p, cfg)
         assert np.abs(out.data - pkv.vbar.data[0]).max() < 1e-14
 
     def test_zero_queries_average_projected_values(self):
@@ -237,14 +234,13 @@ class TestLongRange:
         p, x = make_head(cfg, seed=19)
         p.wq.data[:] = 0.0
         pkv = dynamic_projection(x, p, cfg)
-        out = long_range_attention_head(x, pkv, p, cfg)
+        out = aggregate_head(x, p, cfg)
         assert np.abs(out.data - pkv.vbar.data.mean(axis=0)).max() < 1e-14
 
     def test_matches_composed_primitives(self):
         cfg = LSConfig(seq_len=4, model_dim=4, heads=1, window=0, rank=2)
         p, x = make_head(cfg, seed=20)
-        pkv = dynamic_projection(x, p, cfg)
-        out = long_range_attention_head(x, pkv, p, cfg)
+        out = aggregate_head(x, p, cfg)
         pref, kref, vref = projection_reference(x.data, p.wp.data, p.wk.data, p.wv.data)
         q = x.data @ p.wq.data
         ref = np_softmax(q @ kref.T / np.sqrt(cfg.head_dim)) @ vref
@@ -278,25 +274,10 @@ class TestAggregation:
             out[t] = weights @ vlist
         return out
 
-    def test_rank_zero_equals_sliding_window_bitwise(self):
-        cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0)
-        p, x = make_head(cfg, seed=21)
-        agg = aggregate_plain_head(x, p, cfg)
-        win = sliding_window_attention_head(x, p, cfg)
-        assert np.array_equal(agg.data, win.data)
-
-    def test_zero_window_equals_long_range_bitwise(self):
-        cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=0, rank=3)
-        p, x = make_head(cfg, seed=22)
-        agg = aggregate_plain_head(x, p, cfg)
-        pkv = dynamic_projection(x, p, cfg)
-        direct = long_range_attention_head(x, pkv, p, cfg)
-        assert np.array_equal(agg.data, direct.data)
-
     def test_whole_window_no_rank_equals_full_attention(self):
         cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=8, rank=0)
         p, x = make_head(cfg, seed=23)
-        agg = aggregate_plain_head(x, p, cfg)
+        agg = aggregate_head(x, p, cfg)
         full = full_attention_head(x, p)
         assert np.abs(agg.data - full.data).max() < 1e-12
 
@@ -304,7 +285,7 @@ class TestAggregation:
     def test_plain_matches_stepwise_oracle(self, n, w, r):
         cfg = LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=r)
         p, x = make_head(cfg, seed=24 + n + w + r)
-        out = aggregate_plain_head(x, p, cfg)
+        out = aggregate_head(x, p, cfg)
         ref = self.aggregated_oracle(x.data, p, cfg, dual=False)
         assert np.abs(out.data - ref).max() < 1e-12
 
@@ -312,7 +293,7 @@ class TestAggregation:
     def test_dualln_matches_stepwise_oracle(self, n, w, r):
         cfg = LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=r, dual_ln=True)
         p, x = make_head(cfg, seed=40 + n + w + r)
-        out = aggregate_dualln_head(x, p, cfg)
+        out = aggregate_head(x, p, cfg)
         ref = self.aggregated_oracle(x.data, p, cfg, dual=True)
         assert np.abs(out.data - ref).max() < 1e-12
 
@@ -330,7 +311,7 @@ class TestAggregation:
     def test_dualln_rank_zero_is_window_on_normalized_kv(self):
         cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0, dual_ln=True)
         p, x = make_head(cfg, seed=26)
-        out = aggregate_dualln_head(x, p, cfg)
+        out = aggregate_head(x, p, cfg)
         ref = self.aggregated_oracle(x.data, p, LSConfig(
             seq_len=8, model_dim=4, heads=1, window=2, rank=0), dual=True)
         assert np.abs(out.data - ref).max() < 1e-12
@@ -339,36 +320,24 @@ class TestAggregation:
         # Window 2 with three projected slots on an 8-token, width-3 input.
         cfg = LSConfig(seq_len=8, model_dim=3, heads=1, window=2, rank=3, dual_ln=True)
         p, x = make_head(cfg, seed=60)
-        out = aggregate_dualln_head(x, p, cfg)
+        out = aggregate_head(x, p, cfg)
         ref = self.aggregated_oracle(x.data, p, cfg, dual=True)
         assert np.abs(out.data - ref).max() < 1e-12
-
-    def test_dispatch_follows_config_flag(self):
-        from lsattn import aggregate_head
-
-        cfg_plain = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2)
-        cfg_dual = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2, dual_ln=True)
-        p, x = make_head(cfg_plain, seed=61)
-        assert np.array_equal(aggregate_head(x, p, cfg_plain).data,
-                              aggregate_plain_head(x, p, cfg_plain).data)
-        assert np.array_equal(aggregate_head(x, p, cfg_dual).data,
-                              aggregate_dualln_head(x, p, cfg_dual).data)
 
     @pytest.mark.parametrize("variant", ["plain", "dual"])
     def test_row_stochasticity(self, variant):
         cfg = LSConfig(seq_len=10, model_dim=4, heads=1, window=2, rank=2,
                        dual_ln=variant == "dual")
         p, x = make_head(cfg, seed=27)
-        fn = aggregate_dualln_head if variant == "dual" else aggregate_plain_head
-        _, info = fn(x, p, cfg, return_weights=True)
+        _, info = aggregate_head(x, p, cfg, return_weights=True)
         assert np.abs(info.row_sums() - 1.0).max() <= 1e-12
 
     def test_leading_batch_axis_matches_per_sequence(self):
         cfg = LSConfig(seq_len=10, model_dim=4, heads=1, window=2, rank=2, dual_ln=True)
         p, _ = make_head(cfg, seed=62)
         batch = Tensor(Rng(63).normal((3, 10, 4)))
-        stacked, info = aggregate_dualln_head(batch, p, cfg, return_weights=True)
+        stacked, info = aggregate_head(batch, p, cfg, return_weights=True)
         assert np.abs(info.row_sums() - 1.0).max() <= 1e-12
         for b in range(3):
-            single = aggregate_dualln_head(Tensor(batch.data[b]), p, cfg)
+            single = aggregate_head(Tensor(batch.data[b]), p, cfg)
             assert np.abs(stacked.data[b] - single.data).max() < 1e-12

@@ -1,5 +1,7 @@
 """Reverse-mode gradients against closed forms and central differences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from lsattn import (
     LSConfig,
     Rng,
     Tensor,
-    aggregate_dualln_head,
+    aggregate_head,
     backward,
     causal_aggregate_head,
     finite_diff_check,
@@ -145,7 +147,7 @@ def test_dualln_aggregate_gradient():
     p = init_head_params(rng, cfg)
     x = Tensor(rng.normal((8, 4)), requires_grad=True)
     probe = Tensor(rng.normal((8, cfg.head_dim)))
-    f = lambda: tensor_sum(mul(aggregate_dualln_head(x, p, cfg), probe))
+    f = lambda: tensor_sum(mul(aggregate_head(x, p, cfg), probe))
     err = finite_diff_check(f, [x] + _head_param_list(p), step=1e-5)
     assert err < 1e-5
 
@@ -168,9 +170,6 @@ def test_dualln_strengthens_projection_gradients():
     # At initialization the projection weights receive more gradient signal
     # once the two branches are normalized to comparable scales. Statistical
     # direction over 10 seeds, not a per-seed claim.
-    from lsattn import aggregate_dualln_head as dual_head
-    from lsattn import aggregate_plain_head as plain_head
-
     means = {True: [], False: []}
     for seed in range(10):
         cfg = LSConfig(seq_len=64, model_dim=8, heads=1, window=4, rank=4)
@@ -179,8 +178,7 @@ def test_dualln_strengthens_projection_gradients():
         x = Tensor(rng.normal((64, 8)))
         probe = Tensor(Rng(seed + 500).normal((64, 8)))
         for dual in (False, True):
-            fn = dual_head if dual else plain_head
-            loss = tensor_sum(mul(fn(x, p, cfg), probe))
+            loss = tensor_sum(mul(aggregate_head(x, p, replace(cfg, dual_ln=dual)), probe))
             (g,) = gradients(loss, [p.wp])
             means[dual].append(np.abs(g).mean())
     assert np.mean(means[True]) >= np.mean(means[False])

@@ -1,9 +1,18 @@
 """Command line behaviour: outputs, exit codes, file handling."""
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsattn.cli import main
+from lsattn.config import MODES
+from lsattn.flops import PRESETS, VARIANTS
 
 
 def run_cli(capsys, *argv):
@@ -152,3 +161,116 @@ class TestUsageErrors:
                                "long-short", "--w", "3", "--r", "2")
         assert code == 2
         assert "even" in err
+
+    @pytest.mark.parametrize("flag", ["--n", "--docs"])
+    def test_zero_count_flag_exits_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "flops", flag, "0")
+        assert code == 2
+        assert "error:" in err and "total" not in out
+
+    @pytest.mark.parametrize("line", ["mode = sideways", "rank = -1"])
+    def test_full_variant_bad_attention_setting_exits_2(self, capsys, tmp_path, line):
+        preset = tmp_path / "odd.preset"
+        preset.write_text(
+            f"layers = 2\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\n{line}\n"
+        )
+        code, out, err = run_cli(capsys, "flops", "--preset-file", str(preset))
+        assert code == 2
+        assert "error:" in err and "total" not in out
+
+    def test_empty_sweep_lengths_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "", "--variant", "full")
+        assert code == 2
+        assert "error:" in err and out == ""
+
+    def test_ablate_zero_seeds_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        code, out, err = run_cli(capsys, "ablate", "--corpus", str(corpus), "--seeds", "0")
+        assert code == 2
+        assert "--seeds" in err and out == ""
+
+
+class TestIoErrors:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_preset_file_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "enc.preset"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"layers = 2\n\xff\xfe\n")
+        code, out, err = run_cli(capsys, "flops", "--preset-file", str(path))
+        assert code == 2
+        assert str(path) in err and out == ""
+
+    def test_corpus_directory_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
+
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.csv"
+        code, _, err = run_cli(capsys, "flops", "--preset", "lra-listops",
+                               "--out", str(out_path))
+        assert code == 2
+        assert str(out_path) in err
+
+
+_INT_FLAGS = ("--n", "--docs", "--layers", "--d", "--heads", "--ffn", "--w", "--r", "--l")
+_PRESET_KEYS = ("layers", "model_dim", "heads", "ffn_dim", "seq_len", "variant", "window",
+                "rank", "seg_len", "mode", "dual_ln", "docs", "colour")
+_WORDS = VARIANTS + MODES + ("true", "no", "two", "", "1e3", "= 4")
+_VALID_BASE = b"layers = 2\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 256\n"
+
+_preset_line = st.one_of(
+    st.builds(
+        lambda key, value: f"{key} = {value}".encode(),
+        st.sampled_from(_PRESET_KEYS),
+        st.one_of(st.integers(-3, 70).map(str), st.sampled_from(_WORDS)),
+    ),
+    st.binary(max_size=12),
+)
+_preset_bytes = st.builds(
+    lambda base, lines: (_VALID_BASE if base else b"") + b"\n".join(lines),
+    st.booleans(), st.lists(_preset_line, max_size=8),
+)
+
+
+@st.composite
+def _flops_argv(draw):
+    argv = ["flops"]
+    for flag in _INT_FLAGS:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-3, 70)))]
+    for flag, choices in (("--variant", VARIANTS), ("--mode", MODES),
+                          ("--preset", tuple(sorted(PRESETS)))):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(choices))]
+    if draw(st.booleans()):
+        argv.append("--dual-ln")
+    preset_file = draw(st.none() | _preset_bytes)
+    return argv, preset_file
+
+
+class TestFlopsFuzz:
+    @given(case=_flops_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_and_total(self, case):
+        argv, preset_file = case
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if preset_file is not None:
+                path = Path(tmp) / "fuzz.preset"
+                path.write_bytes(preset_file)
+                argv = argv + ["--preset-file", str(path)]
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 2), stderr.getvalue()
+        if code == 0:
+            totals = [line for line in stdout.getvalue().splitlines()
+                      if line.startswith("total,")]
+            assert len(totals) == 1
+            assert int(totals[0].split(",")[1]) > 0

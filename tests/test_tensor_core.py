@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsattn import Rng, Tensor, concat_rows, init_matrix, layer_norm, masked_softmax, matmul
+from lsattn import Rng, Tensor, concat, init_matrix, layer_norm, masked_softmax, matmul
 from lsattn.errors import FullyMaskedRowError, ShapeError
 
 
@@ -166,12 +166,12 @@ class TestLayerNorm:
 
 class TestConcatRows:
     def test_two_singletons(self):
-        out = concat_rows(Tensor([[1.0]]), Tensor([[2.0]]))
+        out = concat([Tensor([[1.0]]), Tensor([[2.0]])], axis=0)
         assert out.data.tolist() == [[1.0], [2.0]]
 
     def test_empty_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = concat_rows(Tensor(np.empty((0, 3))), x)
+        out = concat([Tensor(np.empty((0, 3))), x], axis=0)
         assert np.array_equal(out.data, x.data)
 
     @given(m=st.integers(0, 8), p=st.integers(0, 8), d=st.integers(1, 6), seed=st.integers(0, 2**31))
@@ -180,7 +180,7 @@ class TestConcatRows:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(m, d))
         b = rng.normal(size=(p, d))
-        out = concat_rows(Tensor(a), Tensor(b)).data
+        out = concat([Tensor(a), Tensor(b)], axis=0).data
         for i in range(m):
             assert np.array_equal(out[i], a[i])
         for j in range(p):
@@ -188,7 +188,7 @@ class TestConcatRows:
 
     def test_trailing_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            concat_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+            concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
 
 
 class TestInitMatrix:
