@@ -6,7 +6,7 @@ toy language model, an exact FLOP model, and benchmarking/probing tools
 behind the `lsattn` command line.
 """
 
-from .autodiff import backward, finite_diff_check, gradients
+from .autodiff import finite_diff_check, gradients
 from .attention import (
     AttentionWeights,
     NormRatioResult,

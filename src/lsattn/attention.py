@@ -21,7 +21,7 @@ import numpy as np
 from .config import LSConfig
 from .errors import ConfigError, ShapeError
 from .params import BlockParams, HeadParams, MultiHeadParams, init_head_params
-from .spans import _causal_mask_cached, bidirectional_key_mask, segment_window_indices
+from .spans import slot_layout
 from .tensor import (
     Rng,
     Tensor,
@@ -84,7 +84,9 @@ class AttentionWeights:
         return self.weights.sum(axis=-1)[..., : self.seq_len]
 
 
-def _check_input(x: Tensor, p: HeadParams, cfg: LSConfig | None) -> None:
+def _check_input(
+    x: Tensor, p: HeadParams, cfg: LSConfig | None, mode: str = "bidirectional"
+) -> None:
     if x.ndim < 2:
         raise ShapeError(f"attention input must be (..., n, d), got {x.shape}")
     if x.shape[-1] != p.wq.shape[0]:
@@ -94,6 +96,8 @@ def _check_input(x: Tensor, p: HeadParams, cfg: LSConfig | None) -> None:
             raise ShapeError(f"input length {x.shape[-2]} != config seq_len {cfg.seq_len}")
         if p.wq.shape != (cfg.model_dim, cfg.head_dim):
             raise ShapeError("head parameters do not match configuration")
+        if cfg.mode != mode:
+            raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
 
 
 def _pad_rows(x: Tensor, padded_len: int) -> Tensor:
@@ -152,7 +156,6 @@ def dynamic_projection(
     x: Tensor,
     p: HeadParams,
     cfg: LSConfig,
-    token_mask: np.ndarray | None = None,
     keys: Tensor | None = None,
     values: Tensor | None = None,
 ) -> ProjectedKV:
@@ -163,9 +166,10 @@ def dynamic_projection(
     (x is padded to whole segments). Within a segment the projection logits
     are normalized over the tokens, so each of its `rank` output rows is a
     convex combination of that segment's token embeddings and depends on no
-    other token. Excluded tokens (padding) receive exactly zero weight; a
-    segment with no valid token averages its zero rows uniformly.
-    `keys`/`values` may pass in precomputed x@wk and x@wv.
+    other token. Only the first cfg.seq_len rows are valid tokens: rows past
+    them (x's own padding rows, or the zero rows added here) receive exactly
+    zero weight, and a segment with no valid token averages its zero rows
+    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv.
 
     Shapes: p is (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
     """
@@ -179,20 +183,16 @@ def dynamic_projection(
     n = x.shape[-2]
     l = cfg.seg_len if cfg.mode == "causal" else n
     n_pad = -(-n // l) * l
-    if n_pad > n:
-        x = _pad_rows(x, n_pad)
-        token_mask = np.arange(n_pad) < n
-    mask = None
-    if token_mask is not None:
-        valid = np.asarray(token_mask, dtype=bool).reshape(-1, l)
-        mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
-    batch, m, r, dk = x.shape[:-2], n_pad // l, cfg.rank, cfg.head_dim
+    x = _pad_rows(x, n_pad)
+    valid = (np.arange(n_pad) < cfg.seq_len).reshape(-1, l)
+    mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
+    batch, r, dk = x.shape[:-2], cfg.rank, cfg.head_dim
     k = keys if keys is not None else matmul(x, p.wk)
     v = values if values is not None else matmul(x, p.wv)
-    x_seg = x.reshape(*batch, m, l, x.shape[-1])
+    x_seg = x.reshape(*batch, -1, l, x.shape[-1])
     pt = masked_softmax(transpose_last(matmul(x_seg, p.wp)), mask)
-    kbar = matmul(pt, k.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
-    vbar = matmul(pt, v.reshape(*batch, m, l, dk)).reshape(*batch, m * r, dk)
+    kbar = matmul(pt, k.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
+    vbar = matmul(pt, v.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
     return ProjectedKV(p=transpose_last(pt).reshape(*batch, n_pad, r), kbar=kbar, vbar=vbar)
 
 
@@ -219,80 +219,43 @@ def _aggregate(
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
     """One softmax per query over [2w window slots | all projected slots].
 
-    Bidirectionally every projected slot is attendable. Causally slot c
-    (from projection segment c // rank) is attendable for query t only when
-    that segment lies wholly before t's own, i.e. c // rank < t // seg_len.
+    Which slots a query may attend comes from `spans.slot_layout`; a branch
+    with no slots (w = 0 or rank 0) contributes empty operands.
     """
-    _check_input(x, p, cfg)
-    if cfg.mode != mode:
-        raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
-    n, w, r, dk, dual_ln = cfg.seq_len, cfg.window, cfg.rank, cfg.head_dim, cfg.dual_ln
-    n_pad = cfg.padded_len
+    _check_input(x, p, cfg, mode)
+    n, w, dk, n_pad = cfg.seq_len, cfg.window, cfg.head_dim, cfg.padded_len
+    keys, attendable = slot_layout(cfg)
+    groups, size, span = attendable.shape
+    slots = cfg.projected_slots
     x_pad = _pad_rows(x, n_pad)
     q = matmul(x_pad, p.wq)
     k = matmul(x_pad, p.wk)
     v = matmul(x_pad, p.wv)
     batch = q.shape[:-2]
-    inv_scale = 1.0 / math.sqrt(dk)
-
-    if r > 0:
-        token_valid = np.arange(n_pad) < n
-        pkv = dynamic_projection(x_pad, p, cfg, token_mask=token_valid, keys=k, values=v)
-        kbar = layer_norm(pkv.kbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.kbar
-        vbar = layer_norm(pkv.vbar, p.ln_global.gain, p.ln_global.bias) if dual_ln else pkv.vbar
-        slots = kbar.shape[-2]
-
-    if w == 0:
-        # Projected slots only; LSConfig allows this in bidirectional mode
-        # alone, where nothing is padded and every slot is attendable.
-        weights = masked_softmax(scale(matmul(q, transpose_last(kbar)), inv_scale))
-        out = matmul(weights, vbar)
-        if return_weights:
-            return out, AttentionWeights(weights.data, None, n)
-        return out
-
-    k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias) if dual_ln else k
-    v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias) if dual_ln else v
-    indices = segment_window_indices(n_pad, w, mode)
-    segments = indices.shape[0]
-    gather = np.clip(indices, 0, n_pad - 1)
+    pkv = dynamic_projection(x_pad, p, cfg, keys=k, values=v)
+    k_win, v_win, kbar, vbar = k, v, pkv.kbar, pkv.vbar
+    if cfg.dual_ln:
+        k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias)
+        v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias)
+        kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
+        vbar = layer_norm(vbar, p.ln_global.gain, p.ln_global.bias)
+    gather = np.clip(keys, 0, n_pad - 1)
     k_gath = take(k_win, gather, axis=-2)
     v_gath = take(v_win, gather, axis=-2)
-    q_seg = q.reshape(*batch, segments, w, dk)
-    local_logits = scale(matmul(q_seg, transpose_last(k_gath)), inv_scale)
-    if mode == "causal":
-        local_mask = _causal_mask_cached(n_pad, w, n)
-    else:
-        local_mask = np.broadcast_to(
-            bidirectional_key_mask(indices, n)[:, None, :], (segments, w, 2 * w)
-        )
-
-    if r == 0:
-        weights = masked_softmax(local_logits, local_mask)
-        out = matmul(weights, v_gath)
-        out = slice_axis(out.reshape(*batch, n_pad, dk), -2, 0, n)
-        if return_weights:
-            dense = weights.data.reshape(*batch, n_pad, 2 * w)
-            return out, AttentionWeights(dense, local_mask.reshape(n_pad, 2 * w), n)
-        return out
-
-    if mode == "causal":
-        visible = np.arange(slots) // r < (np.arange(n_pad) // cfg.seg_len)[:, None]
-    else:
-        visible = np.ones((n_pad, slots), dtype=bool)
+    inv_scale = 1.0 / math.sqrt(dk)
+    local_logits = scale(matmul(q.reshape(*batch, groups, size, dk), transpose_last(k_gath)),
+                         inv_scale)
     global_logits = scale(matmul(q, transpose_last(kbar)), inv_scale)
-    global_seg = global_logits.reshape(*batch, segments, w, slots)
-    logits = concat([local_logits, global_seg], axis=-1)
-    mask = np.concatenate([local_mask, visible.reshape(segments, w, slots)], axis=-1)
-    weights = masked_softmax(logits, mask)
+    logits = concat([local_logits, global_logits.reshape(*batch, groups, size, slots)], axis=-1)
+    weights = masked_softmax(logits, attendable)
     w_local = slice_axis(weights, -1, 0, 2 * w)
-    w_global = slice_axis(weights, -1, 2 * w, 2 * w + slots)
+    w_global = slice_axis(weights, -1, 2 * w, span)
     out_local = matmul(w_local, v_gath).reshape(*batch, n_pad, dk)
     out_global = matmul(w_global.reshape(*batch, n_pad, slots), vbar)
     out = slice_axis(out_local + out_global, -2, 0, n)
     if return_weights:
-        dense = weights.data.reshape(*batch, n_pad, 2 * w + slots)
-        return out, AttentionWeights(dense, mask.reshape(n_pad, 2 * w + slots), n)
+        dense = weights.data.reshape(*batch, n_pad, span)
+        return out, AttentionWeights(dense, attendable.reshape(n_pad, span), n)
     return out
 
 
@@ -314,7 +277,6 @@ def norm_ratio_probe(
     seeds: Sequence[int],
     dual_ln: bool,
     projection: str = "dynamic",
-    scheme: str = "scaled-uniform",
 ) -> NormRatioResult:
     """Average norm ratio of window keys/values to projected keys/values.
 
@@ -338,7 +300,7 @@ def norm_ratio_probe(
             key_ratios = []
             value_ratios = []
             for h in range(cfg.heads):
-                p = init_head_params(rng.child(h), cfg, scheme=scheme, trainable=False)
+                p = init_head_params(rng.child(h), cfg, trainable=False)
                 x = Tensor(rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim)))
                 k = matmul(x, p.wk)
                 v = matmul(x, p.wv)

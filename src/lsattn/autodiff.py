@@ -2,7 +2,7 @@
 
 The graph is implicit: every tensor produced while gradients are enabled
 keeps references to its parents and a closure that routes its own gradient
-to them. `backward` replays those closures in reverse topological order.
+to them. `gradients` replays those closures in reverse topological order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
-__all__ = ["backward", "gradients", "finite_diff_check"]
+__all__ = ["gradients", "finite_diff_check"]
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -34,25 +34,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
-
-
-def backward(output: Tensor, seed: np.ndarray | float | None = None) -> None:
-    """Accumulate gradients of `output` into every reachable tensor's .grad.
-
-    `seed` is the upstream gradient and must match the output's shape; it
-    defaults to ones. Gradients add onto existing .grad values; `gradients`
-    clears them before its pass.
-    """
-    if seed is None:
-        seed_arr = np.ones(output.shape, dtype=np.float64)
-    else:
-        seed_arr = np.asarray(seed, dtype=np.float64)
-        if seed_arr.shape != output.shape:
-            raise ShapeError(f"seed shape {seed_arr.shape} does not match output {output.shape}")
-    output.grad = seed_arr if output.grad is None else output.grad + seed_arr
-    for node in reversed(_topo_order(output)):
-        if node._backward is not None and node.grad is not None:
-            node._backward()
 
 
 def gradients(
@@ -90,15 +71,12 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
     step: float = 1e-5,
-    max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` evaluates a scalar loss from the current parameter values. Each
-    checked coordinate costs two forward passes; when a parameter has more
-    coordinates than `max_coords`, a random subset (at least 200) is used.
-    The denominator is max(|analytic|, |numeric|, 1e-8).
+    `f` evaluates a scalar loss from the current parameter values. Every
+    coordinate is checked, at two forward passes each. The denominator is
+    max(|analytic|, |numeric|, 1e-8).
     """
     if not 1e-7 <= step <= 1e-4:
         raise ValueError("step must lie in [1e-7, 1e-4]")
@@ -109,14 +87,8 @@ def finite_diff_check(
     worst = 0.0
     for p, grad in zip(params, analytic):
         flat = p.data.reshape(-1)
-        n = flat.size
-        coords = np.arange(n)
-        if max_coords is not None and n > max_coords:
-            budget = max(200, max_coords)
-            gen = rng if rng is not None else np.random.default_rng(0)
-            coords = gen.choice(n, size=min(budget, n), replace=False)
         gflat = grad.reshape(-1)
-        for i in coords:
+        for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
             up = f().item()

@@ -5,7 +5,8 @@ window-size tokens before that segment, and the projected summaries of all
 fully past projection segments (those containing neither t nor any future
 token). Each projection segment is projected on its own, so any evaluation
 order gives identical results. The aggregation itself is shared with the
-bidirectional form (`attention._aggregate`); only the masks differ.
+bidirectional form (`attention._aggregate`); only the slot layout
+(`spans.slot_layout`) differs.
 """
 
 from __future__ import annotations

@@ -56,6 +56,8 @@ def _stochasticity(seed: int) -> CheckResult:
         LSConfig(seq_len=12, model_dim=8, heads=1, window=2, rank=3),
         LSConfig(seq_len=12, model_dim=8, heads=1, window=4, rank=2, dual_ln=True),
         LSConfig(seq_len=12, model_dim=8, heads=1, window=2, rank=2, seg_len=4, mode="causal"),
+        LSConfig(seq_len=12, model_dim=8, heads=1, window=8, rank=0),
+        LSConfig(seq_len=12, model_dim=8, heads=1, window=0, rank=3),
     ]
     for i, cfg in enumerate(configs):
         rng = Rng(seed + 10 * i)

@@ -10,33 +10,46 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
 from .checks import run_all_checks
-from .config import LSConfig
+from .config import MODES, LSConfig
 from .errors import ConfigError, DivergenceError, ShapeError
-from .flops import ArchSpec, count_flops, load_preset_file, preset_arch, PRESETS
+from .flops import PRESETS, VARIANTS, ArchSpec, count_flops, load_preset_file, preset_arch
 from .lm import ModelConfig, dualln_ablation, train
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
+# Defaults of the architecture flags, by ArchSpec field; `flops` applies them
+# only without a preset.
+_ARCH_DEFAULTS = dict(layers=2, model_dim=64, heads=2, ffn_dim=128, window=8, rank=32,
+                      seg_len=16, mode="bidirectional")
+_ARCH_FIELDS = {f.name for f in fields(ArchSpec)}
+
+
 def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--d", type=int, default=64, help="model width")
-    parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--ffn", type=int, default=128, help="feed-forward width")
-    parser.add_argument("--mode", choices=("bidirectional", "causal"), default="bidirectional")
-    parser.add_argument("--w", type=int, default=8, help="window segment size")
-    parser.add_argument("--r", type=int, default=32, help="projection rank")
-    parser.add_argument("--l", type=int, default=16, help="causal projection segment length")
+    """Architecture flags, stored under their ArchSpec field names."""
+    parser.add_argument("--layers", type=int)
+    parser.add_argument("--d", dest="model_dim", type=int, help="model width")
+    parser.add_argument("--heads", type=int)
+    parser.add_argument("--ffn", dest="ffn_dim", type=int, help="feed-forward width")
+    parser.add_argument("--mode", choices=MODES)
+    parser.add_argument("--w", dest="window", type=int, help="window segment size")
+    parser.add_argument("--r", dest="rank", type=int, help="projection rank")
+    parser.add_argument("--l", dest="seg_len", type=int,
+                        help="causal projection segment length")
     parser.add_argument("--dual-ln", action="store_true",
                         help="normalize window and projected branches separately")
+
+
+def _arch_flags(args) -> dict:
+    return {key: value for key, value in vars(args).items() if key in _ARCH_FIELDS}
 
 
 def _add_lm_flags(parser: argparse.ArgumentParser, steps: int) -> None:
@@ -62,25 +75,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_flops = sub.add_parser("flops", help="closed-form FLOP table for one architecture")
+    # Flags left out of `flops` leave no attribute, so only given flags override.
+    p_flops = sub.add_parser("flops", help="closed-form FLOP table for one architecture",
+                             argument_default=argparse.SUPPRESS)
     p_flops.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p_flops.add_argument("--preset-file", type=Path, default=None,
                          help="key = value file describing the architecture")
-    p_flops.add_argument("--variant", choices=("full", "window", "projection", "long-short"),
-                         default=None)
-    p_flops.add_argument("--n", type=int, default=None, help="sequence length")
-    p_flops.add_argument("--docs", type=int, default=None)
+    p_flops.add_argument("--variant", choices=VARIANTS)
+    p_flops.add_argument("--n", dest="seq_len", type=int, help="sequence length")
+    p_flops.add_argument("--docs", type=int)
     _add_arch_flags(p_flops)
     p_flops.add_argument("--out", type=Path, default=None)
 
     p_sweep = sub.add_parser("sweep", help="wall time / memory / FLOPs over sequence lengths")
     p_sweep.add_argument("--n", required=True,
                          help="comma-separated increasing sequence lengths, e.g. 256,512,1024")
-    p_sweep.add_argument("--variant", choices=("full", "window", "projection", "long-short"),
-                         required=True)
+    p_sweep.add_argument("--variant", choices=VARIANTS, required=True)
     p_sweep.add_argument("--reps", type=int, default=5)
     p_sweep.add_argument("--seed", type=int, default=0)
     _add_arch_flags(p_sweep)
+    p_sweep.set_defaults(**_ARCH_DEFAULTS)
     p_sweep.add_argument("--out", type=Path, default=None)
 
     p_norms = sub.add_parser("norms", help="window-vs-projected norm ratios at init")
@@ -120,27 +134,14 @@ def _open_out(stack: ExitStack, out: Path | None):
 
 
 def _cmd_flops(args) -> int:
+    given = _arch_flags(args)
     if args.preset_file is not None:
-        arch = load_preset_file(args.preset_file)
-        if args.variant is not None:
-            arch = replace(arch, variant=args.variant)
+        arch = replace(load_preset_file(args.preset_file), **given)
     elif args.preset is not None:
-        arch = preset_arch(args.preset, args.variant, window=args.w, rank=args.r)
+        variant = given.pop("variant", None)
+        arch = preset_arch(args.preset, variant, **given)
     else:
-        arch = ArchSpec(
-            layers=args.layers, model_dim=args.d, heads=args.heads, ffn_dim=args.ffn,
-            seq_len=args.n if args.n is not None else 2048, variant=args.variant or "full",
-            window=args.w, rank=args.r, seg_len=args.l, mode=args.mode,
-            dual_ln=args.dual_ln, docs=args.docs if args.docs is not None else 1,
-        )
-    if args.preset is not None or args.preset_file is not None:
-        overrides = {}
-        if args.n is not None:
-            overrides["seq_len"] = args.n
-        if args.docs is not None:
-            overrides["docs"] = args.docs
-        if overrides:
-            arch = replace(arch, **overrides)
+        arch = ArchSpec(**{"seq_len": 2048, **_ARCH_DEFAULTS, **given})
     report = count_flops(arch)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
@@ -160,14 +161,10 @@ def _cmd_sweep(args) -> int:
         seq_lens = [int(part) for part in args.n.split(",") if part]
     except ValueError:
         raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}")
-    rows = run_scaling(
-        seq_lens, args.variant, window=args.w, rank=args.r, seg_len=args.l,
-        mode=args.mode, dual_ln=args.dual_ln, layers=args.layers,
-        model_dim=args.d, heads=args.heads, ffn_dim=args.ffn,
-        reps=args.reps, seed=args.seed,
-    )
     with ExitStack() as stack:
-        write_csv(sweep_csv_rows(rows), _open_out(stack, args.out))
+        stream = _open_out(stack, args.out)
+        rows = run_scaling(seq_lens, reps=args.reps, seed=args.seed, **_arch_flags(args))
+        write_csv(sweep_csv_rows(rows), stream)
     return 0
 
 
@@ -205,9 +202,10 @@ def _read_corpus(path: Path) -> np.ndarray:
 def _cmd_train(args) -> int:
     cfg = replace(_model_config(args, dual_ln=not args.no_dual_ln),
                   dropout=args.dropout, seed=args.seed)
-    _, report = train(cfg, _read_corpus(args.corpus))
+    corpus = _read_corpus(args.corpus)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
+        _, report = train(cfg, corpus)
         rows = [["step", "train_loss_nats", "val_bpc", "wall_ms"]]
         for step in report.steps:
             rows.append([str(step.step), fmt(step.train_loss_nats),

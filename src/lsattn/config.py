@@ -72,6 +72,12 @@ class LSConfig:
             multiple = math.lcm(multiple, self.seg_len)
         return -(-self.seq_len // multiple) * multiple
 
+    @property
+    def projected_slots(self) -> int:
+        """Projected key/value rows: rank per projection segment (one bidirectionally)."""
+        segments = self.padded_len // self.seg_len if self.mode == "causal" else 1
+        return self.rank * segments
+
 
 def desk_causal_config(
     seq_len: int = 64, model_dim: int = 32, heads: int = 2, dual_ln: bool = True

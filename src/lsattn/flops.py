@@ -113,7 +113,6 @@ def count_flops(arch: ArchSpec) -> FlopReport:
     n, d, h, dk, ffn = arch.seq_len, arch.model_dim, arch.heads, arch.head_dim, arch.ffn_dim
     cfg = arch.attention_config()
     n_att = n if cfg is None else cfg.padded_len
-    dual = cfg.dual_ln if cfg is not None else False
 
     comp: dict[str, int] = {
         "qkv_projections": 3 * h * n_att * d * dk,
@@ -127,19 +126,16 @@ def count_flops(arch: ArchSpec) -> FlopReport:
         comp["attention_values"] = h * n * n * dk
         return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
-    # One softmax per query over 2w window slots plus every projected slot:
-    # r bidirectionally, r per projection segment causally (masked by segment).
-    w, r = cfg.window, cfg.rank
-    slots = r * (n_att // cfg.seg_len) if arch.mode == "causal" else r
+    # One softmax per query over 2w window slots plus every projected slot
+    # (causally the slots a query may not see are masked, not skipped).
+    w, r, slots = cfg.window, cfg.rank, cfg.projected_slots
     comp["attention_scores"] = h * n_att * (2 * w + slots) * dk
     comp["attention_values"] = h * n_att * (2 * w + slots) * dk
     if r > 0:
         comp["dynamic_projection"] = h * n_att * d * r
         comp["projected_kv"] = 2 * h * n_att * r * dk
-        if dual:
-            comp["layer_norm"] += 4 * 2 * h * slots * dk
-    if dual and w > 0:
-        comp["layer_norm"] += 4 * 2 * h * n_att * dk
+    if cfg.dual_ln:
+        comp["layer_norm"] += 4 * 2 * h * (n_att + slots) * dk
     return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
 
@@ -211,28 +207,25 @@ PRESETS: dict[str, ArchSpec] = {
 }
 
 
-def preset_arch(name: str, variant: str | None = None,
-                window: int | None = None, rank: int | None = None) -> ArchSpec:
-    """A named preset, optionally re-pointed at another variant or span sizes."""
+def preset_arch(name: str, variant: str | None = None, **overrides) -> ArchSpec:
+    """A named preset, optionally re-pointed at another variant, with fields overridden.
+
+    Re-pointing sets the new variant's span defaults (window 8, rank 32, and
+    dual LN for long-short); `overrides` (ArchSpec fields) win over both.
+    """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     arch = PRESETS[name]
     updates: dict = {}
     if variant is not None and variant != arch.variant:
         updates["variant"] = variant
+        if variant in ("long-short", "window"):
+            updates["window"] = 8
+        if variant in ("long-short", "projection"):
+            updates["rank"] = 32
         if variant == "long-short":
-            updates.setdefault("window", 8)
-            updates.setdefault("rank", 32)
-            updates.setdefault("dual_ln", True)
-        if variant == "window":
-            updates.setdefault("window", 8)
-        if variant == "projection":
-            updates.setdefault("rank", 32)
-    if window is not None:
-        updates["window"] = window
-    if rank is not None:
-        updates["rank"] = rank
-    return replace(arch, **updates) if updates else arch
+            updates["dual_ln"] = True
+    return replace(arch, **{**updates, **overrides})
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -44,13 +44,13 @@ class ModelConfig:
     attention: LSConfig
     layers: int = 2
     ffn_dim: int = 64
-    vocab_size: int = 256
     dropout: float = 0.0
     learning_rate: float = 0.5
     steps: int = 200
     batch_size: int = 8
     seed: int = 0
-    val_fraction: float = 0.1
+    vocab_size: ClassVar[int] = 256
+    val_fraction: ClassVar[float] = 0.1
 
     def __post_init__(self):
         if self.attention.mode != "causal":
@@ -59,8 +59,6 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.layers < 1 or self.ffn_dim < 1 or self.batch_size < 1:
             raise ConfigError("layers, ffn_dim and batch_size must be positive")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise ConfigError("val_fraction must lie in (0, 0.5)")
 
     @property
     def seq_len(self) -> int:
@@ -252,11 +250,9 @@ def train(cfg: ModelConfig, corpus: np.ndarray | bytes) -> tuple[ModelParams, Tr
 
 
 def dualln_ablation(
-    cfg: ModelConfig, corpus: np.ndarray | bytes, steps: int | None = None
+    cfg: ModelConfig, corpus: np.ndarray | bytes
 ) -> tuple[TrainReport, TrainReport]:
     """Train twice from identical seeds and data order, toggling only dual_ln."""
-    if steps is not None:
-        cfg = replace(cfg, steps=steps)
     with_cfg = replace(cfg, attention=replace(cfg.attention, dual_ln=True))
     without_cfg = replace(cfg, attention=replace(cfg.attention, dual_ln=False))
     _, with_report = train(with_cfg, corpus)

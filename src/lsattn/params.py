@@ -85,34 +85,26 @@ def _ln_params(dim: int, trainable: bool, name: str) -> LnParams:
     )
 
 
-def init_head_params(
-    rng: Rng, cfg: LSConfig, scheme: str = "scaled-uniform", trainable: bool = True
-) -> HeadParams:
+def init_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> HeadParams:
     """Fresh head parameters: fan-in scaled projections, identity norms."""
     d, dk = cfg.model_dim, cfg.head_dim
     wp = None
     if cfg.rank > 0:
-        wp = init_matrix(rng, d, cfg.rank, scheme, requires_grad=trainable, name="wp")
+        wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable, name="wp")
     return HeadParams(
-        wq=init_matrix(rng, d, dk, scheme, requires_grad=trainable, name="wq"),
-        wk=init_matrix(rng, d, dk, scheme, requires_grad=trainable, name="wk"),
-        wv=init_matrix(rng, d, dk, scheme, requires_grad=trainable, name="wv"),
+        wq=init_matrix(rng, d, dk, requires_grad=trainable, name="wq"),
+        wk=init_matrix(rng, d, dk, requires_grad=trainable, name="wk"),
+        wv=init_matrix(rng, d, dk, requires_grad=trainable, name="wv"),
         wp=wp,
         ln_local=_ln_params(dk, trainable, "ln_local"),
         ln_global=_ln_params(dk, trainable, "ln_global"),
     )
 
 
-def init_multi_head_params(
-    rng: Rng, cfg: LSConfig, scheme: str = "scaled-uniform", trainable: bool = True
-) -> MultiHeadParams:
-    heads = [
-        init_head_params(rng.child(i), cfg, scheme, trainable) for i in range(cfg.heads)
-    ]
-    wo = init_matrix(
-        rng.child(cfg.heads), cfg.model_dim, cfg.model_dim, scheme,
-        requires_grad=trainable, name="wo",
-    )
+def init_multi_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> MultiHeadParams:
+    heads = [init_head_params(rng.child(i), cfg, trainable) for i in range(cfg.heads)]
+    wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim,
+                     requires_grad=trainable, name="wo")
     return MultiHeadParams(heads=heads, wo=wo)
 
 

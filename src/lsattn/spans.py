@@ -1,10 +1,13 @@
-"""Attention span geometry for the sliding-window branch.
+"""Slot layout of the long-short softmax and the window span of one query.
 
-The sequence is cut into disjoint segments of length w. Bidirectionally a
-query sees its home segment plus w/2 neighbours on each side; causally it
-sees the w tokens left of the home segment plus the non-future part of the
-home segment. Either way a span holds exactly 2w slots, with out-of-range
-or future slots masked rather than removed.
+Every query takes one softmax over [2w window slots | projected slots]. The
+sequence is cut into window segments of length w. Bidirectionally a query's
+window slots are its home segment plus w/2 neighbours on each side; causally
+they are the w tokens left of the home segment plus the home segment, with
+future slots masked. Out-of-range and padding slots are masked rather than
+removed. Projected slots are all visible bidirectionally; causally slot c
+(from projection segment c // rank) is visible only to queries of later
+projection segments.
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ from .errors import ConfigError
 __all__ = [
     "AttentionSpan",
     "CausalSpan",
+    "slot_layout",
     "window_span",
     "causal_window_span",
-    "segment_window_indices",
-    "bidirectional_key_mask",
-    "causal_key_mask",
 ]
 
 
@@ -45,87 +46,54 @@ class CausalSpan(AttentionSpan):
 
 
 @lru_cache(maxsize=256)
-def _window_indices_cached(padded_len: int, window: int, mode: str) -> np.ndarray:
-    segments = padded_len // window
-    starts = np.arange(segments) * window
-    offset = window // 2 if mode == "bidirectional" else window
-    out = starts[:, None] + np.arange(-offset, 2 * window - offset)[None, :]
-    out.setflags(write=False)
-    return out
+def slot_layout(cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Window key positions and the attendable mask of every padded query.
 
-
-def segment_window_indices(padded_len: int, window: int, mode: str) -> np.ndarray:
-    """Virtual key positions per segment, shape (segments, 2w).
-
-    Positions may fall outside [0, padded_len); callers mask them. Rows are
-    contiguous runs: bidirectional segments are flanked by w/2 neighbours on
-    each side, causal segments by w predecessors.
+    Queries are grouped by window segment (one group of all padded_len rows
+    when w = 0). Returns read-only arrays: the virtual key positions of each
+    group's window slots, shape (groups, 2w), which may fall outside
+    [0, padded_len); and the attendable mask over [window slots | projected
+    slots], shape (groups, group_size, 2w + cfg.projected_slots).
     """
-    if window <= 0 or window % 2 != 0:
-        raise ConfigError(f"window must be positive and even, got {window}")
-    if padded_len % window != 0:
-        raise ConfigError("padded_len must be a multiple of window")
-    return _window_indices_cached(padded_len, window, mode)
+    n, w, causal = cfg.seq_len, cfg.window, cfg.mode == "causal"
+    queries = np.arange(cfg.padded_len).reshape(-1, w or cfg.padded_len)
+    offset = w if causal else w // 2
+    keys = queries[:, :1] + np.arange(-offset, 2 * w - offset)
+    window = ((keys >= 0) & (keys < n))[:, None, :]
+    projected = True
+    if causal:
+        window = window & (keys[:, None, :] <= queries[..., None])
+        slot_segment = np.arange(cfg.projected_slots) // cfg.rank
+        projected = slot_segment < (queries // cfg.seg_len)[..., None]
+    attendable = np.concatenate([
+        np.broadcast_to(window, queries.shape + (2 * w,)),
+        np.broadcast_to(projected, queries.shape + (cfg.projected_slots,)),
+    ], axis=-1)
+    keys.setflags(write=False)
+    attendable.setflags(write=False)
+    return keys, attendable
 
 
-def bidirectional_key_mask(indices: np.ndarray, seq_len: int) -> np.ndarray:
-    """Attendable slots: in range and not padding. Shape (segments, 2w)."""
-    return (indices >= 0) & (indices < seq_len)
-
-
-@lru_cache(maxsize=256)
-def _causal_mask_cached(padded_len: int, window: int, seq_len: int) -> np.ndarray:
-    indices = _window_indices_cached(padded_len, window, "causal")
-    out = causal_key_mask(np.asarray(indices), seq_len, window)
-    out.setflags(write=False)
-    return out
-
-
-def causal_key_mask(indices: np.ndarray, seq_len: int, window: int) -> np.ndarray:
-    """Per-query attendable slots, shape (segments, w, 2w).
-
-    The first w slots are the tokens left of the home segment; the last w are
-    the home segment itself, where a query at offset q may see offsets <= q.
-    """
-    segments = indices.shape[0]
-    in_range = (indices >= 0) & (indices < seq_len)
-    offsets = np.arange(window)
-    not_future = np.concatenate(
-        [np.ones((window, window), dtype=bool), offsets[None, :] <= offsets[:, None]],
-        axis=1,
-    )
-    return in_range[:, None, :] & np.broadcast_to(not_future, (segments, window, 2 * window))
+def _span_row(t: int, cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
+    if not 0 <= t < cfg.seq_len:
+        raise ConfigError(f"query index {t} outside sequence of length {cfg.seq_len}")
+    keys, attendable = slot_layout(cfg)
+    group, row = divmod(t, attendable.shape[1])
+    return keys[group], attendable[group, row, : 2 * cfg.window]
 
 
 def window_span(t: int, cfg: LSConfig) -> AttentionSpan:
     """Bidirectional span of query t: home segment plus w/2 neighbours each side."""
     if cfg.mode != "bidirectional":
         raise ConfigError("window_span applies to bidirectional mode")
-    if not 0 <= t < cfg.seq_len:
-        raise ConfigError(f"query index {t} outside sequence of length {cfg.seq_len}")
-    indices = segment_window_indices(cfg.padded_len, cfg.window, cfg.mode)
-    segment = t // cfg.window
-    row = indices[segment]
-    return AttentionSpan(
-        query_index=t,
-        key_indices=row,
-        attendable=bidirectional_key_mask(indices, cfg.seq_len)[segment],
-    )
+    keys, attendable = _span_row(t, cfg)
+    return AttentionSpan(query_index=t, key_indices=keys, attendable=attendable)
 
 
 def causal_window_span(t: int, cfg: LSConfig) -> CausalSpan:
     """Causal span of query t: non-future home tokens plus w tokens to the left."""
     if cfg.mode != "causal":
         raise ConfigError("causal_window_span applies to causal mode")
-    if not 0 <= t < cfg.seq_len:
-        raise ConfigError(f"query index {t} outside sequence of length {cfg.seq_len}")
-    indices = segment_window_indices(cfg.padded_len, cfg.window, cfg.mode)
-    segment, offset = divmod(t, cfg.window)
-    mask = causal_key_mask(indices, cfg.seq_len, cfg.window)[segment, offset]
+    keys, attendable = _span_row(t, cfg)
     past = t // cfg.seg_len if cfg.rank > 0 else 0
-    return CausalSpan(
-        query_index=t,
-        key_indices=indices[segment],
-        attendable=mask,
-        past_segments=past,
-    )
+    return CausalSpan(query_index=t, key_indices=keys, attendable=attendable, past_segments=past)

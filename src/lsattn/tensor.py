@@ -215,7 +215,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _flop_counter.matmul_macs += out_data.size * a.shape[-1]
     out = Tensor(out_data)
     if _tracking(a, b):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -223,7 +223,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 _accum(b, _unbroadcast(gb, b.shape))
-        _attach(out, (a, b), backward)
+        _attach(out, (a, b), route)
     return out
 
 
@@ -247,11 +247,11 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     p = exp / exp.sum(axis=-1, keepdims=True)
     out = Tensor(p)
     if _tracking(logits):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             inner = (g * p).sum(axis=-1, keepdims=True)
             _accum(logits, p * (g - inner))
-        _attach(out, (logits,), backward)
+        _attach(out, (logits,), route)
     return out
 
 
@@ -275,7 +275,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _flop_counter.layer_norm_flops += 4 * x.size
     out = Tensor(out_data)
     if _tracking(x, gain, bias):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if x.requires_grad:
                 dxhat = g * gain.data
@@ -286,7 +286,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
             if bias.requires_grad:
                 _accum(bias, g.reshape(-1, d).sum(axis=0))
-        _attach(out, (x, gain, bias), backward)
+        _attach(out, (x, gain, bias), route)
     return out
 
 
@@ -304,7 +304,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
     if _tracking(*tensors):
         sizes = [t.shape[ax] for t in tensors]
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             offset = 0
             for t, size in zip(tensors, sizes):
@@ -313,46 +313,46 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                     index[ax] = slice(offset, offset + size)
                     _accum(t, g[tuple(index)])
                 offset += size
-        _attach(out, tuple(tensors), backward)
+        _attach(out, tuple(tensors), route)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if _tracking(a, b):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if a.requires_grad:
                 _accum(a, _unbroadcast(g, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(g, b.shape))
-        _attach(out, (a, b), backward)
+        _attach(out, (a, b), route)
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
     if _tracking(a, b):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if a.requires_grad:
                 _accum(a, _unbroadcast(g, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(-g, b.shape))
-        _attach(out, (a, b), backward)
+        _attach(out, (a, b), route)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     if _tracking(a, b):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if a.requires_grad:
                 _accum(a, _unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
                 _accum(b, _unbroadcast(g * a.data, b.shape))
-        _attach(out, (a, b), backward)
+        _attach(out, (a, b), route)
     return out
 
 
@@ -360,9 +360,9 @@ def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
     out = Tensor(a.data * f)
     if _tracking(a):
-        def backward() -> None:
+        def route() -> None:
             _accum(a, out.grad * f)
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -371,9 +371,9 @@ def scale_by_array(a: Tensor, arr: np.ndarray) -> Tensor:
     arr = np.asarray(arr, dtype=np.float64)
     out = Tensor(a.data * arr)
     if _tracking(a):
-        def backward() -> None:
+        def route() -> None:
             _accum(a, _unbroadcast(out.grad * arr, a.shape))
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -381,9 +381,9 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     if _tracking(a):
         positive = a.data > 0
-        def backward() -> None:
+        def route() -> None:
             _accum(a, out.grad * positive)
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -391,9 +391,9 @@ def transpose_last(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     out = Tensor(np.swapaxes(a.data, -1, -2))
     if _tracking(a):
-        def backward() -> None:
+        def route() -> None:
             _accum(a, np.swapaxes(out.grad, -1, -2))
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -401,9 +401,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if _tracking(a):
         orig = a.shape
-        def backward() -> None:
+        def route() -> None:
             _accum(a, out.grad.reshape(orig))
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -413,11 +413,11 @@ def take(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     out = Tensor(np.take(a.data, idx, axis=axis))
     if _tracking(a):
         ax = axis % a.ndim
-        def backward() -> None:
+        def route() -> None:
             acc = np.zeros_like(a.data)
             np.add.at(acc, (slice(None),) * ax + (idx,), out.grad)
             _accum(a, acc)
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -427,23 +427,23 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = (slice(None),) * ax + (slice(start, stop),)
     out = Tensor(a.data[index])
     if _tracking(a):
-        def backward() -> None:
+        def route() -> None:
             acc = np.zeros_like(a.data)
             acc[index] = out.grad
             _accum(a, acc)
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     if _tracking(a):
-        def backward() -> None:
+        def route() -> None:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.shape).copy())
-        _attach(out, (a,), backward)
+        _attach(out, (a,), route)
     return out
 
 
@@ -464,12 +464,12 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     nll = lse - picked
     out = Tensor(nll.mean())
     if _tracking(logits):
-        def backward() -> None:
+        def route() -> None:
             g = float(out.grad)
             p = np.exp(x - lse)
             np.put_along_axis(p, t[..., None], np.take_along_axis(p, t[..., None], -1) - 1.0, -1)
             _accum(logits, p * (g / t.size))
-        _attach(out, (logits,), backward)
+        _attach(out, (logits,), route)
     return out
 
 
@@ -498,23 +498,10 @@ class Rng:
         return self._gen.permutation(n)
 
 
-INIT_SCHEMES = ("scaled-uniform", "scaled-normal")
-
-
 def init_matrix(
-    rng: Rng,
-    rows: int,
-    cols: int,
-    scheme: str = "scaled-uniform",
-    requires_grad: bool = False,
-    name: str | None = None,
+    rng: Rng, rows: int, cols: int, requires_grad: bool = False, name: str | None = None
 ) -> Tensor:
-    """Zero-mean init with variance 1/rows (fan-in scaling)."""
-    if scheme == "scaled-uniform":
-        limit = np.sqrt(3.0 / rows)
-        data = rng.uniform((rows, cols), -limit, limit)
-    elif scheme == "scaled-normal":
-        data = rng.normal((rows, cols), std=1.0 / np.sqrt(rows))
-    else:
-        raise ValueError(f"unknown init scheme {scheme!r}; expected one of {INIT_SCHEMES}")
+    """Zero-mean uniform init with variance 1/rows (fan-in scaling)."""
+    limit = np.sqrt(3.0 / rows)
+    data = rng.uniform((rows, cols), -limit, limit)
     return Tensor(data, requires_grad=requires_grad, name=name)

@@ -10,7 +10,6 @@ from lsattn import (
     Rng,
     Tensor,
     aggregate_head,
-    backward,
     causal_aggregate_head,
     finite_diff_check,
     full_attention_head,
@@ -60,7 +59,7 @@ def test_backward_seed_shape_checked():
     x = Tensor([1.0, 2.0], requires_grad=True)
     out = mul(x, x)
     with pytest.raises(ShapeError):
-        backward(out, np.ones(3))
+        gradients(out, [x], seed=np.ones(3))
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])

@@ -45,6 +45,16 @@ class TestFlopsCommand:
         assert code == 0
         assert "total,1210056704" in out
 
+    def test_preset_without_flags_is_the_preset(self, capsys):
+        code, out, _ = run_cli(capsys, "flops", "--preset", "charlm-small")
+        assert code == 0
+        assert "total,218008387584" in out
+
+    def test_given_flag_overrides_preset(self, capsys):
+        code, out, _ = run_cli(capsys, "flops", "--preset", "charlm-small", "--layers", "6")
+        assert code == 0
+        assert "total,109004193792" in out
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "flops", "--preset", "lra-text",
@@ -207,6 +217,23 @@ class TestIoErrors:
         code, _, err = run_cli(capsys, "train", "--corpus", str(tmp_path))
         assert code == 2
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("command,work", [
+        (["train", "--corpus", "CORPUS"], "train"),
+        (["sweep", "--n", "64", "--variant", "full"], "run_scaling"),
+    ], ids=["train", "sweep"])
+    def test_out_checked_before_work(self, capsys, tmp_path, monkeypatch, command, work):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was opened")
+
+        monkeypatch.setattr(f"lsattn.cli.{work}", fail)
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        out_path = tmp_path / "missing" / "report.csv"
+        argv = [str(corpus) if arg == "CORPUS" else arg for arg in command]
+        code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert str(out_path) in err
 
     def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "report.csv"

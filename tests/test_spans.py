@@ -1,10 +1,11 @@
-"""Window span geometry: enumerated examples and counting rules."""
+"""Slot layout and window span geometry: enumerated examples and counting rules."""
 
 import numpy as np
 import pytest
 
 from lsattn import LSConfig, causal_window_span, window_span
 from lsattn.errors import ConfigError
+from lsattn.spans import slot_layout
 
 
 def real_keys(span):
@@ -90,3 +91,42 @@ class TestCausalSpan:
             expected_window = min(t + 1, t - home_start + 1) + min(w, home_start)
             assert span.attendable.sum() == expected_window
             assert span.past_segments * r == (t // l) * r
+
+
+def layout_by_definition(cfg):
+    """Window key positions and attendable mask, one slot at a time."""
+    n, w, r, l = cfg.seq_len, cfg.window, cfg.rank, cfg.seg_len
+    causal = cfg.mode == "causal"
+    n_pad = cfg.padded_len
+    size = w if w > 0 else n_pad
+    offset = w if causal else w // 2
+    slots = r * (n_pad // l) if causal else r
+    keys = np.zeros((n_pad // size, 2 * w), dtype=int)
+    mask = np.zeros((n_pad // size, size, 2 * w + slots), dtype=bool)
+    for t in range(n_pad):
+        group, row = divmod(t, size)
+        for j in range(2 * w):
+            pos = group * size + j - offset
+            keys[group, j] = pos
+            mask[group, row, j] = 0 <= pos < n and (not causal or pos <= t)
+        for c in range(slots):
+            mask[group, row, 2 * w + c] = not causal or c // r < t // l
+    return keys, mask
+
+
+class TestSlotLayout:
+    @pytest.mark.parametrize("mode,n,w,r,l", [
+        ("bidirectional", 13, 4, 3, 4),  # padded tail
+        ("causal", 13, 4, 3, 4),
+        ("bidirectional", 5, 4, 2, 2),
+        ("causal", 5, 4, 2, 2),          # a padding-only projection segment
+        ("bidirectional", 13, 0, 3, 4),  # projection only
+        ("bidirectional", 13, 4, 0, 4),  # window only
+        ("causal", 13, 4, 0, 4),
+    ])
+    def test_matches_definition(self, mode, n, w, r, l):
+        cfg = LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=r, seg_len=l, mode=mode)
+        keys, mask = slot_layout(cfg)
+        expected_keys, expected_mask = layout_by_definition(cfg)
+        assert np.array_equal(keys, expected_keys)
+        assert np.array_equal(mask, expected_mask)

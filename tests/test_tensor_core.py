@@ -197,18 +197,13 @@ class TestInitMatrix:
         b = init_matrix(Rng(7), 10, 4)
         assert np.array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("scheme", ["scaled-uniform", "scaled-normal"])
-    def test_sample_moments(self, scheme):
+    def test_sample_moments(self):
         rows, cols = 100, 100
-        w = init_matrix(Rng(11), rows, cols, scheme).data
+        w = init_matrix(Rng(11), rows, cols).data
         n = w.size
         target_var = 1.0 / rows
         assert abs(w.mean()) < 3.0 * np.sqrt(target_var / n)
         assert abs(w.var() - target_var) < 0.1 * target_var
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            init_matrix(Rng(0), 3, 3, "xavier")
 
 
 class TestRng:
