@@ -18,10 +18,9 @@ from .attention import (
     norm_ratio_probe,
 )
 from .causal import causal_aggregate_head, causal_full_attention_oracle
-from .config import LSConfig, charlm_causal_config, desk_causal_config
+from .config import LSConfig, desk_causal_config
 from .errors import ConfigError, DivergenceError, FullyMaskedRowError, ShapeError
 from .params import HeadParams, LnParams, MultiHeadParams, init_head_params, init_multi_head_params
-from .spans import AttentionSpan, CausalSpan, causal_window_span, window_span
 from .tensor import (
     Rng,
     Tensor,

@@ -63,10 +63,6 @@ class ProjectedKV:
     kbar: Tensor
     vbar: Tensor
 
-    @property
-    def rank(self) -> int:
-        return self.kbar.shape[-2]
-
 
 @dataclass
 class AttentionWeights:

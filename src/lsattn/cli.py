@@ -135,13 +135,11 @@ def _open_out(stack: ExitStack, out: Path | None):
 
 def _cmd_flops(args) -> int:
     given = _arch_flags(args)
-    if args.preset_file is not None:
-        arch = replace(load_preset_file(args.preset_file), **given)
-    elif args.preset is not None:
-        variant = given.pop("variant", None)
-        arch = preset_arch(args.preset, variant, **given)
-    else:
+    preset = load_preset_file(args.preset_file) if args.preset_file is not None else args.preset
+    if preset is None:
         arch = ArchSpec(**{"seq_len": 2048, **_ARCH_DEFAULTS, **given})
+    else:
+        arch = preset_arch(preset, given.pop("variant", None), **given)
     report = count_flops(arch)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["LSConfig", "desk_causal_config", "charlm_causal_config"]
+__all__ = ["LSConfig", "desk_causal_config"]
 
 MODES = ("bidirectional", "causal")
 
@@ -94,18 +94,3 @@ def desk_causal_config(
         dual_ln=dual_ln,
     )
 
-
-def charlm_causal_config(
-    seq_len: int = 2048, model_dim: int = 512, heads: int = 8, dual_ln: bool = True
-) -> LSConfig:
-    """Full-scale character-LM setup: window 512, projection segments of 16, rank 1."""
-    return LSConfig(
-        seq_len=seq_len,
-        model_dim=model_dim,
-        heads=heads,
-        window=512,
-        rank=1,
-        seg_len=16,
-        mode="causal",
-        dual_ln=dual_ln,
-    )

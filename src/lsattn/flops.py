@@ -207,17 +207,19 @@ PRESETS: dict[str, ArchSpec] = {
 }
 
 
-def preset_arch(name: str, variant: str | None = None, **overrides) -> ArchSpec:
-    """A named preset, optionally re-pointed at another variant, with fields overridden.
+def preset_arch(preset: str | ArchSpec, variant: str | None = None, **overrides) -> ArchSpec:
+    """A preset, optionally re-pointed at another variant, with fields overridden.
 
+    `preset` is a PRESETS name or an ArchSpec, such as a parsed preset file.
     Re-pointing sets the new variant's span defaults (window 8, rank 32, and
     dual LN for long-short); `overrides` (ArchSpec fields) win over both.
     """
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    arch = PRESETS[name]
+    if isinstance(preset, str):
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        preset = PRESETS[preset]
     updates: dict = {}
-    if variant is not None and variant != arch.variant:
+    if variant is not None and variant != preset.variant:
         updates["variant"] = variant
         if variant in ("long-short", "window"):
             updates["window"] = 8
@@ -225,7 +227,7 @@ def preset_arch(name: str, variant: str | None = None, **overrides) -> ArchSpec:
             updates["rank"] = 32
         if variant == "long-short":
             updates["dual_ln"] = True
-    return replace(arch, **{**updates, **overrides})
+    return replace(preset, **{**updates, **overrides})
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,

@@ -195,7 +195,7 @@ def _as_bytes(corpus: np.ndarray | bytes | bytearray) -> np.ndarray:
 
 
 def _sample_batch(data: np.ndarray, n: int, batch: int, rng: Rng) -> np.ndarray:
-    offsets = rng.integers(0, data.size - n - 1, size=batch)
+    offsets = rng.integers(0, data.size - n, size=batch)
     return np.stack([data[o : o + n + 1] for o in offsets])
 
 

@@ -1,4 +1,4 @@
-"""Slot layout of the long-short softmax and the window span of one query.
+"""Slot layout of the long-short softmax.
 
 Every query takes one softmax over [2w window slots | projected slots]. The
 sequence is cut into window segments of length w. Bidirectionally a query's
@@ -12,37 +12,13 @@ projection segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import LSConfig
-from .errors import ConfigError
 
-__all__ = [
-    "AttentionSpan",
-    "CausalSpan",
-    "slot_layout",
-    "window_span",
-    "causal_window_span",
-]
-
-
-@dataclass(frozen=True)
-class AttentionSpan:
-    """Slots one query may attend: virtual positions plus an attendable mask."""
-
-    query_index: int
-    key_indices: np.ndarray
-    attendable: np.ndarray
-
-
-@dataclass(frozen=True)
-class CausalSpan(AttentionSpan):
-    """Causal window slots plus the count of fully past projection segments."""
-
-    past_segments: int
+__all__ = ["slot_layout"]
 
 
 @lru_cache(maxsize=256)
@@ -73,27 +49,3 @@ def slot_layout(cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
     attendable.setflags(write=False)
     return keys, attendable
 
-
-def _span_row(t: int, cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
-    if not 0 <= t < cfg.seq_len:
-        raise ConfigError(f"query index {t} outside sequence of length {cfg.seq_len}")
-    keys, attendable = slot_layout(cfg)
-    group, row = divmod(t, attendable.shape[1])
-    return keys[group], attendable[group, row, : 2 * cfg.window]
-
-
-def window_span(t: int, cfg: LSConfig) -> AttentionSpan:
-    """Bidirectional span of query t: home segment plus w/2 neighbours each side."""
-    if cfg.mode != "bidirectional":
-        raise ConfigError("window_span applies to bidirectional mode")
-    keys, attendable = _span_row(t, cfg)
-    return AttentionSpan(query_index=t, key_indices=keys, attendable=attendable)
-
-
-def causal_window_span(t: int, cfg: LSConfig) -> CausalSpan:
-    """Causal span of query t: non-future home tokens plus w tokens to the left."""
-    if cfg.mode != "causal":
-        raise ConfigError("causal_window_span applies to causal mode")
-    keys, attendable = _span_row(t, cfg)
-    past = t // cfg.seg_len if cfg.rank > 0 else 0
-    return CausalSpan(query_index=t, key_indices=keys, attendable=attendable, past_segments=past)

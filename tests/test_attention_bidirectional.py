@@ -10,18 +10,11 @@ from lsattn import (
     aggregate_head,
     dynamic_projection,
     full_attention_head,
-    init_head_params,
     init_multi_head_params,
     matmul,
     multi_head,
-    window_span,
 )
-
-
-def np_softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+from reference import layer_norm_reference, make_head, np_softmax, window_keys
 
 
 def full_attention_reference(x, wq, wk, wv):
@@ -42,19 +35,6 @@ def projection_reference(x, wp, wk, wv):
     for c in range(logits.shape[1]):
         p[:, c] = np_softmax(logits[:, c])
     return p, p.T @ (x @ wk), p.T @ (x @ wv)
-
-
-def layer_norm_reference(a, eps=1e-5):
-    mu = a.mean(-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(-1, keepdims=True)
-    return (a - mu) / np.sqrt(var + eps)
-
-
-def make_head(cfg, seed=0, x_seed=100):
-    rng = Rng(seed)
-    p = init_head_params(rng, cfg, trainable=False)
-    x = Tensor(Rng(x_seed).normal((cfg.seq_len, cfg.model_dim)))
-    return p, x
 
 
 class TestFullAttention:
@@ -139,8 +119,7 @@ class TestSlidingWindow:
         dk = cfg.head_dim
         out = np.zeros_like(q)
         for t in range(cfg.seq_len):
-            span = window_span(t, cfg)
-            keys = span.key_indices[span.attendable]
+            keys = window_keys(t, cfg)
             logits = q[t] @ k[keys].T / np.sqrt(dk)
             out[t] = np_softmax(logits) @ v[keys]
         return out
@@ -156,8 +135,7 @@ class TestSlidingWindow:
         cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0)
         p, x = make_head(cfg, seed=7)
         t = 4
-        span = window_span(t, cfg)
-        inside = set(span.key_indices[span.attendable].tolist())
+        inside = set(window_keys(t, cfg).tolist())
         outside = next(j for j in range(cfg.seq_len) if j not in inside)
         base = aggregate_head(x, p, cfg).data[t].copy()
         x.data[outside] += 10.0
@@ -266,8 +244,7 @@ class TestAggregation:
             vbar = np.zeros((0, dk))
         out = np.zeros_like(q)
         for t in range(n):
-            span = window_span(t, cfg)
-            keys = span.key_indices[span.attendable]
+            keys = window_keys(t, cfg)
             klist = np.concatenate([k_loc[keys], kbar], axis=0)
             vlist = np.concatenate([v_loc[keys], vbar], axis=0)
             weights = np_softmax(q[t] @ klist.T / np.sqrt(dk))

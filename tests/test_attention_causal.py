@@ -9,23 +9,10 @@ from lsattn import (
     Tensor,
     causal_aggregate_head,
     causal_full_attention_oracle,
-    causal_window_span,
     dynamic_projection,
     full_attention_head,
-    init_head_params,
 )
-
-
-def np_softmax(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm_reference(a, eps=1e-5):
-    mu = a.mean(-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(-1, keepdims=True)
-    return (a - mu) / np.sqrt(var + eps)
+from reference import layer_norm_reference, make_head, np_softmax, window_keys
 
 
 def causal_cfg(n=8, d=4, w=2, r=1, l=4, dual=False):
@@ -33,12 +20,6 @@ def causal_cfg(n=8, d=4, w=2, r=1, l=4, dual=False):
         seq_len=n, model_dim=d, heads=1, window=w, rank=r, seg_len=l,
         mode="causal", dual_ln=dual,
     )
-
-
-def make_head(cfg, seed=0, x_seed=100):
-    p = init_head_params(Rng(seed), cfg, trainable=False)
-    x = Tensor(Rng(x_seed).normal((cfg.seq_len, cfg.model_dim)))
-    return p, x
 
 
 def causal_oracle(x, p, cfg):
@@ -64,8 +45,7 @@ def causal_oracle(x, p, cfg):
             vbars.append(vb)
     out = np.zeros_like(q)
     for t in range(n):
-        span = causal_window_span(t, cfg)
-        keys = span.key_indices[span.attendable]
+        keys = window_keys(t, cfg)
         klist, vlist = k_loc[keys], v_loc[keys]
         past = t // l if r > 0 else 0
         if past > 0:
@@ -142,8 +122,16 @@ class TestCausalAggregate:
     def test_home_segment_is_excluded_from_global_branch(self):
         # The last token of projection segment 1 still sees only segment 0.
         cfg = causal_cfg(n=8, w=2, r=1, l=4)
-        assert causal_window_span(7, cfg).past_segments == 1
-        assert causal_window_span(5, cfg).past_segments == 1
+        p, x = make_head(cfg, seed=14)
+        out = causal_aggregate_head(x, p, cfg).data
+        proj = dynamic_projection(x, p, cfg)
+        q, k, v = (x.data @ weight.data for weight in (p.wq, p.wk, p.wv))
+        for t in (5, 7):
+            keys = window_keys(t, cfg)
+            klist = np.concatenate([k[keys], proj.kbar.data[:cfg.rank]])
+            vlist = np.concatenate([v[keys], proj.vbar.data[:cfg.rank]])
+            ref = np_softmax(q[t] @ klist.T / np.sqrt(cfg.head_dim)) @ vlist
+            assert np.abs(out[t] - ref).max() < 1e-12
 
     @pytest.mark.parametrize("n,w,r,l,dual", [
         (8, 2, 1, 4, False),

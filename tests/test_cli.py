@@ -55,6 +55,16 @@ class TestFlopsCommand:
         assert code == 0
         assert "total,109004193792" in out
 
+    def test_variant_repoints_preset_and_preset_file_alike(self, capsys, tmp_path):
+        preset = tmp_path / "listops.preset"
+        preset.write_text(
+            "layers = 2\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\n"
+        )
+        for source in (["--preset", "lra-listops"], ["--preset-file", str(preset)]):
+            code, out, _ = run_cli(capsys, "flops", *source, "--variant", "long-short")
+            assert code == 0
+            assert "total,197165056" in out
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
         code, _, _ = run_cli(capsys, "flops", "--preset", "lra-text",

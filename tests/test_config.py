@@ -3,7 +3,7 @@
 import pytest
 
 from lsattn import LSConfig
-from lsattn.config import charlm_causal_config, desk_causal_config
+from lsattn.config import desk_causal_config
 from lsattn.errors import ConfigError
 
 
@@ -58,6 +58,4 @@ def test_padded_len(n, w, l, mode, expected):
 def test_presets_shapes():
     desk = desk_causal_config()
     assert desk.window == 4 and desk.seg_len == 4 and desk.rank == 1
-    full = charlm_causal_config()
-    assert full.window == 512 and full.seg_len == 16 and full.rank == 1
-    assert full.mode == desk.mode == "causal"
+    assert desk.mode == "causal"

@@ -10,6 +10,7 @@ from lsattn.config import desk_causal_config
 from lsattn.errors import ConfigError, DivergenceError, ShapeError
 from lsattn.lm import (
     ModelConfig,
+    _sample_batch,
     build_model,
     evaluate_bpc,
     forward_logits,
@@ -136,6 +137,11 @@ class TestTraining:
         assert first.train_losses == second.train_losses
         assert first.val_bpcs == second.val_bpcs
         assert first.final_val_bpc == second.final_val_bpc
+
+    def test_batches_reach_the_last_offset(self):
+        n = 8
+        batch = _sample_batch(np.arange(n + 2), n, 64, Rng(9))
+        assert set(batch[:, 0].tolist()) == {0, 1}
 
     def test_divergence_aborts_with_diagnostic(self):
         corpus = Rng(7).integers(0, 256, size=4000).astype(np.uint8)

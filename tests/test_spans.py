@@ -1,15 +1,18 @@
-"""Slot layout and window span geometry: enumerated examples and counting rules."""
+"""Slot layout geometry: enumerated examples and counting rules."""
 
 import numpy as np
 import pytest
 
-from lsattn import LSConfig, causal_window_span, window_span
-from lsattn.errors import ConfigError
+from lsattn import LSConfig
 from lsattn.spans import slot_layout
 
 
-def real_keys(span):
-    return span.key_indices[span.attendable].tolist()
+def layout_row(t, cfg):
+    """Window key positions of query t, then its window and projected attendable masks."""
+    keys, attendable = slot_layout(cfg)
+    group, row = divmod(t, attendable.shape[1])
+    w2 = 2 * cfg.window
+    return keys[group], attendable[group, row, :w2], attendable[group, row, w2:]
 
 
 class TestBidirectionalSpan:
@@ -17,35 +20,31 @@ class TestBidirectionalSpan:
         return LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=0)
 
     def test_first_token_has_one_left_pad(self):
-        span = window_span(0, self.cfg())
-        assert real_keys(span) == [0, 1, 2]
-        assert span.key_indices.tolist() == [-1, 0, 1, 2]
-        assert (~span.attendable).sum() == 1
+        keys, window, _ = layout_row(0, self.cfg())
+        assert keys[window].tolist() == [0, 1, 2]
+        assert keys.tolist() == [-1, 0, 1, 2]
+        assert (~window).sum() == 1
 
     def test_interior_token_no_padding(self):
-        span = window_span(3, self.cfg())
-        assert real_keys(span) == [1, 2, 3, 4]
-        assert span.attendable.all()
+        keys, window, _ = layout_row(3, self.cfg())
+        assert keys[window].tolist() == [1, 2, 3, 4]
+        assert window.all()
 
     def test_window_equal_to_sequence(self):
         n = 8
-        span = window_span(5, self.cfg(n=n, w=n))
-        assert real_keys(span) == list(range(n))
-        assert (~span.attendable).sum() == n  # n/2 pads each side
+        keys, window, _ = layout_row(5, self.cfg(n=n, w=n))
+        assert keys[window].tolist() == list(range(n))
+        assert (~window).sum() == n  # n/2 pads each side
 
     @pytest.mark.parametrize("n,w", [(8, 2), (12, 4), (16, 2), (7, 4)])
     def test_cardinality_and_boundary_masking(self, n, w):
         cfg = self.cfg(n=n, w=w)
         for t in range(n):
-            span = window_span(t, cfg)
-            assert len(span.key_indices) == 2 * w
-            assert (np.diff(span.key_indices) == 1).all()
-            masked = span.key_indices[~span.attendable]
+            keys, window, _ = layout_row(t, cfg)
+            assert len(keys) == 2 * w
+            assert (np.diff(keys) == 1).all()
+            masked = keys[~window]
             assert ((masked < 0) | (masked >= n)).all()
-
-    def test_query_out_of_range(self):
-        with pytest.raises(ConfigError):
-            window_span(8, self.cfg())
 
 
 class TestCausalSpan:
@@ -55,30 +54,31 @@ class TestCausalSpan:
         )
 
     def test_last_of_home_segment(self):
-        span = causal_window_span(5, self.cfg())
-        assert real_keys(span) == [2, 3, 4, 5]
+        keys, window, _ = layout_row(5, self.cfg())
+        assert keys[window].tolist() == [2, 3, 4, 5]
 
     def test_first_of_home_segment(self):
-        span = causal_window_span(4, self.cfg())
-        assert real_keys(span) == [2, 3, 4]
+        keys, window, _ = layout_row(4, self.cfg())
+        assert keys[window].tolist() == [2, 3, 4]
 
     def test_sequence_start(self):
-        span = causal_window_span(0, self.cfg())
-        assert real_keys(span) == [0]
-        out_of_range = span.key_indices < 0
+        keys, window, _ = layout_row(0, self.cfg())
+        assert keys[window].tolist() == [0]
+        out_of_range = keys < 0
         assert out_of_range.sum() == 2  # w pads to the left
 
     def test_no_future_keys_ever(self):
         cfg = self.cfg(n=16, w=4, l=4)
         for t in range(16):
-            span = causal_window_span(t, cfg)
-            assert max(real_keys(span), default=-1) <= t
-            assert len(span.key_indices) == 2 * cfg.window
+            keys, window, _ = layout_row(t, cfg)
+            assert max(keys[window].tolist(), default=-1) <= t
+            assert len(keys) == 2 * cfg.window
 
     def test_past_segment_count(self):
         cfg = self.cfg(n=16, w=4, l=4)
         for t in range(16):
-            assert causal_window_span(t, cfg).past_segments == t // 4
+            _, _, projected = layout_row(t, cfg)
+            assert projected.sum() == (t // 4) * cfg.rank
 
     @pytest.mark.parametrize("n,w,l,r", [(8, 2, 4, 1), (16, 4, 4, 2), (12, 4, 2, 1), (9, 2, 4, 3)])
     def test_effective_key_count(self, n, w, l, r):
@@ -86,11 +86,11 @@ class TestCausalSpan:
         # left of the home segment, plus r per fully past projection segment.
         cfg = self.cfg(n=n, w=w, l=l, r=r)
         for t in range(n):
-            span = causal_window_span(t, cfg)
+            _, window, projected = layout_row(t, cfg)
             home_start = (t // w) * w
             expected_window = min(t + 1, t - home_start + 1) + min(w, home_start)
-            assert span.attendable.sum() == expected_window
-            assert span.past_segments * r == (t // l) * r
+            assert window.sum() == expected_window
+            assert projected.sum() == (t // l) * r
 
 
 def layout_by_definition(cfg):
