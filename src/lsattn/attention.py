@@ -21,11 +21,12 @@ import numpy as np
 from .config import LSConfig
 from .errors import ConfigError, ShapeError
 from .params import BlockParams, HeadParams, MultiHeadParams, init_head_params
-from .spans import slot_layout
+from .spans import slot_layout, window_offset
 from .tensor import (
     Rng,
     Tensor,
     add,
+    attend,
     concat,
     layer_norm,
     masked_softmax,
@@ -34,7 +35,6 @@ from .tensor import (
     relu,
     scale,
     slice_axis,
-    take,
     transpose_last,
 )
 
@@ -216,18 +216,16 @@ def _aggregate(
     """One softmax per query over [2w window slots | all projected slots].
 
     Which slots a query may attend comes from `spans.slot_layout`; a branch
-    with no slots (w = 0 or rank 0) contributes empty operands.
+    with no slots (w = 0 or rank 0) contributes empty operands. Window keys
+    and values go to `attend` as blocks of w rows (see `_window_blocks`).
     """
     _check_input(x, p, cfg, mode)
-    n, w, dk, n_pad = cfg.seq_len, cfg.window, cfg.head_dim, cfg.padded_len
-    keys, attendable = slot_layout(cfg)
-    groups, size, span = attendable.shape
-    slots = cfg.projected_slots
+    n, dk, n_pad = cfg.seq_len, cfg.head_dim, cfg.padded_len
+    attendable = slot_layout(cfg)
     x_pad = _pad_rows(x, n_pad)
     q = matmul(x_pad, p.wq)
     k = matmul(x_pad, p.wk)
     v = matmul(x_pad, p.wv)
-    batch = q.shape[:-2]
     pkv = dynamic_projection(x_pad, p, cfg, keys=k, values=v)
     k_win, v_win, kbar, vbar = k, v, pkv.kbar, pkv.vbar
     if cfg.dual_ln:
@@ -235,24 +233,32 @@ def _aggregate(
         v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias)
         kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
         vbar = layer_norm(vbar, p.ln_global.gain, p.ln_global.bias)
-    gather = np.clip(keys, 0, n_pad - 1)
-    k_gath = take(k_win, gather, axis=-2)
-    v_gath = take(v_win, gather, axis=-2)
-    inv_scale = 1.0 / math.sqrt(dk)
-    local_logits = scale(matmul(q.reshape(*batch, groups, size, dk), transpose_last(k_gath)),
-                         inv_scale)
-    global_logits = scale(matmul(q, transpose_last(kbar)), inv_scale)
-    logits = concat([local_logits, global_logits.reshape(*batch, groups, size, slots)], axis=-1)
-    weights = masked_softmax(logits, attendable)
-    w_local = slice_axis(weights, -1, 0, 2 * w)
-    w_global = slice_axis(weights, -1, 2 * w, span)
-    out_local = matmul(w_local, v_gath).reshape(*batch, n_pad, dk)
-    out_global = matmul(w_global.reshape(*batch, n_pad, slots), vbar)
-    out = slice_axis(out_local + out_global, -2, 0, n)
+    k_blocks, v_blocks = _window_blocks(k_win, v_win, cfg)
+    out, weights = attend(q, k_blocks, v_blocks, kbar, vbar, attendable, 1.0 / math.sqrt(dk))
+    out = slice_axis(out, -2, 0, n)
     if return_weights:
-        dense = weights.data.reshape(*batch, n_pad, span)
-        return out, AttentionWeights(dense, attendable.reshape(n_pad, span), n)
+        dense = weights.reshape(*q.shape[:-2], n_pad, attendable.shape[-1])
+        return out, AttentionWeights(dense, attendable.reshape(n_pad, -1), n)
     return out
+
+
+def _window_blocks(k: Tensor, v: Tensor, cfg: LSConfig) -> tuple[Tensor, Tensor]:
+    """Window keys and values as (..., groups + 1, w, d_k) blocks.
+
+    The rows are zero-padded by `window_offset` in front and to whole blocks
+    behind, so window slot j of group g is padded row g*w + j, and the 2w
+    window slots of group g are blocks g and g + 1. At w = 0 both are two
+    empty blocks.
+    """
+    batch, dk, w = k.shape[:-2], k.shape[-1], cfg.window
+    if w == 0:
+        empty = Tensor(np.zeros(batch + (2, 0, dk)))
+        return empty, empty
+    offset = window_offset(cfg)
+    front, back = (Tensor(np.zeros(batch + (rows, dk))) for rows in (offset, w - offset))
+    k_blocks, v_blocks = (concat([front, t, back], axis=-2).reshape(*batch, -1, w, dk)
+                          for t in (k, v))
+    return k_blocks, v_blocks
 
 
 @dataclass

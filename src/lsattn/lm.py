@@ -214,8 +214,7 @@ def train(cfg: ModelConfig, corpus: np.ndarray | bytes) -> tuple[ModelParams, Tr
     model = build_model(cfg, rng.child(0))
     batch_rng = rng.child(1)
     dropout_rng = rng.child(2) if cfg.dropout > 0 else None
-    val_batch = _sample_batch(val_data, n, min(cfg.batch_size, 4), rng.child(3)) \
-        if val_data.size > n + 1 else _sample_batch(train_data, n, 4, rng.child(3))
+    val_batch = _sample_batch(val_data, n, min(cfg.batch_size, 4), rng.child(3))
 
     params = model.parameter_list()
     from .autodiff import gradients

@@ -18,22 +18,27 @@ import numpy as np
 
 from .config import LSConfig
 
-__all__ = ["slot_layout"]
+__all__ = ["slot_layout", "window_offset"]
+
+
+def window_offset(cfg: LSConfig) -> int:
+    """How far a segment's first window slot lies left of the segment: w causally, w/2 otherwise."""
+    return cfg.window if cfg.mode == "causal" else cfg.window // 2
 
 
 @lru_cache(maxsize=256)
-def slot_layout(cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Window key positions and the attendable mask of every padded query.
+def slot_layout(cfg: LSConfig) -> np.ndarray:
+    """The attendable mask of every padded query, read-only.
 
     Queries are grouped by window segment (one group of all padded_len rows
-    when w = 0). Returns read-only arrays: the virtual key positions of each
-    group's window slots, shape (groups, 2w), which may fall outside
-    [0, padded_len); and the attendable mask over [window slots | projected
-    slots], shape (groups, group_size, 2w + cfg.projected_slots).
+    when w = 0). The mask is over [window slots | projected slots], shape
+    (groups, group_size, 2w + cfg.projected_slots); window slot j of group g
+    is position g*w - window_offset(cfg) + j, which may fall outside
+    [0, padded_len).
     """
     n, w, causal = cfg.seq_len, cfg.window, cfg.mode == "causal"
     queries = np.arange(cfg.padded_len).reshape(-1, w or cfg.padded_len)
-    offset = w if causal else w // 2
+    offset = window_offset(cfg)
     keys = queries[:, :1] + np.arange(-offset, 2 * w - offset)
     window = ((keys >= 0) & (keys < n))[:, None, :]
     projected = True
@@ -45,7 +50,5 @@ def slot_layout(cfg: LSConfig) -> tuple[np.ndarray, np.ndarray]:
         np.broadcast_to(window, queries.shape + (2 * w,)),
         np.broadcast_to(projected, queries.shape + (cfg.projected_slots,)),
     ], axis=-1)
-    keys.setflags(write=False)
     attendable.setflags(write=False)
-    return keys, attendable
-
+    return attendable

@@ -21,6 +21,7 @@ __all__ = [
     "Rng",
     "matmul",
     "masked_softmax",
+    "attend",
     "layer_norm",
     "concat",
     "init_matrix",
@@ -227,13 +228,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis with excluded positions pinned to exactly 0.
-
-    Row maxima are taken over attendable entries only, so values at masked
-    positions can never influence the result, not even in the last bit.
-    """
-    x = logits.data
+def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     if mask is None:
         shifted = x - x.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
@@ -244,7 +239,16 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
         z = np.where(mask, x, -np.inf)
         shifted = z - z.max(axis=-1, keepdims=True)
         exp = np.where(mask, np.exp(shifted), 0.0)
-    p = exp / exp.sum(axis=-1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis with excluded positions pinned to exactly 0.
+
+    Row maxima are taken over attendable entries only, so values at masked
+    positions can never influence the result, not even in the last bit.
+    """
+    p = _softmax(logits.data, mask)
     out = Tensor(p)
     if _tracking(logits):
         def route() -> None:
@@ -253,6 +257,91 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
             _accum(logits, p * (g - inner))
         _attach(out, (logits,), route)
     return out
+
+
+def _windows(blocks: np.ndarray) -> np.ndarray:
+    """(..., groups + 1, w, d) blocks to (..., groups, 2w, d) windows: blocks g and g + 1."""
+    return np.concatenate([blocks[..., :-1, :, :], blocks[..., 1:, :, :]], axis=-2)
+
+
+def _fold_windows(grad: np.ndarray, w: int) -> np.ndarray:
+    """Adjoint of `_windows`: each window's two halves go back onto their blocks."""
+    out = np.zeros(grad.shape[:-3] + (grad.shape[-3] + 1, w, grad.shape[-1]))
+    out[..., :-1, :, :] = grad[..., :w, :]
+    out[..., 1:, :, :] += grad[..., w:, :]
+    return out
+
+
+def attend(
+    q: Tensor,
+    k_blocks: Tensor,
+    v_blocks: Tensor,
+    kbar: Tensor,
+    vbar: Tensor,
+    attendable: np.ndarray,
+    inv_scale: float,
+) -> tuple[Tensor, np.ndarray]:
+    """Long-short attention: one masked softmax per query over [window | projected] slots.
+
+    attendable is (groups, size, 2w + slots) and q is (..., groups * size, d):
+    its rows form `groups` consecutive groups of `size` queries. k_blocks and
+    v_blocks are (..., groups + 1, w, d), and the 2w window slots of group g
+    are blocks g and g + 1 joined. kbar and vbar are (..., slots, d). Logits
+    are q.k * inv_scale. Returns the output (..., groups * size, d) and the
+    weights (..., groups, size, 2w + slots), with masked slots exactly 0.
+
+    Only the weights P are kept for the backward pass, which uses
+    dS = P * (dP - rowsum(dP * P)). The runtime counter gets the MACs of the
+    score and value products of both slot kinds, 2 * d per weight.
+    """
+    groups, size, span = attendable.shape
+    w, d = k_blocks.shape[-2], q.shape[-1]
+    slots = kbar.shape[-2]
+    if (q.shape[-2] != groups * size or k_blocks.shape[-3] != groups + 1
+            or span != 2 * w + slots or v_blocks.shape != k_blocks.shape
+            or vbar.shape != kbar.shape):
+        raise ShapeError(
+            f"attend shapes disagree: q {q.shape}, blocks {k_blocks.shape}/{v_blocks.shape}, "
+            f"projected {kbar.shape}/{vbar.shape}, mask {attendable.shape}"
+        )
+    batch = q.shape[:-2]
+    rows = batch + (groups * size,)
+    q_grouped = q.data.reshape(batch + (groups, size, d))
+    local = np.matmul(q_grouped, np.swapaxes(_windows(k_blocks.data), -1, -2)) * inv_scale
+    far = np.matmul(q.data, np.swapaxes(kbar.data, -1, -2)) * inv_scale
+    logits = np.concatenate([local, far.reshape(batch + (groups, size, slots))], axis=-1)
+    p = _softmax(logits, attendable)
+    p.setflags(write=False)
+    p_local, p_far = p[..., : 2 * w], p[..., 2 * w :].reshape(rows + (slots,))
+    out_local = np.matmul(p_local, _windows(v_blocks.data)).reshape(rows + (d,))
+    out = Tensor(out_local + np.matmul(p_far, vbar.data))
+    if _flop_counter is not None:
+        _flop_counter.matmul_macs += 2 * p.size * d
+    if _tracking(q, k_blocks, v_blocks, kbar, vbar):
+        def route() -> None:
+            g = out.grad
+            g_grouped = g.reshape(batch + (groups, size, d))
+            dp = np.concatenate([
+                np.matmul(g_grouped, np.swapaxes(_windows(v_blocks.data), -1, -2)),
+                np.matmul(g, np.swapaxes(vbar.data, -1, -2)).reshape(batch + (groups, size, slots)),
+            ], axis=-1)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
+            ds_local, ds_far = ds[..., : 2 * w], ds[..., 2 * w :].reshape(rows + (slots,))
+            if q.requires_grad:
+                dq = np.matmul(ds_local, _windows(k_blocks.data)).reshape(rows + (d,))
+                _accum(q, _unbroadcast(dq + np.matmul(ds_far, kbar.data), q.shape))
+            if k_blocks.requires_grad:
+                dk = _fold_windows(np.matmul(np.swapaxes(ds_local, -1, -2), q_grouped), w)
+                _accum(k_blocks, _unbroadcast(dk, k_blocks.shape))
+            if v_blocks.requires_grad:
+                dv = _fold_windows(np.matmul(np.swapaxes(p_local, -1, -2), g_grouped), w)
+                _accum(v_blocks, _unbroadcast(dv, v_blocks.shape))
+            if kbar.requires_grad:
+                _accum(kbar, _unbroadcast(np.matmul(np.swapaxes(ds_far, -1, -2), q.data), kbar.shape))
+            if vbar.requires_grad:
+                _accum(vbar, _unbroadcast(np.matmul(np.swapaxes(p_far, -1, -2), g), vbar.shape))
+        _attach(out, (q, k_blocks, v_blocks, kbar, vbar), route)
+    return out, p
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

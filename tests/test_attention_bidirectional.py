@@ -8,6 +8,7 @@ from lsattn import (
     Rng,
     Tensor,
     aggregate_head,
+    causal_aggregate_head,
     dynamic_projection,
     full_attention_head,
     init_multi_head_params,
@@ -132,15 +133,26 @@ class TestSlidingWindow:
         assert np.abs(windowed.data - full.data).max() < 1e-12
 
     def test_locality_is_bitwise(self):
-        cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0)
-        p, x = make_head(cfg, seed=7)
-        t = 4
-        inside = set(window_keys(t, cfg).tolist())
-        outside = next(j for j in range(cfg.seq_len) if j not in inside)
-        base = aggregate_head(x, p, cfg).data[t].copy()
-        x.data[outside] += 10.0
-        bumped = aggregate_head(x, p, cfg).data[t]
-        assert np.array_equal(base, bumped)
+        # For every query whose window has a key outside it on both sides,
+        # bumping the first key past either edge leaves the query's row
+        # bit-identical, and bumping the key at either edge changes it.
+        for mode, head in (("bidirectional", aggregate_head), ("causal", causal_aggregate_head)):
+            cfg = LSConfig(seq_len=16, model_dim=4, heads=1, window=4, rank=0, mode=mode)
+            p, x = make_head(cfg, seed=7)
+            base = head(x, p, cfg).data
+            queries = 0
+            for t in range(cfg.seq_len):
+                keys = window_keys(t, cfg)
+                lo, hi = int(keys[0]), int(keys[-1])
+                if lo == 0 or hi == cfg.seq_len - 1:
+                    continue
+                for j, inside in ((lo - 1, False), (hi + 1, False), (lo, True), (hi, True)):
+                    bumped = Tensor(x.data.copy())
+                    bumped.data[j] += 10.0
+                    row = head(bumped, p, cfg).data[t]
+                    assert np.array_equal(row, base[t]) != inside, (mode, t, j)
+                queries += 1
+            assert queries >= 6, mode
 
     @pytest.mark.parametrize("n,w", [(8, 2), (8, 4), (12, 2), (10, 4)])
     def test_matches_masked_oracle(self, n, w):

@@ -143,6 +143,15 @@ class TestTraining:
         batch = _sample_batch(np.arange(n + 2), n, 64, Rng(9))
         assert set(batch[:, 0].tolist()) == {0, 1}
 
+    def test_validation_batch_comes_from_the_validation_split(self):
+        # 160 bytes at n = 16 leave a validation split of exactly n + 1 bytes:
+        # one window, so the per-step validation batch repeats it and the last
+        # step's val_bpc equals the final score of the whole split.
+        corpus = Rng(10).integers(0, 256, size=160).astype(np.uint8)
+        cfg = toy_config(attention=desk_causal_config(seq_len=16), steps=2)
+        _, report = train(cfg, corpus)
+        assert abs(report.val_bpcs[-1] - report.final_val_bpc) < 1e-12
+
     def test_divergence_aborts_with_diagnostic(self):
         corpus = Rng(7).integers(0, 256, size=4000).astype(np.uint8)
         cfg = toy_config(steps=50, learning_rate=1e9)

@@ -4,12 +4,35 @@ import numpy as np
 import pytest
 
 from lsattn import LSConfig
-from lsattn.spans import slot_layout
+from lsattn.spans import slot_layout, window_offset
+
+
+def layout_by_definition(cfg):
+    """Window key positions and attendable mask, one slot at a time."""
+    n, w, r, l = cfg.seq_len, cfg.window, cfg.rank, cfg.seg_len
+    causal = cfg.mode == "causal"
+    n_pad = cfg.padded_len
+    size = w if w > 0 else n_pad
+    offset = w if causal else w // 2
+    slots = r * (n_pad // l) if causal else r
+    keys = np.zeros((n_pad // size, 2 * w), dtype=int)
+    mask = np.zeros((n_pad // size, size, 2 * w + slots), dtype=bool)
+    for t in range(n_pad):
+        group, row = divmod(t, size)
+        for j in range(2 * w):
+            pos = group * size + j - offset
+            keys[group, j] = pos
+            mask[group, row, j] = 0 <= pos < n and (not causal or pos <= t)
+        for c in range(slots):
+            mask[group, row, 2 * w + c] = not causal or c // r < t // l
+    return keys, mask
 
 
 def layout_row(t, cfg):
-    """Window key positions of query t, then its window and projected attendable masks."""
-    keys, attendable = slot_layout(cfg)
+    """Window key positions of query t by definition, then its window and projected
+    attendable masks from `slot_layout`."""
+    keys, _ = layout_by_definition(cfg)
+    attendable = slot_layout(cfg)
     group, row = divmod(t, attendable.shape[1])
     w2 = 2 * cfg.window
     return keys[group], attendable[group, row, :w2], attendable[group, row, w2:]
@@ -93,27 +116,6 @@ class TestCausalSpan:
             assert projected.sum() == (t // l) * r
 
 
-def layout_by_definition(cfg):
-    """Window key positions and attendable mask, one slot at a time."""
-    n, w, r, l = cfg.seq_len, cfg.window, cfg.rank, cfg.seg_len
-    causal = cfg.mode == "causal"
-    n_pad = cfg.padded_len
-    size = w if w > 0 else n_pad
-    offset = w if causal else w // 2
-    slots = r * (n_pad // l) if causal else r
-    keys = np.zeros((n_pad // size, 2 * w), dtype=int)
-    mask = np.zeros((n_pad // size, size, 2 * w + slots), dtype=bool)
-    for t in range(n_pad):
-        group, row = divmod(t, size)
-        for j in range(2 * w):
-            pos = group * size + j - offset
-            keys[group, j] = pos
-            mask[group, row, j] = 0 <= pos < n and (not causal or pos <= t)
-        for c in range(slots):
-            mask[group, row, 2 * w + c] = not causal or c // r < t // l
-    return keys, mask
-
-
 class TestSlotLayout:
     @pytest.mark.parametrize("mode,n,w,r,l", [
         ("bidirectional", 13, 4, 3, 4),  # padded tail
@@ -126,7 +128,8 @@ class TestSlotLayout:
     ])
     def test_matches_definition(self, mode, n, w, r, l):
         cfg = LSConfig(seq_len=n, model_dim=4, heads=1, window=w, rank=r, seg_len=l, mode=mode)
-        keys, mask = slot_layout(cfg)
+        mask = slot_layout(cfg)
         expected_keys, expected_mask = layout_by_definition(cfg)
-        assert np.array_equal(keys, expected_keys)
+        starts = np.arange(mask.shape[0]) * mask.shape[1] - window_offset(cfg)
+        assert np.array_equal(starts[:, None] + np.arange(2 * w), expected_keys)
         assert np.array_equal(mask, expected_mask)
