@@ -220,7 +220,7 @@ def _aggregate(
     and values go to `attend` as blocks of w rows (see `_window_blocks`).
     """
     _check_input(x, p, cfg, mode)
-    n, dk, n_pad = cfg.seq_len, cfg.head_dim, cfg.padded_len
+    n, n_pad = cfg.seq_len, cfg.padded_len
     attendable = slot_layout(cfg)
     x_pad = _pad_rows(x, n_pad)
     q = matmul(x_pad, p.wq)
@@ -234,7 +234,7 @@ def _aggregate(
         kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
         vbar = layer_norm(vbar, p.ln_global.gain, p.ln_global.bias)
     k_blocks, v_blocks = _window_blocks(k_win, v_win, cfg)
-    out, weights = attend(q, k_blocks, v_blocks, kbar, vbar, attendable, 1.0 / math.sqrt(dk))
+    out, weights = attend(q, k_blocks, v_blocks, kbar, vbar, attendable)
     out = slice_axis(out, -2, 0, n)
     if return_weights:
         dense = weights.reshape(*q.shape[:-2], n_pad, attendable.shape[-1])

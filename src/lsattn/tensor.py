@@ -8,6 +8,7 @@ never receive gradients.
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -279,7 +280,6 @@ def attend(
     kbar: Tensor,
     vbar: Tensor,
     attendable: np.ndarray,
-    inv_scale: float,
 ) -> tuple[Tensor, np.ndarray]:
     """Long-short attention: one masked softmax per query over [window | projected] slots.
 
@@ -287,12 +287,14 @@ def attend(
     its rows form `groups` consecutive groups of `size` queries. k_blocks and
     v_blocks are (..., groups + 1, w, d), and the 2w window slots of group g
     are blocks g and g + 1 joined. kbar and vbar are (..., slots, d). Logits
-    are q.k * inv_scale. Returns the output (..., groups * size, d) and the
+    are q.k / sqrt(d). Returns the output (..., groups * size, d) and the
     weights (..., groups, size, 2w + slots), with masked slots exactly 0.
 
     Only the weights P are kept for the backward pass, which uses
-    dS = P * (dP - rowsum(dP * P)). The runtime counter gets the MACs of the
-    score and value products of both slot kinds, 2 * d per weight.
+    dS = P * (dP - rowsum(dP * P)). The logits and P are held as tensors, so
+    `track_peak_bytes` sees the logits while the softmax runs and P for as
+    long as the backward pass may need it. The runtime counter gets the MACs
+    of the score and value products of both slot kinds, 2 * d per weight.
     """
     groups, size, span = attendable.shape
     w, d = k_blocks.shape[-2], q.shape[-1]
@@ -306,11 +308,16 @@ def attend(
         )
     batch = q.shape[:-2]
     rows = batch + (groups * size,)
+    inv_scale = 1.0 / math.sqrt(d)
     q_grouped = q.data.reshape(batch + (groups, size, d))
-    local = np.matmul(q_grouped, np.swapaxes(_windows(k_blocks.data), -1, -2)) * inv_scale
-    far = np.matmul(q.data, np.swapaxes(kbar.data, -1, -2)) * inv_scale
-    logits = np.concatenate([local, far.reshape(batch + (groups, size, slots))], axis=-1)
-    p = _softmax(logits, attendable)
+    logits = Tensor(np.concatenate([
+        np.matmul(q_grouped, np.swapaxes(_windows(k_blocks.data), -1, -2)) * inv_scale,
+        (np.matmul(q.data, np.swapaxes(kbar.data, -1, -2)) * inv_scale).reshape(
+            batch + (groups, size, slots)),
+    ], axis=-1))
+    weights = Tensor(_softmax(logits.data, attendable))
+    del logits
+    p = weights.data
     p.setflags(write=False)
     p_local, p_far = p[..., : 2 * w], p[..., 2 * w :].reshape(rows + (slots,))
     out_local = np.matmul(p_local, _windows(v_blocks.data)).reshape(rows + (d,))
@@ -319,7 +326,7 @@ def attend(
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, k_blocks, v_blocks, kbar, vbar):
         def route() -> None:
-            g = out.grad
+            g, p = out.grad, weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
             dp = np.concatenate([
                 np.matmul(g_grouped, np.swapaxes(_windows(v_blocks.data), -1, -2)),

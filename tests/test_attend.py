@@ -20,7 +20,9 @@ from lsattn import (
 )
 from lsattn.errors import ShapeError
 from lsattn.spans import slot_layout
-from lsattn.tensor import attend, mul, scale, take, tensor_sum, transpose_last
+from lsattn.tensor import (
+    attend, mul, scale, take, tensor_sum, track_peak_bytes, transpose_last,
+)
 from reference import make_head
 
 
@@ -69,7 +71,7 @@ class TestAttendGradients:
                 (g_local, b_local), (g_far, b_far) = norms
                 k, v = layer_norm(kb, g_local, b_local), layer_norm(vb, g_local, b_local)
                 kb_, vb_ = layer_norm(kbar, g_far, b_far), layer_norm(vbar, g_far, b_far)
-            out, _ = attend(q, k, v, kb_, vb_, attendable, 0.7)
+            out, _ = attend(q, k, v, kb_, vb_, attendable)
             return tensor_sum(mul(out, probe))
 
         # Layer norms over 3 features curve sharply, hence the looser dual-LN
@@ -80,7 +82,7 @@ class TestAttendGradients:
         cfg = CONFIGS["bidirectional"]
         (q, kb, vb, kbar, vbar), attendable = operands(cfg, seed=5, batch=(2,))
         probe = Tensor(Rng(4).normal(q.shape))
-        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, attendable, 0.7)[0], probe))
+        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, attendable)[0], probe))
         assert finite_diff_check(loss, [q, kb, vb, kbar, vbar]) < 1e-6
 
     def test_rows_with_one_kind_of_slot(self):
@@ -92,15 +94,25 @@ class TestAttendGradients:
         mask[:, 0, :w2] = False
         mask[:, 1, w2:] = False
         probe = Tensor(Rng(5).normal(q.shape))
-        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, mask, 0.7)[0], probe))
+        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, mask)[0], probe))
         assert finite_diff_check(loss, [q, kb, vb, kbar, vbar]) < 1e-6
-        _, weights = attend(q, kb, vb, kbar, vbar, mask, 0.7)
+        _, weights = attend(q, kb, vb, kbar, vbar, mask)
         assert (weights[:, 0, :w2] == 0.0).all() and (weights[:, 1, w2:] == 0.0).all()
+
+    def test_peak_bytes_see_logits_and_weights(self):
+        (q, kb, vb, kbar, vbar), attendable = operands(CONFIGS["bidirectional"], seed=8)
+        with track_peak_bytes() as tracker:
+            out, weights = attend(q, kb, vb, kbar, vbar, attendable)
+            held = tracker.current
+        # The logits and the weights meet in the softmax; the weights then
+        # stay with the output for the backward pass.
+        assert tracker.peak == weights.nbytes + max(weights.nbytes, out.data.nbytes)
+        assert held == out.data.nbytes + weights.nbytes
 
     def test_shape_mismatch_rejected(self):
         (q, kb, vb, kbar, vbar), attendable = operands(CONFIGS["bidirectional"], seed=7)
         with pytest.raises(ShapeError):
-            attend(q, kb, vb, kbar, vbar, attendable[:, :, 1:], 0.7)
+            attend(q, kb, vb, kbar, vbar, attendable[:, :, 1:])
 
 
 def composed_weights(x, p, cfg):
