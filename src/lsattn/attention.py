@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import LSConfig
 from .errors import ConfigError, ShapeError
-from .params import BlockParams, HeadParams, MultiHeadParams, init_head_params
+from .params import BlockParams, HeadParams, MultiHeadParams, init_multi_head_params
 from .spans import slot_layout, window_offset
 from .tensor import (
     Rng,
@@ -49,6 +49,9 @@ __all__ = [
     "norm_ratio_probe",
     "NormRatioResult",
 ]
+
+# Projection kinds of `norm_ratio_probe`; the first is the default.
+PROJECTIONS = ("dynamic", "identity")
 
 
 @dataclass
@@ -227,12 +230,7 @@ def _aggregate(
     k = matmul(x_pad, p.wk)
     v = matmul(x_pad, p.wv)
     pkv = dynamic_projection(x_pad, p, cfg, keys=k, values=v)
-    k_win, v_win, kbar, vbar = k, v, pkv.kbar, pkv.vbar
-    if cfg.dual_ln:
-        k_win = layer_norm(k, p.ln_local.gain, p.ln_local.bias)
-        v_win = layer_norm(v, p.ln_local.gain, p.ln_local.bias)
-        kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
-        vbar = layer_norm(vbar, p.ln_global.gain, p.ln_global.bias)
+    k_win, v_win, kbar, vbar = _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
     k_blocks, v_blocks = _window_blocks(k_win, v_win, cfg)
     out, weights = attend(q, k_blocks, v_blocks, kbar, vbar, attendable)
     out = slice_axis(out, -2, 0, n)
@@ -240,6 +238,21 @@ def _aggregate(
         dense = weights.reshape(*q.shape[:-2], n_pad, attendable.shape[-1])
         return out, AttentionWeights(dense, attendable.reshape(n_pad, -1), n)
     return out
+
+
+def _normalize_branches(
+    p: HeadParams, cfg: LSConfig, k: Tensor, v: Tensor, kbar: Tensor, vbar: Tensor
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Window and projected keys/values as attention consumes them.
+
+    With cfg.dual_ln the window branch goes through ln_local and the projected
+    branch through ln_global; otherwise all four pass through unchanged.
+    """
+    if not cfg.dual_ln:
+        return k, v, kbar, vbar
+    local, glob = p.ln_local, p.ln_global
+    return (layer_norm(k, local.gain, local.bias), layer_norm(v, local.gain, local.bias),
+            layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias))
 
 
 def _window_blocks(k: Tensor, v: Tensor, cfg: LSConfig) -> tuple[Tensor, Tensor]:
@@ -275,15 +288,14 @@ def _mean_row_norm(a: np.ndarray) -> float:
 
 
 def norm_ratio_probe(
-    cfg: LSConfig,
-    seeds: Sequence[int],
-    dual_ln: bool,
-    projection: str = "dynamic",
+    cfg: LSConfig, seeds: Sequence[int], projection: str = PROJECTIONS[0]
 ) -> NormRatioResult:
     """Average norm ratio of window keys/values to projected keys/values.
 
-    Fresh parameters per seed; inputs are zero-mean unit-variance draws
-    standing in for layer-norm outputs. With `projection="identity"` the
+    Fresh parameters per seed (the heads of `init_multi_head_params`); inputs
+    are zero-mean unit-variance draws standing in for layer-norm outputs. The
+    ratios are taken after the branch normalization that attention applies,
+    so cfg.dual_ln selects plain or dual LN. With `projection="identity"` the
     token distributions are forced one-hot (requires rank == seq_len), which
     pins the ratio to 1.
     """
@@ -291,7 +303,9 @@ def norm_ratio_probe(
         raise ConfigError("norm probe needs at least 10 seeds")
     if cfg.rank < 1:
         raise ConfigError("norm probe needs rank >= 1")
-    if projection not in ("dynamic", "identity"):
+    if cfg.dual_ln and cfg.head_dim < 2:
+        raise ConfigError("dual-LN norm probe needs head_dim >= 2 (one feature normalizes to 0)")
+    if projection not in PROJECTIONS:
         raise ConfigError(f"unknown projection kind {projection!r}")
     if projection == "identity" and cfg.rank != cfg.seq_len:
         raise ConfigError("identity projection requires rank == seq_len")
@@ -301,8 +315,7 @@ def norm_ratio_probe(
             rng = Rng(seed)
             key_ratios = []
             value_ratios = []
-            for h in range(cfg.heads):
-                p = init_head_params(rng.child(h), cfg, trainable=False)
+            for h, p in enumerate(init_multi_head_params(rng, cfg, trainable=False).heads):
                 x = Tensor(rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim)))
                 k = matmul(x, p.wk)
                 v = matmul(x, p.wv)
@@ -312,11 +325,7 @@ def norm_ratio_probe(
                 else:
                     pkv = dynamic_projection(x, p, cfg)
                     kbar, vbar = pkv.kbar, pkv.vbar
-                if dual_ln:
-                    k = layer_norm(k, p.ln_local.gain, p.ln_local.bias)
-                    v = layer_norm(v, p.ln_local.gain, p.ln_local.bias)
-                    kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
-                    vbar = layer_norm(vbar, p.ln_global.gain, p.ln_global.bias)
+                k, v, kbar, vbar = _normalize_branches(p, cfg, k, v, kbar, vbar)
                 key_ratios.append(_mean_row_norm(k.data) / _mean_row_norm(kbar.data))
                 value_ratios.append(_mean_row_norm(v.data) / _mean_row_norm(vbar.data))
             per_seed.append(

@@ -1,18 +1,18 @@
 """Scaling sweeps and probe runners with CSV output.
 
-Wall times are medians of repeated single-threaded forward passes after one
-warmup run; peak memory is tracked by the tensor allocation shim in a
-separate untimed pass, so the numbers never contaminate each other.
+Wall times are medians of repeated forward passes after one warmup run;
+peak memory is tracked by the tensor allocation shim in a separate untimed
+pass, so the numbers never contaminate each other. BLAS runs with whatever
+threads the environment gives it (set OPENBLAS_NUM_THREADS=1 to pin it).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, TextIO
 
 from .attention import norm_ratio_probe
@@ -21,18 +21,7 @@ from .errors import ConfigError
 from .flops import ArchSpec, ReferenceEncoder, count_flops
 from .tensor import Rng, Tensor, no_grad, track_peak_bytes
 
-__all__ = ["SweepRow", "run_scaling", "run_norm_probe", "write_csv", "THREADS_ENV"]
-
-THREADS_ENV = "LSATTN_THREADS"
-
-
-def _check_single_threaded() -> None:
-    value = os.environ.get(THREADS_ENV)
-    if value is not None and value.strip() != "1":
-        raise ConfigError(
-            f"{THREADS_ENV}={value!r}: timed sweeps require a single thread; "
-            "set it to 1 or leave it unset"
-        )
+__all__ = ["SweepRow", "run_scaling", "run_norm_probe", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -57,23 +46,11 @@ def fmt(value: float | int) -> str:
     return f"{value:.6g}"
 
 
-def run_scaling(
-    seq_lens: Sequence[int],
-    variant: str,
-    window: int = 8,
-    rank: int = 32,
-    seg_len: int = 16,
-    mode: str = "bidirectional",
-    dual_ln: bool = False,
-    layers: int = 2,
-    model_dim: int = 64,
-    heads: int = 2,
-    ffn_dim: int = 128,
-    reps: int = 5,
-    seed: int = 0,
-) -> list[SweepRow]:
-    """Median forward wall time, peak buffer bytes, and modeled FLOPs per n."""
-    _check_single_threaded()
+def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -> list[SweepRow]:
+    """Median forward wall time, peak buffer bytes, and modeled FLOPs per n.
+
+    Each sequence length n runs `arch` with seq_len replaced by n.
+    """
     if reps < 5:
         raise ConfigError("need at least 5 timed repetitions")
     if not seq_lens:
@@ -82,16 +59,13 @@ def run_scaling(
         raise ConfigError("sequence lengths must be strictly increasing")
     rows = []
     for n in seq_lens:
-        arch = ArchSpec(
-            layers=layers, model_dim=model_dim, heads=heads, ffn_dim=ffn_dim,
-            seq_len=n, variant=variant, window=window, rank=rank,
-            seg_len=seg_len, mode=mode, dual_ln=dual_ln,
-        )
-        flops = count_flops(arch).total
+        arch_n = replace(arch, seq_len=n)
+        row = SweepRow(n=n, w=arch.window, r=arch.rank, mode=arch.mode, variant=arch.variant,
+                       flops=count_flops(arch_n).total, wall_ms=float("nan"), peak_bytes=0)
         try:
             rng = Rng(seed)
-            encoder = ReferenceEncoder.build(arch, rng)
-            x = Tensor(rng.child(999).normal((n, model_dim)))
+            encoder = ReferenceEncoder.build(arch_n, rng)
+            x = Tensor(rng.child(999).normal((n, arch.model_dim)))
             with no_grad():
                 encoder.forward(x)  # warmup: caches and allocator steady state
                 times = []
@@ -101,20 +75,9 @@ def run_scaling(
                     times.append((time.perf_counter() - started) * 1e3)
                 with track_peak_bytes() as tracker:
                     encoder.forward(x)
-            rows.append(
-                SweepRow(
-                    n=n, w=arch.window, r=arch.rank, mode=mode, variant=variant,
-                    flops=flops, wall_ms=statistics.median(times),
-                    peak_bytes=tracker.peak,
-                )
-            )
+            rows.append(replace(row, wall_ms=statistics.median(times), peak_bytes=tracker.peak))
         except MemoryError:
-            rows.append(
-                SweepRow(
-                    n=n, w=window, r=rank, mode=mode, variant=variant,
-                    flops=flops, wall_ms=float("nan"), peak_bytes=0, status="oom",
-                )
-            )
+            rows.append(replace(row, status="oom"))
     return rows
 
 
@@ -130,24 +93,19 @@ def sweep_csv_rows(rows: Iterable[SweepRow]) -> list[list[str]]:
 
 
 def run_norm_probe(
-    seq_len: int = 256,
-    model_dim: int = 64,
-    heads: int = 2,
-    window: int = 8,
-    rank: int = 8,
-    layers: int = 1,
-    seeds: Sequence[int] = tuple(range(10)),
-    projection: str = "dynamic",
+    cfg: LSConfig, layers: int, seeds: Sequence[int], projection: str
 ) -> list[list[str]]:
-    """CSV rows (layer, seed, key_ratio, value_ratio, dual_ln), both variants."""
-    cfg = LSConfig(seq_len=seq_len, model_dim=model_dim, heads=heads,
-                   window=window, rank=rank)
+    """CSV rows (layer, seed, key_ratio, value_ratio, dual_ln), plain and dual LN.
+
+    cfg.dual_ln is ignored: every layer and seed is probed both ways.
+    """
+    if layers < 1:
+        raise ConfigError(f"norm probe needs at least 1 layer, got {layers}")
     rows = [["layer", "seed", "key_ratio", "value_ratio", "dual_ln"]]
     for layer in range(layers):
         layer_seeds = [layer * 100003 + s for s in seeds]
         for dual in (False, True):
-            result = norm_ratio_probe(cfg, layer_seeds, dual_ln=dual,
-                                      projection=projection)
+            result = norm_ratio_probe(replace(cfg, dual_ln=dual), layer_seeds, projection)
             for (_, key_ratio, value_ratio), s in zip(result.per_seed, seeds):
                 rows.append([
                     str(layer), str(s), fmt(key_ratio), fmt(value_ratio),

@@ -8,7 +8,7 @@ seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -142,8 +142,8 @@ def _flop_parity(seed: int) -> CheckResult:
 def _norm_ratios(seed: int) -> CheckResult:
     cfg = LSConfig(seq_len=128, model_dim=32, heads=2, window=8, rank=8)
     seeds = [seed + i for i in range(10)]
-    plain = norm_ratio_probe(cfg, seeds, dual_ln=False)
-    dual = norm_ratio_probe(cfg, seeds, dual_ln=True)
+    plain = norm_ratio_probe(cfg, seeds)
+    dual = norm_ratio_probe(replace(cfg, dual_ln=True), seeds)
     ok = plain.key_ratio > 1.05 and abs(dual.key_ratio - 1.0) < 0.02
     return CheckResult(
         "norm-ratios", ok,
@@ -163,7 +163,7 @@ def _softmax_contract(seed: int) -> CheckResult:
     return CheckResult("masked-softmax", ok, f"row-sum gap {row_gap:.2e}, masked zeros {zeros_exact}")
 
 
-def run_all_checks(seed: int = 1) -> list[CheckResult]:
+def run_all_checks(seed: int) -> list[CheckResult]:
     checks = [
         _softmax_contract,
         _oracle_equivalence,

@@ -15,56 +15,58 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import PROJECTIONS
 from .bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
 from .checks import run_all_checks
-from .config import MODES, LSConfig
+from .config import MODES, LSConfig, desk_causal_config
 from .errors import ConfigError, DivergenceError, ShapeError
-from .flops import PRESETS, VARIANTS, ArchSpec, count_flops, load_preset_file, preset_arch
+from .flops import (DEFAULT_ARCH, PRESETS, VARIANTS, ArchSpec, count_flops, load_preset_file,
+                    preset_arch)
 from .lm import ModelConfig, dualln_ablation, train
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
-
-# Defaults of the architecture flags, by ArchSpec field; `flops` applies them
-# only without a preset.
-_ARCH_DEFAULTS = dict(layers=2, model_dim=64, heads=2, ffn_dim=128, window=8, rank=32,
-                      seg_len=16, mode="bidirectional")
 _ARCH_FIELDS = {f.name for f in fields(ArchSpec)}
+_LS_FIELDS = {f.name for f in fields(LSConfig)}
+_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
 
 
-def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
-    """Architecture flags, stored under their ArchSpec field names."""
+def _given(args, names: set[str]) -> dict:
+    """The parsed flags stored under one of `names`.
+
+    Parsers built with argument_default=SUPPRESS leave no attribute for a flag
+    that was not given, so a library default stays the only default.
+    """
+    return {key: value for key, value in vars(args).items() if key in names}
+
+
+def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
+    """Layer and attention shape flags, stored under their config field names."""
     parser.add_argument("--layers", type=int)
     parser.add_argument("--d", dest="model_dim", type=int, help="model width")
     parser.add_argument("--heads", type=int)
     parser.add_argument("--ffn", dest="ffn_dim", type=int, help="feed-forward width")
-    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--w", dest="window", type=int, help="window segment size")
     parser.add_argument("--r", dest="rank", type=int, help="projection rank")
     parser.add_argument("--l", dest="seg_len", type=int,
                         help="causal projection segment length")
+
+
+def _add_arch_flags(parser: argparse.ArgumentParser) -> None:
+    _add_shape_flags(parser)
+    parser.add_argument("--mode", choices=MODES)
     parser.add_argument("--dual-ln", action="store_true",
                         help="normalize window and projected branches separately")
 
 
-def _arch_flags(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key in _ARCH_FIELDS}
-
-
-def _add_lm_flags(parser: argparse.ArgumentParser, steps: int) -> None:
+def _add_lm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", type=Path, required=True)
-    parser.add_argument("--steps", type=int, default=steps)
-    parser.add_argument("--lr", type=float, default=0.5)
-    parser.add_argument("--seq-len", type=int, default=64)
-    parser.add_argument("--d", type=int, default=32)
-    parser.add_argument("--heads", type=int, default=2)
-    parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--ffn", type=int, default=64)
-    parser.add_argument("--w", type=int, default=4)
-    parser.add_argument("--r", type=int, default=1)
-    parser.add_argument("--l", type=int, default=4)
-    parser.add_argument("--batch", type=int, default=8)
+    parser.add_argument("--steps", type=int)
+    parser.add_argument("--lr", dest="learning_rate", type=float)
+    parser.add_argument("--seq-len", dest="seq_len", type=int)
+    parser.add_argument("--batch", dest="batch_size", type=int)
+    _add_shape_flags(parser)
     parser.add_argument("--out", type=Path, default=None)
 
 
@@ -74,10 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-short attention: FLOP tables, scaling sweeps, probes, toy LM.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Architecture and LM flags left out leave no attribute (see `_given`).
+    only_given = dict(argument_default=argparse.SUPPRESS)
 
-    # Flags left out of `flops` leave no attribute, so only given flags override.
     p_flops = sub.add_parser("flops", help="closed-form FLOP table for one architecture",
-                             argument_default=argparse.SUPPRESS)
+                             **only_given)
     p_flops.add_argument("--preset", choices=sorted(PRESETS), default=None)
     p_flops.add_argument("--preset-file", type=Path, default=None,
                          help="key = value file describing the architecture")
@@ -87,14 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arch_flags(p_flops)
     p_flops.add_argument("--out", type=Path, default=None)
 
-    p_sweep = sub.add_parser("sweep", help="wall time / memory / FLOPs over sequence lengths")
+    p_sweep = sub.add_parser("sweep", help="wall time / memory / FLOPs over sequence lengths",
+                             **only_given)
     p_sweep.add_argument("--n", required=True,
                          help="comma-separated increasing sequence lengths, e.g. 256,512,1024")
     p_sweep.add_argument("--variant", choices=VARIANTS, required=True)
     p_sweep.add_argument("--reps", type=int, default=5)
     p_sweep.add_argument("--seed", type=int, default=0)
     _add_arch_flags(p_sweep)
-    p_sweep.set_defaults(**_ARCH_DEFAULTS)
     p_sweep.add_argument("--out", type=Path, default=None)
 
     p_norms = sub.add_parser("norms", help="window-vs-projected norm ratios at init")
@@ -105,18 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_norms.add_argument("--r", type=int, default=8)
     p_norms.add_argument("--layers", type=int, default=1)
     p_norms.add_argument("--seeds", type=int, default=10)
-    p_norms.add_argument("--projection", choices=("dynamic", "identity"), default="dynamic")
+    p_norms.add_argument("--projection", choices=PROJECTIONS, default=PROJECTIONS[0])
     p_norms.add_argument("--out", type=Path, default=None)
 
-    p_train = sub.add_parser("train", help="train the byte-level LM on a corpus file")
-    _add_lm_flags(p_train, steps=200)
-    p_train.add_argument("--dropout", type=float, default=0.0)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--no-dual-ln", action="store_true")
+    p_train = sub.add_parser("train", help="train the byte-level LM on a corpus file",
+                             **only_given)
+    _add_lm_flags(p_train)
+    p_train.add_argument("--dropout", type=float)
+    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--no-dual-ln", dest="dual_ln", action="store_false")
 
-    p_ablate = sub.add_parser("ablate", help="paired training runs with and without dual LN")
-    _add_lm_flags(p_ablate, steps=250)
+    p_ablate = sub.add_parser("ablate", help="paired training runs with and without dual LN",
+                              **only_given)
+    _add_lm_flags(p_ablate)
     p_ablate.add_argument("--seeds", type=int, default=5)
+    p_ablate.set_defaults(steps=250)
 
     p_check = sub.add_parser("check", help="run the invariant suite; nonzero exit on failure")
     p_check.add_argument("--seed", type=int, default=1)
@@ -134,10 +140,10 @@ def _open_out(stack: ExitStack, out: Path | None):
 
 
 def _cmd_flops(args) -> int:
-    given = _arch_flags(args)
+    given = _given(args, _ARCH_FIELDS)
     preset = load_preset_file(args.preset_file) if args.preset_file is not None else args.preset
     if preset is None:
-        arch = ArchSpec(**{"seq_len": 2048, **_ARCH_DEFAULTS, **given})
+        arch = replace(DEFAULT_ARCH, **given)
     else:
         arch = preset_arch(preset, given.pop("variant", None), **given)
     report = count_flops(arch)
@@ -159,33 +165,27 @@ def _cmd_sweep(args) -> int:
         seq_lens = [int(part) for part in args.n.split(",") if part]
     except ValueError:
         raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}")
+    arch = replace(DEFAULT_ARCH, **_given(args, _ARCH_FIELDS))
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
-        rows = run_scaling(seq_lens, reps=args.reps, seed=args.seed, **_arch_flags(args))
+        rows = run_scaling(arch, seq_lens, args.reps, args.seed)
         write_csv(sweep_csv_rows(rows), stream)
     return 0
 
 
 def _cmd_norms(args) -> int:
-    rows = run_norm_probe(
-        seq_len=args.n, model_dim=args.d, heads=args.heads, window=args.w,
-        rank=args.r, layers=args.layers, seeds=tuple(range(args.seeds)),
-        projection=args.projection,
-    )
+    cfg = LSConfig(seq_len=args.n, model_dim=args.d, heads=args.heads, window=args.w,
+                   rank=args.r)
+    rows = run_norm_probe(cfg, args.layers, tuple(range(args.seeds)), args.projection)
     with ExitStack() as stack:
         write_csv(rows, _open_out(stack, args.out))
     return 0
 
 
-def _model_config(args, dual_ln: bool) -> ModelConfig:
-    attention = LSConfig(
-        seq_len=args.seq_len, model_dim=args.d, heads=args.heads,
-        window=args.w, rank=args.r, seg_len=args.l, mode="causal", dual_ln=dual_ln,
-    )
-    return ModelConfig(
-        attention=attention, layers=args.layers, ffn_dim=args.ffn,
-        learning_rate=args.lr, steps=args.steps, batch_size=args.batch,
-    )
+def _model_config(args) -> ModelConfig:
+    """desk_causal_config() and the ModelConfig defaults, overridden by the given flags."""
+    attention = replace(desk_causal_config(), **_given(args, _LS_FIELDS))
+    return ModelConfig(attention=attention, **_given(args, _MODEL_FIELDS))
 
 
 def _read_corpus(path: Path) -> np.ndarray:
@@ -198,8 +198,7 @@ def _read_corpus(path: Path) -> np.ndarray:
 
 
 def _cmd_train(args) -> int:
-    cfg = replace(_model_config(args, dual_ln=not args.no_dual_ln),
-                  dropout=args.dropout, seed=args.seed)
+    cfg = _model_config(args)
     corpus = _read_corpus(args.corpus)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)
@@ -216,7 +215,7 @@ def _cmd_train(args) -> int:
 def _cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    cfg = _model_config(args, dual_ln=True)
+    cfg = _model_config(args)
     corpus = _read_corpus(args.corpus)
     with ExitStack() as stack:
         stream = _open_out(stack, args.out)

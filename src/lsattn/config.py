@@ -36,8 +36,8 @@ class LSConfig:
     dual_ln: bool = False
 
     def __post_init__(self):
-        if self.seq_len < 1:
-            raise ConfigError("seq_len must be at least 1")
+        if self.seq_len < 1 or self.model_dim < 1:
+            raise ConfigError("seq_len and model_dim must be at least 1")
         if self.heads < 1 or self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} must be divisible by heads {self.heads}"

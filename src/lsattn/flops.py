@@ -20,7 +20,7 @@ from .params import BlockParams, init_block_params
 from .tensor import Rng, Tensor, count_flops_runtime, no_grad
 
 __all__ = ["ArchSpec", "FlopReport", "count_flops", "measured_flops",
-           "PRESETS", "load_preset_file", "ReferenceEncoder"]
+           "PRESETS", "DEFAULT_ARCH", "load_preset_file", "ReferenceEncoder"]
 
 VARIANTS = ("full", "window", "projection", "long-short")
 
@@ -206,13 +206,19 @@ PRESETS: dict[str, ArchSpec] = {
     ),
 }
 
+# What `lsattn flops` and `lsattn sweep` run without a preset: lra-listops with
+# the span settings that re-pointing a preset at a windowed or projected
+# variant also takes.
+DEFAULT_ARCH = replace(PRESETS["lra-listops"], window=8, rank=32, seg_len=16)
+
 
 def preset_arch(preset: str | ArchSpec, variant: str | None = None, **overrides) -> ArchSpec:
     """A preset, optionally re-pointed at another variant, with fields overridden.
 
     `preset` is a PRESETS name or an ArchSpec, such as a parsed preset file.
-    Re-pointing sets the new variant's span defaults (window 8, rank 32, and
-    dual LN for long-short); `overrides` (ArchSpec fields) win over both.
+    Re-pointing sets the new variant's span defaults (DEFAULT_ARCH's window
+    and rank, and dual LN for long-short); `overrides` (ArchSpec fields) win
+    over both.
     """
     if isinstance(preset, str):
         if preset not in PRESETS:
@@ -222,9 +228,9 @@ def preset_arch(preset: str | ArchSpec, variant: str | None = None, **overrides)
     if variant is not None and variant != preset.variant:
         updates["variant"] = variant
         if variant in ("long-short", "window"):
-            updates["window"] = 8
+            updates["window"] = DEFAULT_ARCH.window
         if variant in ("long-short", "projection"):
-            updates["rank"] = 32
+            updates["rank"] = DEFAULT_ARCH.rank
         if variant == "long-short":
             updates["dual_ln"] = True
     return replace(preset, **{**updates, **overrides})

@@ -37,6 +37,9 @@ __all__ = ["ModelConfig", "ModelParams", "TrainReport", "StepMetrics",
            "build_model", "train", "evaluate_bpc", "dualln_ablation", "param_count"]
 
 LN2 = math.log(2.0)
+# Windows `evaluate_bpc` scores per forward pass, so its memory does not grow
+# with the evaluated slice.
+EVAL_CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,12 @@ class ModelConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.layers < 1 or self.ffn_dim < 1 or self.batch_size < 1:
             raise ConfigError("layers, ffn_dim and batch_size must be positive")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be non-negative, got {self.steps}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
     @property
     def seq_len(self) -> int:
@@ -153,16 +162,23 @@ def sequence_loss(model: ModelParams, batch: np.ndarray, dropout_rng: Rng | None
 
 
 def evaluate_bpc(model: ModelParams, corpus_slice: np.ndarray | bytes) -> float:
-    """Mean next-token cross-entropy of the slice, in bits per byte."""
+    """Mean next-token cross-entropy of the slice, in bits per byte.
+
+    The slice is cut into windows of seq_len + 1 bytes, scored EVAL_CHUNK_ROWS
+    windows at a time; chunk means are weighted by their share of the windows.
+    """
     data = _as_bytes(corpus_slice)
     n = model.config.seq_len
     if data.size < n + 1:
         raise ConfigError(f"evaluation slice must hold at least {n + 1} bytes")
     windows = (data.size - 1) // n
-    rows = np.stack([data[i * n : i * n + n + 1] for i in range(windows)])
-    with no_grad():
-        loss = sequence_loss(model, rows)
-    return loss.item() / LN2
+    loss = 0.0
+    for start in range(0, windows, EVAL_CHUNK_ROWS):
+        stop = min(start + EVAL_CHUNK_ROWS, windows)
+        rows = np.stack([data[i * n : i * n + n + 1] for i in range(start, stop)])
+        with no_grad():
+            loss += sequence_loss(model, rows).item() * ((stop - start) / windows)
+    return loss / LN2
 
 
 @dataclass

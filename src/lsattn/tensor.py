@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FullyMaskedRowError, ShapeError
+from .errors import ConfigError, FullyMaskedRowError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -574,6 +574,8 @@ class Rng:
 
     def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self._sequence))
 

@@ -6,6 +6,7 @@ Full-scale accuracy and bits-per-character results are out of scope
 here; see the README section "What is deliberately not reproduced".
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +234,8 @@ def test_criterion_6_norm_ratio_probe():
     """Window keys outweigh projected keys at init; dual LN pins ratio to 1."""
     cfg = LSConfig(seq_len=256, model_dim=64, heads=2, window=8, rank=8)
     seeds = tuple(range(10))
-    plain = norm_ratio_probe(cfg, seeds, dual_ln=False)
-    dual = norm_ratio_probe(cfg, seeds, dual_ln=True)
+    plain = norm_ratio_probe(cfg, seeds)
+    dual = norm_ratio_probe(replace(cfg, dual_ln=True), seeds)
     assert plain.key_ratio > 1.05 and plain.value_ratio > 1.05
     assert 0.98 <= dual.key_ratio <= 1.02 and 0.98 <= dual.value_ratio <= 1.02
     report("6 norm-ratios",
@@ -259,8 +260,9 @@ def test_criterion_7_scaling():
     full_ratios = [full_flops(2 * n) / full_flops(n) for n in (2048, 4096)]
     assert all(3.6 <= r <= 4.4 for r in full_ratios)
 
-    rows = run_scaling([1024, 2048, 4096], "long-short", window=8, rank=32,
-                       reps=5, seed=7)
+    arch = ArchSpec(layers=2, model_dim=64, heads=2, ffn_dim=128, seq_len=1024,
+                    variant="long-short", window=8, rank=32)
+    rows = run_scaling(arch, [1024, 2048, 4096], reps=5, seed=7)
     wall_ratios = [b.wall_ms / a.wall_ms for a, b in zip(rows, rows[1:])]
     assert all(r <= 2.5 for r in wall_ratios), wall_ratios
     report("7 scaling",

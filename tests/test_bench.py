@@ -1,18 +1,25 @@
 """Sweep harness: schema, determinism, memory tracking, probe CSV."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lsattn.bench import THREADS_ENV, fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
+from lsattn.bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
+from lsattn.config import LSConfig
 from lsattn.errors import ConfigError
+from lsattn.flops import DEFAULT_ARCH
 from lsattn.tensor import Tensor, track_peak_bytes
+
+
+def arch(variant, **fields):
+    return replace(DEFAULT_ARCH, variant=variant, **fields)
 
 
 class TestRunScaling:
     def test_rows_and_monotone_flops(self):
-        rows = run_scaling([64, 128, 256], "long-short", window=8, rank=8, seed=1)
+        rows = run_scaling(arch("long-short", window=8, rank=8), [64, 128, 256], reps=5, seed=1)
         assert [r.n for r in rows] == [64, 128, 256]
         assert rows[0].flops < rows[1].flops < rows[2].flops
         assert all(r.status == "ok" for r in rows)
@@ -20,29 +27,20 @@ class TestRunScaling:
         assert all(r.peak_bytes > 0 for r in rows)
 
     def test_flops_column_deterministic(self):
-        a = run_scaling([64, 128], "full", seed=3)
-        b = run_scaling([64, 128], "full", seed=3)
+        a = run_scaling(arch("full"), [64, 128], reps=5, seed=3)
+        b = run_scaling(arch("full"), [64, 128], reps=5, seed=3)
         assert [r.flops for r in a] == [r.flops for r in b]
         assert [r.peak_bytes for r in a] == [r.peak_bytes for r in b]
 
     def test_memory_grows_linearly_for_long_short(self):
-        rows = run_scaling([128, 256, 512], "long-short", window=8, rank=8, seed=2)
+        rows = run_scaling(arch("long-short", window=8, rank=8), [128, 256, 512], reps=5,
+                           seed=2)
         ratio = rows[2].peak_bytes / rows[1].peak_bytes
         assert 1.5 <= ratio <= 2.5
 
     def test_sequence_lengths_must_increase(self):
         with pytest.raises(ConfigError):
-            run_scaling([128, 64], "full")
-
-    def test_thread_env_enforced(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "4")
-        with pytest.raises(ConfigError, match=THREADS_ENV):
-            run_scaling([64], "full")
-
-    def test_thread_env_of_one_accepted(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "1")
-        rows = run_scaling([64], "full", seed=0)
-        assert rows[0].status == "ok"
+            run_scaling(arch("full"), [128, 64], reps=5, seed=0)
 
     def test_allocation_failure_marks_row_oom(self, monkeypatch):
         from lsattn import bench
@@ -51,14 +49,14 @@ class TestRunScaling:
             raise MemoryError("simulated")
 
         monkeypatch.setattr(bench.ReferenceEncoder, "build", exploding_build)
-        rows = run_scaling([64, 128], "full", seed=0)
+        rows = run_scaling(arch("full"), [64, 128], reps=5, seed=0)
         assert [r.status for r in rows] == ["oom", "oom"]
         assert all(r.flops > 0 for r in rows)  # modeled cost still reported
 
 
 class TestCsv:
     def test_sweep_schema(self):
-        rows = run_scaling([64], "window", window=4, seed=5)
+        rows = run_scaling(arch("window", window=4), [64], reps=5, seed=5)
         table = sweep_csv_rows(rows)
         assert table[0] == ["n", "w", "r", "mode", "variant", "flops",
                             "wall_ms", "peak_bytes", "status"]
@@ -73,8 +71,8 @@ class TestCsv:
 
 class TestNormProbeCsv:
     def test_shape_and_direction(self):
-        rows = run_norm_probe(seq_len=128, model_dim=32, window=8, rank=8,
-                              layers=2, seeds=tuple(range(10)))
+        cfg = LSConfig(seq_len=128, model_dim=32, heads=2, window=8, rank=8)
+        rows = run_norm_probe(cfg, layers=2, seeds=tuple(range(10)), projection="dynamic")
         assert rows[0] == ["layer", "seed", "key_ratio", "value_ratio", "dual_ln"]
         body = rows[1:]
         assert len(body) == 2 * 10 * 2  # layers x seeds x {plain, dual}

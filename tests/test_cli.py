@@ -203,6 +203,36 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "64", "--variant", "full", "--seed", "-1"],
+        ["check", "--seed", "-1"],
+        ["train", "--corpus", "CORPUS", "--steps", "1", "--seed", "-3"],
+    ], ids=["sweep", "check", "train"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, argv):
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        argv = [str(corpus) if arg == "CORPUS" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "seed" in err and out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--layers", "0"], ["--layers", "-1"], ["--d", "0"], ["--d", "1", "--heads", "1"],
+    ], ids=["layers-0", "layers-neg", "width-0", "head-width-1"])
+    def test_norms_degenerate_shape_exits_2(self, capsys, flags):
+        code, out, err = run_cli(capsys, "norms", *flags)
+        assert code == 2
+        assert "error:" in err and out == ""
+
+    @pytest.mark.parametrize("flag,value", [("--steps", "-1"), ("--lr", "nan")])
+    def test_train_bad_schedule_exits_2(self, capsys, tmp_path, flag, value):
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        code, out, err = run_cli(capsys, "train", "--corpus", str(corpus), "--steps", "1",
+                                 flag, value)
+        assert code == 2
+        assert "error:" in err and out == ""
+
     def test_ablate_zero_seeds_exits_2(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.bin"
         corpus.write_bytes(b"abcd" * 500)
@@ -311,3 +341,157 @@ class TestFlopsFuzz:
                       if line.startswith("total,")]
             assert len(totals) == 1
             assert int(totals[0].split(",")[1]) > 0
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr), np.errstate(all="ignore"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _csv_body(out: str) -> list[list[str]]:
+    return [line.split(",") for line in out.splitlines()[1:]]
+
+
+def _all_finite(rows: list[list[str]], columns: slice) -> bool:
+    return all(np.isfinite(float(v)) for row in rows for v in row[columns] if v)
+
+
+# Hypothesis favours the ends of a sampled list, so the rare case sits mid-list.
+_ONE_IN_TEN = st.sampled_from((False,) * 4 + (True,) + (False,) * 5)
+
+
+def _value(draw, valid, invalid=()) -> str:
+    """A value that is valid about nine times in ten."""
+    pool = invalid if invalid and draw(_ONE_IN_TEN) else valid
+    return str(draw(st.sampled_from(pool)))
+
+
+def _flag(draw, flag: str, valid, invalid=()) -> list[str]:
+    """Leave the flag out, or give it a `_value`."""
+    return [flag, _value(draw, valid, invalid)] if draw(st.booleans()) else []
+
+
+@st.composite
+def _sweep_argv(draw):
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))
+    if draw(_ONE_IN_TEN):
+        n = draw(st.sampled_from(_WORDS + ("0", "-2", "16,8", "8,8")))
+    else:
+        n = ",".join(map(str, sorted(lengths)))
+    argv = ["sweep", "--n", n, "--variant", draw(st.sampled_from(VARIANTS))]
+    argv += _flag(draw, "--reps", (5, 6), (-1, 0, 4))
+    argv += _flag(draw, "--seed", (0, 1, 3), (-3, -1))
+    argv += _flag(draw, "--layers", (1, 2), (-1, 0))
+    argv += _flag(draw, "--d", (4, 8, 16), (0, 3))
+    argv += _flag(draw, "--heads", (1, 2), (0, 3))
+    argv += _flag(draw, "--ffn", (4, 16), (0, -1))
+    argv += _flag(draw, "--w", (0, 2, 4, 8), (-2, 3))
+    argv += _flag(draw, "--r", (0, 1, 4, 8), (-1,))
+    argv += _flag(draw, "--l", (1, 2, 4, 8), (0, -1))
+    argv += _flag(draw, "--mode", MODES)
+    if draw(st.booleans()):
+        argv.append("--dual-ln")
+    return argv
+
+
+@st.composite
+def _norms_argv(draw):
+    argv = ["norms"]
+    argv += _flag(draw, "--n", (8, 16, 32), (-1, 0))
+    argv += _flag(draw, "--d", (8, 16), (0, 1, 3))
+    argv += _flag(draw, "--heads", (1, 2), (0, 3))
+    argv += _flag(draw, "--w", (0, 2, 4, 8), (-1, 3))
+    argv += _flag(draw, "--r", (1, 4, 8, 16, 32), (-1, 0))
+    argv += _flag(draw, "--layers", (1, 2), (-1, 0))
+    argv += _flag(draw, "--seeds", (10, 12), (-1, 0, 9))
+    argv += _flag(draw, "--projection", ("dynamic", "identity"))
+    return argv
+
+
+@st.composite
+def _lm_argv(draw, command: str):
+    argv = [command]
+    argv += ["--steps", _value(draw, (0, 1, 2, 3), (-1, -2))]
+    if command == "ablate":
+        argv += ["--seeds", _value(draw, (1, 2), (0, -1))]
+    else:
+        argv += _flag(draw, "--dropout", (0.0, 0.3), (-0.1, 1.0, "nan"))
+        argv += _flag(draw, "--seed", (0, 1, 3), (-3, -1))
+        if draw(st.booleans()):
+            argv.append("--no-dual-ln")
+    argv += _flag(draw, "--seq-len", (4, 8), (-1, 0))
+    argv += _flag(draw, "--d", (4, 8), (0, 3))
+    argv += _flag(draw, "--heads", (1, 2), (0, 3))
+    argv += _flag(draw, "--layers", (1, 2), (-1, 0))
+    argv += _flag(draw, "--ffn", (4, 8), (0,))
+    argv += _flag(draw, "--w", (2, 4), (-1, 0, 3))
+    argv += _flag(draw, "--r", (1, 2), (-1,))
+    argv += _flag(draw, "--l", (2, 4), (0, 16))
+    argv += _flag(draw, "--batch", (1, 2, 3), (0, -1))
+    argv += _flag(draw, "--lr", (0.1, 0.5), ("nan", "inf", -1.0, 0.0, 1e9))
+    size = int(_value(draw, (700, 900), (0, 30, 100)))
+    corpus = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, 256, size)
+    return argv, corpus.astype(np.uint8).tobytes()
+
+
+class TestCommandFuzz:
+    """Generated argv for the other commands: exit 0, 1 or 2, never a traceback.
+
+    Sizes stay tiny so an example takes milliseconds. A run that exits 0 must
+    also print the rows it promises, with finite numbers.
+    """
+
+    @given(argv=_sweep_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_sweep(self, argv):
+        code, out, err = _run_main(argv)
+        assert code in (0, 2) and "Traceback" not in err, err
+        if code == 0:
+            body = _csv_body(out)
+            lengths = [int(part) for part in argv[2].split(",") if part]
+            assert [int(row[0]) for row in body] == lengths
+            assert all(int(row[5]) > 0 and row[-1] == "ok" for row in body)
+
+    @given(argv=_norms_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_norms(self, argv):
+        code, out, err = _run_main(argv)
+        assert code in (0, 2) and "Traceback" not in err, err
+        if code == 0:
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            layers, seeds = int(flags.get("--layers", 1)), int(flags.get("--seeds", 10))
+            body = _csv_body(out)
+            assert len(body) == layers * seeds * 2
+            assert _all_finite(body, slice(2, 4))
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lm_commands(self, command, data):
+        argv, corpus = data.draw(_lm_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.bin"
+            path.write_bytes(corpus)
+            code, out, err = _run_main(argv + ["--corpus", str(path)])
+        assert code in (0, 2) and "Traceback" not in err, err
+        if code == 0:
+            steps, body = int(argv[2]), _csv_body(out)
+            if command == "train":
+                assert len(body) == steps + 1 and body[-1][0] == "final"
+                assert _all_finite(body, slice(1, 3))
+            else:
+                assert len(body) == int(argv[4]) * (steps + 1)
+                assert _all_finite(body, slice(2, 4))
+
+    @given(seed=st.integers(-5, 5))
+    @settings(max_examples=8, deadline=None)
+    def test_check(self, seed):
+        code, out, err = _run_main(["check", "--seed", str(seed)])
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+        if code != 2:
+            assert "checks passed" in out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lsattn import LSConfig, Rng, no_grad
+from lsattn import LSConfig, Rng, lm, no_grad, track_peak_bytes
 from lsattn.config import desk_causal_config
 from lsattn.errors import ConfigError, DivergenceError, ShapeError
 from lsattn.lm import (
@@ -71,6 +71,20 @@ class TestModelStructure:
             toy_config(attention=LSConfig(seq_len=8, model_dim=8, heads=1, window=2, rank=1))
 
 
+class TestModelConfigRules:
+    @pytest.mark.parametrize("override", [
+        {"steps": -1}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"learning_rate": 0.0}, {"learning_rate": -0.5},
+    ])
+    def test_schedule_rules(self, override):
+        with pytest.raises(ConfigError, match=next(iter(override))):
+            toy_config(**override)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            train(toy_config(seed=-3), np.zeros(1000, dtype=np.uint8))
+
+
 class TestEvaluateBpc:
     def test_untrained_model_scores_uniform(self):
         # The output head starts at zero, so logits are uniform: log2(256) bits.
@@ -120,6 +134,36 @@ class TestEvaluateBpc:
             m = row.max()
             total += m + math.log(np.exp(row - m).sum()) - row[data[t + 1]]
         assert abs(got - total / 2 / math.log(2)) < 1e-12
+
+    def test_multi_chunk_split_is_the_mean_over_windows(self):
+        # A split of 2 chunks plus 3 windows, against each window scored alone.
+        attn = LSConfig(seq_len=4, model_dim=8, heads=1, window=2, rank=1,
+                        seg_len=2, mode="causal")
+        cfg = toy_config(attention=attn, ffn_dim=8)
+        model = build_model(cfg, Rng(12))
+        n, windows = cfg.seq_len, 2 * lm.EVAL_CHUNK_ROWS + 3
+        data = Rng(13).integers(0, 256, size=windows * n + 1).astype(np.uint8)
+        per_window = []
+        for i in range(windows):
+            row = data[i * n : i * n + n + 1]
+            with no_grad():
+                logits = forward_logits(model, row[None, :-1]).data[0]
+            m = logits.max(axis=-1)
+            lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=-1))
+            per_window.append((lse - logits[np.arange(n), row[1:]]).mean())
+        expected = math.fsum(per_window) / windows / math.log(2)
+        assert abs(evaluate_bpc(model, data) - expected) < 1e-12
+
+    def test_memory_does_not_grow_with_the_split(self):
+        cfg = toy_config(attention=desk_causal_config(seq_len=8), ffn_dim=8)
+        model = build_model(cfg, Rng(14))
+        peaks = []
+        for chunks in (1, 4):
+            data = Rng(15).integers(0, 256, size=chunks * lm.EVAL_CHUNK_ROWS * 8 + 1)
+            with track_peak_bytes() as tracker:
+                evaluate_bpc(model, data.astype(np.uint8))
+            peaks.append(tracker.peak)
+        assert peaks[1] < 1.2 * peaks[0], peaks
 
     def test_slice_too_short_rejected(self):
         cfg = toy_config()

@@ -1,5 +1,7 @@
 """Window-vs-projected embedding norms at initialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,13 @@ SEEDS = tuple(range(10))
 
 
 def test_dualln_pins_ratio_to_one():
-    res = norm_ratio_probe(PROBE_CFG, SEEDS, dual_ln=True)
+    res = norm_ratio_probe(replace(PROBE_CFG, dual_ln=True), SEEDS)
     assert abs(res.key_ratio - 1.0) < 0.02
     assert abs(res.value_ratio - 1.0) < 0.02
 
 
 def test_without_dualln_window_rows_dominate():
-    res = norm_ratio_probe(PROBE_CFG, SEEDS, dual_ln=False)
+    res = norm_ratio_probe(PROBE_CFG, SEEDS)
     assert res.key_ratio > 1.05
     assert res.value_ratio > 1.05
 
@@ -26,7 +28,7 @@ def test_one_hot_projection_keeps_norms():
     # With rank == seq_len and one-hot weights the projection permutes rows,
     # so the average norms must agree exactly.
     cfg = LSConfig(seq_len=32, model_dim=16, heads=1, window=2, rank=32)
-    res = norm_ratio_probe(cfg, SEEDS, dual_ln=False, projection="identity")
+    res = norm_ratio_probe(cfg, SEEDS, projection="identity")
     assert abs(res.key_ratio - 1.0) < 1e-6
     assert abs(res.value_ratio - 1.0) < 1e-6
 
@@ -47,4 +49,4 @@ def test_projected_rows_are_shorter_on_average():
 
 def test_probe_requires_enough_seeds():
     with pytest.raises(ConfigError):
-        norm_ratio_probe(PROBE_CFG, range(5), dual_ln=False)
+        norm_ratio_probe(PROBE_CFG, range(5))
