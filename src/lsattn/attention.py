@@ -5,9 +5,12 @@ projected and combined attention. The aggregation is shared with the causal
 mode, and `block_forward` is the pre-LN block that runs any per-head attention.
 
 All operations accept inputs of shape (..., n, d) with optional leading batch
-axes and return per-head outputs of shape (..., n, head_dim). Sequences are
-padded internally to whole window segments; padded rows never influence real
-outputs and are dropped before returning.
+axes and return per-head outputs of shape (..., n, head_dim). They take one
+head's parameters, or all heads stacked on a leading axis
+(`MultiHeadParams.stacked`) with x given a unit head axis (..., 1, n, d),
+which gives (..., h, n, head_dim). Sequences are padded internally to whole
+window segments; padded rows never influence real outputs and are dropped
+before returning.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .tensor import (
     relu,
     scale,
     slice_axis,
+    swap_axes,
     transpose_last,
 )
 
@@ -58,13 +62,21 @@ PROJECTIONS = ("dynamic", "identity")
 class ProjectedKV:
     """Input-dependent compression of keys and values to `rank` rows.
 
-    Each column of p is a distribution over tokens; kbar and vbar are the
+    pt holds, per projection segment, `rank` distributions over that
+    segment's tokens, (..., segments, rank, seg_len); kbar and vbar are the
     correspondingly weighted key and value embeddings.
     """
 
-    p: Tensor
+    pt: Tensor
     kbar: Tensor
     vbar: Tensor
+
+    @property
+    def p(self) -> Tensor:
+        """The distributions as columns over all padded tokens, (..., n, rank)."""
+        p = transpose_last(self.pt)
+        *batch, segments, length, rank = p.shape
+        return p.reshape(*batch, segments * length, rank)
 
 
 @dataclass
@@ -88,12 +100,12 @@ def _check_input(
 ) -> None:
     if x.ndim < 2:
         raise ShapeError(f"attention input must be (..., n, d), got {x.shape}")
-    if x.shape[-1] != p.wq.shape[0]:
+    if x.shape[-1] != p.wq.shape[-2]:
         raise ShapeError(f"input width {x.shape[-1]} does not match wq {p.wq.shape}")
     if cfg is not None:
         if x.shape[-2] != cfg.seq_len:
             raise ShapeError(f"input length {x.shape[-2]} != config seq_len {cfg.seq_len}")
-        if p.wq.shape != (cfg.model_dim, cfg.head_dim):
+        if p.wq.shape[-2:] != (cfg.model_dim, cfg.head_dim):
             raise ShapeError("head parameters do not match configuration")
         if cfg.mode != mode:
             raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
@@ -113,7 +125,7 @@ def full_attention_head(
     """Exact softmax attention of every query over every key."""
     _check_input(x, p, None)
     q, k, v = matmul(x, p.wq), matmul(x, p.wk), matmul(x, p.wv)
-    dk = p.wq.shape[1]
+    dk = p.wq.shape[-1]
     logits = scale(matmul(q, transpose_last(k)), 1.0 / math.sqrt(dk))
     weights = masked_softmax(logits)
     out = matmul(weights, v)
@@ -128,9 +140,14 @@ def multi_head(
     p: MultiHeadParams,
     attn: Callable[[Tensor, HeadParams], Tensor],
 ) -> Tensor:
-    """Run `attn` per head, join the outputs along the width, project with wo."""
-    outputs = [attn(x, head) for head in p.heads]
-    return matmul(concat(outputs, axis=-1), p.wo)
+    """Run `attn` once for all heads, join their outputs along the width, project with wo.
+
+    `attn` gets x with a unit head axis, (..., 1, n, d), and the stacked
+    parameters of `MultiHeadParams.stacked`, and returns (..., h, n, d_k).
+    """
+    n, d = x.shape[-2:]
+    heads = attn(x.reshape(*x.shape[:-2], 1, n, d), p.stacked())
+    return matmul(swap_axes(heads, -3, -2).reshape(*x.shape[:-1], -1), p.wo)
 
 
 def block_forward(
@@ -168,15 +185,16 @@ def dynamic_projection(
     other token. Only the first cfg.seq_len rows are valid tokens: rows past
     them (x's own padding rows, or the zero rows added here) receive exactly
     zero weight, and a segment with no valid token averages its zero rows
-    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv.
+    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv. wp is
+    applied before the tokens are cut into segments, so a stacked wp
+    broadcasts like wk and wv.
 
     Shapes: p is (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
     """
     if cfg.rank == 0:
-        dk = cfg.head_dim
-        empty_p = Tensor(np.zeros(x.shape[:-1] + (0,)))
-        empty = Tensor(np.zeros(x.shape[:-2] + (0, dk)))
-        return ProjectedKV(p=empty_p, kbar=empty, vbar=empty)
+        empty = Tensor(np.zeros(x.shape[:-2] + (0, cfg.head_dim)))
+        return ProjectedKV(pt=Tensor(np.zeros(x.shape[:-2] + (1, 0, x.shape[-2]))),
+                           kbar=empty, vbar=empty)
     if p.wp is None:
         raise ShapeError("head has no projection matrix but rank > 0")
     n = x.shape[-2]
@@ -185,14 +203,15 @@ def dynamic_projection(
     x = _pad_rows(x, n_pad)
     valid = (np.arange(n_pad) < cfg.seq_len).reshape(-1, l)
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
-    batch, r, dk = x.shape[:-2], cfg.rank, cfg.head_dim
+    dk = cfg.head_dim
     k = keys if keys is not None else matmul(x, p.wk)
     v = values if values is not None else matmul(x, p.wv)
-    x_seg = x.reshape(*batch, -1, l, x.shape[-1])
-    pt = masked_softmax(transpose_last(matmul(x_seg, p.wp)), mask)
+    batch = k.shape[:-2]
+    logits = matmul(x, p.wp).reshape(*batch, -1, l, cfg.rank)
+    pt = masked_softmax(transpose_last(logits), mask)
     kbar = matmul(pt, k.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
     vbar = matmul(pt, v.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
-    return ProjectedKV(p=transpose_last(pt).reshape(*batch, n_pad, r), kbar=kbar, vbar=vbar)
+    return ProjectedKV(pt=pt, kbar=kbar, vbar=vbar)
 
 
 def aggregate_head(
@@ -226,18 +245,28 @@ def _aggregate(
     n, n_pad = cfg.seq_len, cfg.padded_len
     attendable = slot_layout(cfg)
     x_pad = _pad_rows(x, n_pad)
-    q = matmul(x_pad, p.wq)
-    k = matmul(x_pad, p.wk)
-    v = matmul(x_pad, p.wv)
-    pkv = dynamic_projection(x_pad, p, cfg, keys=k, values=v)
-    k_win, v_win, kbar, vbar = _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
-    k_blocks, v_blocks = _window_blocks(k_win, v_win, cfg)
-    out, weights = attend(q, k_blocks, v_blocks, kbar, vbar, attendable)
-    out = slice_axis(out, -2, 0, n)
+    out, weights = attend(matmul(x_pad, p.wq), *_key_value_slots(x_pad, p, cfg), attendable)
+    if n_pad != n:
+        out = slice_axis(out, -2, 0, n)
     if return_weights:
-        dense = weights.reshape(*q.shape[:-2], n_pad, attendable.shape[-1])
+        dense = weights.reshape(*out.shape[:-2], n_pad, attendable.shape[-1])
         return out, AttentionWeights(dense, attendable.reshape(n_pad, -1), n)
     return out
+
+
+def _key_value_slots(
+    x: Tensor, p: HeadParams, cfg: LSConfig
+) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Window key/value blocks and projected keys/values of padded x, as `attend` takes them.
+
+    The keys, values and branch norms in between are not kept past the call,
+    so without gradient recording they are freed before attention runs.
+    """
+    k = matmul(x, p.wk)
+    v = matmul(x, p.wv)
+    pkv = dynamic_projection(x, p, cfg, keys=k, values=v)
+    k_win, v_win, kbar, vbar = _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
+    return (*_window_blocks(k_win, v_win, cfg), kbar, vbar)
 
 
 def _normalize_branches(
@@ -283,8 +312,9 @@ class NormRatioResult:
     per_seed: list[tuple[int, float, float]]
 
 
-def _mean_row_norm(a: np.ndarray) -> float:
-    return float(np.sqrt((a * a).sum(axis=-1)).mean())
+def _mean_row_norms(a: np.ndarray) -> np.ndarray:
+    """Mean row norm of each head's (n, d_k) slice of a (h, n, d_k) array."""
+    return np.sqrt((a * a).sum(axis=-1)).mean(axis=-1)
 
 
 def norm_ratio_probe(
@@ -292,12 +322,12 @@ def norm_ratio_probe(
 ) -> NormRatioResult:
     """Average norm ratio of window keys/values to projected keys/values.
 
-    Fresh parameters per seed (the heads of `init_multi_head_params`); inputs
-    are zero-mean unit-variance draws standing in for layer-norm outputs. The
-    ratios are taken after the branch normalization that attention applies,
-    so cfg.dual_ln selects plain or dual LN. With `projection="identity"` the
-    token distributions are forced one-hot (requires rank == seq_len), which
-    pins the ratio to 1.
+    Fresh parameters per seed (the heads of `init_multi_head_params`, run
+    together stacked); each head's input is its own zero-mean unit-variance
+    draw standing in for a layer-norm output. The ratios are taken after the
+    branch normalization that attention applies, so cfg.dual_ln selects plain
+    or dual LN. With `projection="identity"` the token distributions are
+    forced one-hot (requires rank == seq_len), which pins the ratio to 1.
     """
     if len(seeds) < 10:
         raise ConfigError("norm probe needs at least 10 seeds")
@@ -313,24 +343,21 @@ def norm_ratio_probe(
     with no_grad():
         for seed in seeds:
             rng = Rng(seed)
-            key_ratios = []
-            value_ratios = []
-            for h, p in enumerate(init_multi_head_params(rng, cfg, trainable=False).heads):
-                x = Tensor(rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim)))
-                k = matmul(x, p.wk)
-                v = matmul(x, p.wv)
-                if projection == "identity":
-                    pt = Tensor(np.eye(cfg.seq_len))
-                    kbar, vbar = matmul(pt, k), matmul(pt, v)
-                else:
-                    pkv = dynamic_projection(x, p, cfg)
-                    kbar, vbar = pkv.kbar, pkv.vbar
-                k, v, kbar, vbar = _normalize_branches(p, cfg, k, v, kbar, vbar)
-                key_ratios.append(_mean_row_norm(k.data) / _mean_row_norm(kbar.data))
-                value_ratios.append(_mean_row_norm(v.data) / _mean_row_norm(vbar.data))
-            per_seed.append(
-                (seed, float(np.mean(key_ratios)), float(np.mean(value_ratios)))
-            )
+            p = init_multi_head_params(rng, cfg, trainable=False).stacked()
+            x = Tensor(np.stack([rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim))
+                                 for h in range(cfg.heads)]))
+            k = matmul(x, p.wk)
+            v = matmul(x, p.wv)
+            if projection == "identity":
+                pt = Tensor(np.eye(cfg.seq_len))
+                kbar, vbar = matmul(pt, k), matmul(pt, v)
+            else:
+                pkv = dynamic_projection(x, p, cfg)
+                kbar, vbar = pkv.kbar, pkv.vbar
+            k, v, kbar, vbar = _normalize_branches(p, cfg, k, v, kbar, vbar)
+            key_ratio = np.mean(_mean_row_norms(k.data) / _mean_row_norms(kbar.data))
+            value_ratio = np.mean(_mean_row_norms(v.data) / _mean_row_norms(vbar.data))
+            per_seed.append((seed, float(key_ratio), float(value_ratio)))
     return NormRatioResult(
         key_ratio=float(np.mean([s[1] for s in per_seed])),
         value_ratio=float(np.mean([s[2] for s in per_seed])),

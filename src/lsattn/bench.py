@@ -49,7 +49,9 @@ def fmt(value: float | int) -> str:
 def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -> list[SweepRow]:
     """Median forward wall time, peak buffer bytes, and modeled FLOPs per n.
 
-    Each sequence length n runs `arch` with seq_len replaced by n.
+    Each sequence length n runs `arch` with seq_len replaced by n. Rows report
+    the window and rank the variant runs (`ArchSpec.attention_config`): 0 for a
+    disabled branch, and 0 and 0 for full attention.
     """
     if reps < 5:
         raise ConfigError("need at least 5 timed repetitions")
@@ -60,7 +62,9 @@ def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -
     rows = []
     for n in seq_lens:
         arch_n = replace(arch, seq_len=n)
-        row = SweepRow(n=n, w=arch.window, r=arch.rank, mode=arch.mode, variant=arch.variant,
+        cfg = arch_n.attention_config()
+        w, r = (0, 0) if cfg is None else (cfg.window, cfg.rank)
+        row = SweepRow(n=n, w=w, r=r, mode=arch.mode, variant=arch.variant,
                        flops=count_flops(arch_n).total, wall_ms=float("nan"), peak_bytes=0)
         try:
             rng = Rng(seed)

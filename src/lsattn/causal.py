@@ -45,7 +45,7 @@ def causal_full_attention_oracle(
     _check_input(x, p, None)
     n = x.shape[-2]
     q, k, v = matmul(x, p.wq), matmul(x, p.wk), matmul(x, p.wv)
-    dk = p.wq.shape[1]
+    dk = p.wq.shape[-1]
     logits = scale(matmul(q, transpose_last(k)), 1.0 / math.sqrt(dk))
     mask = np.tril(np.ones((n, n), dtype=bool))
     weights = masked_softmax(logits, mask)

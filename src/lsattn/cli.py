@@ -8,8 +8,8 @@ configurations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import ExitStack
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -130,11 +130,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(stack: ExitStack, out: Path | None):
+def _check_out(out: Path | None) -> None:
+    """Fail before any work if --out cannot be written, without creating or truncating it."""
     if out is None:
-        return sys.stdout
+        return
+    if out.is_dir():
+        reason = "Is a directory"
+    elif not out.parent.is_dir():
+        reason = "No such file or directory"
+    elif not os.access(out if out.exists() else out.parent, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {out}: {reason}")
+
+
+def _write_out(rows: list[list[str]], out: Path | None) -> None:
+    """Write CSV rows to --out, or to stdout without one; --out is opened only here."""
+    if out is None:
+        write_csv(rows, sys.stdout)
+        return
     try:
-        return stack.enter_context(open(out, "w", newline=""))
+        with open(out, "w", newline="") as stream:
+            write_csv(rows, stream)
     except OSError as exc:
         raise ConfigError(f"cannot write {out}: {exc.strerror}") from None
 
@@ -147,16 +165,14 @@ def _cmd_flops(args) -> int:
     else:
         arch = preset_arch(preset, given.pop("variant", None), **given)
     report = count_flops(arch)
-    with ExitStack() as stack:
-        stream = _open_out(stack, args.out)
-        rows = [["component", "flops_per_layer"]]
-        for name, value in sorted(report.components.items()):
-            rows.append([name, str(value)])
-        rows.append(["layers", str(report.layers)])
-        rows.append(["docs", str(report.docs)])
-        rows.append(["total", str(report.total)])
-        rows.append(["total_formatted", report.formatted])
-        write_csv(rows, stream)
+    rows = [["component", "flops_per_layer"]]
+    for name, value in sorted(report.components.items()):
+        rows.append([name, str(value)])
+    rows.append(["layers", str(report.layers)])
+    rows.append(["docs", str(report.docs)])
+    rows.append(["total", str(report.total)])
+    rows.append(["total_formatted", report.formatted])
+    _write_out(rows, args.out)
     return 0
 
 
@@ -166,10 +182,9 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}")
     arch = replace(DEFAULT_ARCH, **_given(args, _ARCH_FIELDS))
-    with ExitStack() as stack:
-        stream = _open_out(stack, args.out)
-        rows = run_scaling(arch, seq_lens, args.reps, args.seed)
-        write_csv(sweep_csv_rows(rows), stream)
+    _check_out(args.out)
+    rows = run_scaling(arch, seq_lens, args.reps, args.seed)
+    _write_out(sweep_csv_rows(rows), args.out)
     return 0
 
 
@@ -177,8 +192,7 @@ def _cmd_norms(args) -> int:
     cfg = LSConfig(seq_len=args.n, model_dim=args.d, heads=args.heads, window=args.w,
                    rank=args.r)
     rows = run_norm_probe(cfg, args.layers, tuple(range(args.seeds)), args.projection)
-    with ExitStack() as stack:
-        write_csv(rows, _open_out(stack, args.out))
+    _write_out(rows, args.out)
     return 0
 
 
@@ -200,15 +214,14 @@ def _read_corpus(path: Path) -> np.ndarray:
 def _cmd_train(args) -> int:
     cfg = _model_config(args)
     corpus = _read_corpus(args.corpus)
-    with ExitStack() as stack:
-        stream = _open_out(stack, args.out)
-        _, report = train(cfg, corpus)
-        rows = [["step", "train_loss_nats", "val_bpc", "wall_ms"]]
-        for step in report.steps:
-            rows.append([str(step.step), fmt(step.train_loss_nats),
-                         fmt(step.val_bpc), fmt(step.wall_ms)])
-        rows.append(["final", "", fmt(report.final_val_bpc), ""])
-        write_csv(rows, stream)
+    _check_out(args.out)
+    _, report = train(cfg, corpus)
+    rows = [["step", "train_loss_nats", "val_bpc", "wall_ms"]]
+    for step in report.steps:
+        rows.append([str(step.step), fmt(step.train_loss_nats),
+                     fmt(step.val_bpc), fmt(step.wall_ms)])
+    rows.append(["final", "", fmt(report.final_val_bpc), ""])
+    _write_out(rows, args.out)
     return 0
 
 
@@ -217,16 +230,15 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = _model_config(args)
     corpus = _read_corpus(args.corpus)
-    with ExitStack() as stack:
-        stream = _open_out(stack, args.out)
-        rows = [["seed", "step", "val_bpc_with_dual_ln", "val_bpc_without_dual_ln"]]
-        for seed in range(args.seeds):
-            with_report, without_report = dualln_ablation(replace(cfg, seed=seed), corpus)
-            for a, b in zip(with_report.steps, without_report.steps):
-                rows.append([str(seed), str(a.step), fmt(a.val_bpc), fmt(b.val_bpc)])
-            rows.append([str(seed), "final", fmt(with_report.final_val_bpc),
-                         fmt(without_report.final_val_bpc)])
-        write_csv(rows, stream)
+    _check_out(args.out)
+    rows = [["seed", "step", "val_bpc_with_dual_ln", "val_bpc_without_dual_ln"]]
+    for seed in range(args.seeds):
+        with_report, without_report = dualln_ablation(replace(cfg, seed=seed), corpus)
+        for a, b in zip(with_report.steps, without_report.steps):
+            rows.append([str(seed), str(a.step), fmt(a.val_bpc), fmt(b.val_bpc)])
+        rows.append([str(seed), "final", fmt(with_report.final_val_bpc),
+                     fmt(without_report.final_val_bpc)])
+    _write_out(rows, args.out)
     return 0
 
 

@@ -8,7 +8,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import LSConfig
-from .tensor import Rng, Tensor, init_matrix
+from .tensor import Rng, Tensor, init_matrix, stack
 
 __all__ = ["LnParams", "HeadParams", "MultiHeadParams", "BlockParams", "init_head_params",
            "init_multi_head_params", "init_block_params"]
@@ -47,6 +47,28 @@ class HeadParams:
 class MultiHeadParams:
     heads: list[HeadParams]
     wo: Tensor
+
+    def stacked(self) -> HeadParams:
+        """All heads' parameters joined on a leading head axis, inside the graph.
+
+        wq, wk and wv become (h, d, d_k), wp (h, d, r), and the norm gains and
+        biases (h, 1, d_k), so they broadcast against (..., h, n, d_k).
+        Gradients flow back to each head's own tensors.
+        """
+        heads = self.heads
+
+        def join_ln(norms: list[LnParams]) -> LnParams:
+            return LnParams(gain=stack([ln.gain for ln in norms]).reshape(len(heads), 1, -1),
+                            bias=stack([ln.bias for ln in norms]).reshape(len(heads), 1, -1))
+
+        return HeadParams(
+            wq=stack([head.wq for head in heads]),
+            wk=stack([head.wk for head in heads]),
+            wv=stack([head.wv for head in heads]),
+            wp=None if heads[0].wp is None else stack([head.wp for head in heads]),
+            ln_local=join_ln([head.ln_local for head in heads]),
+            ln_global=join_ln([head.ln_global for head in heads]),
+        )
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for i, head in enumerate(self.heads):

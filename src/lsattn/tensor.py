@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "attend",
     "layer_norm",
     "concat",
+    "stack",
     "init_matrix",
     "add",
     "sub",
@@ -32,6 +33,7 @@ __all__ = [
     "scale",
     "relu",
     "transpose_last",
+    "swap_axes",
     "reshape",
     "take",
     "slice_axis",
@@ -196,14 +198,41 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
+    """`_accum` for a g that nothing else references: the sum is formed in g."""
+    if t.grad is not None:
+        g += t.grad
+    t.grad = g
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+    """Sum gradient over axes that numpy broadcasting expanded, in one reduction."""
+    extra = grad.ndim - len(shape)
+    axes = tuple(range(extra)) + tuple(
+        extra + i for i, dim in enumerate(shape) if dim == 1 and grad.shape[extra + i] != 1
+    )
+    return grad.sum(axis=axes).reshape(shape) if axes else grad
+
+
+def _product_parts(
+    x: np.ndarray, y: np.ndarray, shape: tuple[int, ...], lead: tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """Fresh arrays that sum to np.matmul(x, y) reduced to `shape`; lead is the product's batch.
+
+    Where `shape` keeps a leading axis at size 1 that the product spreads (an
+    input broadcast against a head axis), each slice along that axis is one
+    part, so the whole product is never held.
+    """
+    units = [axis for axis in range(-len(shape), -2) if shape[axis] == 1 and lead[axis + 2] > 1]
+    if not units:
+        yield _unbroadcast(np.matmul(x, y), shape)
+        return
+    axis = units[0]
+    for i in range(lead[axis + 2]):
+        xs, ys = (a if a.ndim < -axis or a.shape[axis] == 1
+                  else a[(Ellipsis, slice(i, i + 1)) + (slice(None),) * (-axis - 1)]
+                  for a in (x, y))
+        yield _unbroadcast(np.matmul(xs, ys), shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -219,28 +248,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if _tracking(a, b):
         def route() -> None:
             g = out.grad
+            lead = g.shape[:-2]
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                _accum(a, _unbroadcast(ga, a.shape))
+                for part in _product_parts(g, np.swapaxes(b.data, -1, -2), a.shape, lead):
+                    _accum_fresh(a, part)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                _accum(b, _unbroadcast(gb, b.shape))
+                for part in _product_parts(np.swapaxes(a.data, -1, -2), g, b.shape, lead):
+                    _accum_fresh(b, part)
         _attach(out, (a, b), route)
     return out
 
 
 def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis, computed in one fresh buffer.
+
+    Masked entries are set to -inf before the shift, so exp pins them to 0.
+    """
     if mask is None:
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
+        out = x - x.max(axis=-1, keepdims=True)
     else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise FullyMaskedRowError("softmax row with no attendable entries")
-        z = np.where(mask, x, -np.inf)
-        shifted = z - z.max(axis=-1, keepdims=True)
-        exp = np.where(mask, np.exp(shifted), 0.0)
-    return exp / exp.sum(axis=-1, keepdims=True)
+        out = np.where(mask, x, -np.inf)
+        out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -254,8 +288,9 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     if _tracking(logits):
         def route() -> None:
             g = out.grad
-            inner = (g * p).sum(axis=-1, keepdims=True)
-            _accum(logits, p * (g - inner))
+            dx = g - (g * p).sum(axis=-1, keepdims=True)
+            dx *= p
+            _accum(logits, dx)
         _attach(out, (logits,), route)
     return out
 
@@ -265,11 +300,21 @@ def _windows(blocks: np.ndarray) -> np.ndarray:
     return np.concatenate([blocks[..., :-1, :, :], blocks[..., 1:, :, :]], axis=-2)
 
 
-def _fold_windows(grad: np.ndarray, w: int) -> np.ndarray:
-    """Adjoint of `_windows`: each window's two halves go back onto their blocks."""
-    out = np.zeros(grad.shape[:-3] + (grad.shape[-3] + 1, w, grad.shape[-1]))
-    out[..., :-1, :, :] = grad[..., :w, :]
-    out[..., 1:, :, :] += grad[..., w:, :]
+def _half_windows(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second halves of every window, as views of the blocks."""
+    return blocks[..., :-1, :, :], blocks[..., 1:, :, :]
+
+
+def _window_grad(weights: np.ndarray, rows: np.ndarray, w: int) -> np.ndarray:
+    """Block gradient (..., groups + 1, w, d) of window slots, without building windows.
+
+    weights (..., groups, size, 2w + ...) scale rows (..., groups, size, d);
+    window g's first half lands on block g and its second half on block g + 1.
+    """
+    lo, hi = (np.swapaxes(weights[..., cols], -1, -2) for cols in (slice(None, w), slice(w, 2 * w)))
+    out = np.zeros(lo.shape[:-3] + (lo.shape[-3] + 1, w, rows.shape[-1]))
+    np.matmul(lo, rows, out=out[..., :-1, :, :])
+    out[..., 1:, :, :] += np.matmul(hi, rows)
     return out
 
 
@@ -291,7 +336,9 @@ def attend(
     weights (..., groups, size, 2w + slots), with masked slots exactly 0.
 
     Only the weights P are kept for the backward pass, which uses
-    dS = P * (dP - rowsum(dP * P)). The logits and P are held as tensors, so
+    dS = P * (dP - rowsum(dP * P)), formed in place in one buffer; window
+    gradients come from each window's two halves, multiplied against the
+    block views directly. The logits and P are held as tensors, so
     `track_peak_bytes` sees the logits while the softmax runs and P for as
     long as the backward pass may need it. The runtime counter gets the MACs
     of the score and value products of both slot kinds, 2 * d per weight.
@@ -310,17 +357,19 @@ def attend(
     rows = batch + (groups * size,)
     inv_scale = 1.0 / math.sqrt(d)
     q_grouped = q.data.reshape(batch + (groups, size, d))
-    logits = Tensor(np.concatenate([
-        np.matmul(q_grouped, np.swapaxes(_windows(k_blocks.data), -1, -2)) * inv_scale,
-        (np.matmul(q.data, np.swapaxes(kbar.data, -1, -2)) * inv_scale).reshape(
-            batch + (groups, size, slots)),
-    ], axis=-1))
+    halves = (slice(None, w), slice(w, 2 * w))
+    logits = Tensor(np.empty(batch + (groups, size, span)))
+    for cols, blocks in zip(halves, _half_windows(k_blocks.data)):
+        np.matmul(q_grouped, np.swapaxes(blocks, -1, -2), out=logits.data[..., cols])
+    np.matmul(q.data, np.swapaxes(kbar.data, -1, -2),
+              out=logits.data.reshape(rows + (span,))[..., 2 * w :])
+    logits.data *= inv_scale
     weights = Tensor(_softmax(logits.data, attendable))
     del logits
     p = weights.data
     p.setflags(write=False)
-    p_local, p_far = p[..., : 2 * w], p[..., 2 * w :].reshape(rows + (slots,))
-    out_local = np.matmul(p_local, _windows(v_blocks.data)).reshape(rows + (d,))
+    p_far = p[..., 2 * w :].reshape(rows + (slots,))
+    out_local = np.matmul(p[..., : 2 * w], _windows(v_blocks.data)).reshape(rows + (d,))
     out = Tensor(out_local + np.matmul(p_far, vbar.data))
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
@@ -328,24 +377,31 @@ def attend(
         def route() -> None:
             g, p = out.grad, weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
-            dp = np.concatenate([
-                np.matmul(g_grouped, np.swapaxes(_windows(v_blocks.data), -1, -2)),
-                np.matmul(g, np.swapaxes(vbar.data, -1, -2)).reshape(batch + (groups, size, slots)),
-            ], axis=-1)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv_scale
-            ds_local, ds_far = ds[..., : 2 * w], ds[..., 2 * w :].reshape(rows + (slots,))
+            k_half = _half_windows(k_blocks.data)
+            ds = np.empty(p.shape)
+            for cols, blocks in zip(halves, _half_windows(v_blocks.data)):
+                np.matmul(g_grouped, np.swapaxes(blocks, -1, -2), out=ds[..., cols])
+            np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
+                      out=ds[..., 2 * w :])
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= inv_scale
+            ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:
-                dq = np.matmul(ds_local, _windows(k_blocks.data)).reshape(rows + (d,))
-                _accum(q, _unbroadcast(dq + np.matmul(ds_far, kbar.data), q.shape))
+                dq = np.matmul(ds[..., halves[0]], k_half[0])
+                dq += np.matmul(ds[..., halves[1]], k_half[1])
+                dq = dq.reshape(rows + (d,))
+                dq += np.matmul(ds_far, kbar.data)
+                _accum(q, _unbroadcast(dq, q.shape))
             if k_blocks.requires_grad:
-                dk = _fold_windows(np.matmul(np.swapaxes(ds_local, -1, -2), q_grouped), w)
-                _accum(k_blocks, _unbroadcast(dk, k_blocks.shape))
-            if v_blocks.requires_grad:
-                dv = _fold_windows(np.matmul(np.swapaxes(p_local, -1, -2), g_grouped), w)
-                _accum(v_blocks, _unbroadcast(dv, v_blocks.shape))
+                _accum(k_blocks, _unbroadcast(_window_grad(ds, q_grouped, w), k_blocks.shape))
             if kbar.requires_grad:
                 _accum(kbar, _unbroadcast(np.matmul(np.swapaxes(ds_far, -1, -2), q.data), kbar.shape))
+            del ds, ds_far
+            if v_blocks.requires_grad:
+                _accum(v_blocks, _unbroadcast(_window_grad(p, g_grouped, w), v_blocks.shape))
             if vbar.requires_grad:
+                p_far = p[..., 2 * w :].reshape(rows + (slots,))
                 _accum(vbar, _unbroadcast(np.matmul(np.swapaxes(p_far, -1, -2), g), vbar.shape))
         _attach(out, (q, k_blocks, v_blocks, kbar, vbar), route)
     return out, p
@@ -354,19 +410,23 @@ def attend(
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit population variance.
 
-    eps sits inside the square root; constant rows map to the bias.
+    eps sits inside the square root; constant rows map to the bias. gain and
+    bias share one shape (..., d), which broadcasts against x; a stacked
+    (h, 1, d) pair gives each head of an (..., h, n, d) input its own norm.
     """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    if gain.shape[-1:] != (d,) or bias.shape != gain.shape:
+        raise ShapeError(f"layer_norm gain/bias must share a shape (..., {d})")
+    # Means are sums over d (what ndarray.mean computes, without its call
+    # overhead), and each step after the first works in place.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
     if _flop_counter is not None:
         _flop_counter.layer_norm_flops += 4 * x.size
     out = Tensor(out_data)
@@ -374,14 +434,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         def route() -> None:
             g = out.grad
             if x.requires_grad:
-                dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                _accum(x, inv * (dxhat - m1 - xhat * m2))
+                dx = g * gain.data
+                m1 = dx.sum(axis=-1, keepdims=True) / d
+                m2 = (dx * xhat).sum(axis=-1, keepdims=True) / d
+                dx -= m1
+                dx -= xhat * m2
+                dx *= inv
+                _accum(x, _unbroadcast(dx, x.shape))
             if gain.requires_grad:
-                _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+                _accum(gain, _unbroadcast(g * xhat, gain.shape))
             if bias.requires_grad:
-                _accum(bias, g.reshape(-1, d).sum(axis=0))
+                _accum(bias, _unbroadcast(g, bias.shape))
         _attach(out, (x, gain, bias), route)
     return out
 
@@ -409,6 +472,23 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                     index[ax] = slice(offset, offset + size)
                     _accum(t, g[tuple(index)])
                 offset += size
+        _attach(out, tuple(tensors), route)
+    return out
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Join equal-shaped tensors along a new leading axis; each gets its slice back."""
+    if not tensors:
+        raise ShapeError("stack of an empty list")
+    shape = tensors[0].shape
+    if any(t.shape != shape for t in tensors):
+        raise ShapeError(f"stack shapes disagree: {[t.shape for t in tensors]}")
+    out = Tensor(np.stack([t.data for t in tensors]))
+    if _tracking(*tensors):
+        def route() -> None:
+            for t, g in zip(tensors, out.grad):
+                if t.requires_grad:
+                    _accum(t, g)
         _attach(out, tuple(tensors), route)
     return out
 
@@ -483,14 +563,19 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def transpose_last(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    out = Tensor(np.swapaxes(a.data, -1, -2))
+def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Swap two axes (a view; a following reshape copies it)."""
+    out = Tensor(np.swapaxes(a.data, axis1, axis2))
     if _tracking(a):
         def route() -> None:
-            _accum(a, np.swapaxes(out.grad, -1, -2))
+            _accum(a, np.swapaxes(out.grad, axis1, axis2))
         _attach(out, (a,), route)
     return out
+
+
+def transpose_last(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    return swap_axes(a, -1, -2)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -19,7 +19,7 @@ from lsattn import (
     matmul,
 )
 from lsattn.errors import ShapeError
-from lsattn.tensor import layer_norm, mul, take, tensor_sum
+from lsattn.tensor import layer_norm, mul, stack, swap_axes, take, tensor_sum
 
 
 def test_product_rule_scalar():
@@ -122,6 +122,45 @@ def test_primitive_gradients(op_name):
         f = lambda: tensor_sum(mul(take(x, idx, axis=0), weights))
         params = [x]
     assert finite_diff_check(f, params, step=1e-5) < 1e-7
+
+
+def test_stack_gradient_hands_each_input_its_slice():
+    rng = np.random.default_rng(4)
+    parts = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
+    weights = Tensor(rng.normal(size=(3, 3, 2)))
+    f = lambda: tensor_sum(mul(mul(stack(parts), stack(parts)), weights))
+    assert finite_diff_check(f, parts, step=1e-5) < 1e-7
+
+
+def test_layer_norm_with_stacked_head_gain_and_bias():
+    # (h, 1, d) gains and biases give each head of an (..., h, n, d) input its
+    # own norm; their gradients sum over the batch and row axes.
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+    g = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
+    c = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(2, 3, 4, 5)))
+    f = lambda: tensor_sum(mul(layer_norm(x, g, c), weights))
+    assert finite_diff_check(f, [x, g, c], step=1e-5) < 1e-7
+
+
+def test_matmul_unit_axis_against_head_axis():
+    # x (batch, 1, n, d) against stacked weights (h, d, k): x's gradient sums
+    # the heads' contributions, the weights' gradient sums the batch.
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(2, 1, 4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(2, 3, 4, 2)))
+    f = lambda: tensor_sum(mul(matmul(x, w), weights))
+    assert finite_diff_check(f, [x, w], step=1e-5) < 1e-7
+
+
+def test_swap_axes_gradient():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    weights = Tensor(rng.normal(size=(3, 2, 4)))
+    f = lambda: tensor_sum(mul(swap_axes(x, 0, 1), weights))
+    assert finite_diff_check(f, [x], step=1e-5) < 1e-9
 
 
 def _head_param_list(p):

@@ -85,6 +85,16 @@ class TestSweepCommand:
         flops = [int(line.split(",")[5]) for line in lines[1:]]
         assert flops == sorted(flops) and len(flops) == 3
 
+    @pytest.mark.parametrize("variant,w,r", [
+        ("long-short", "8", "4"), ("window", "8", "0"), ("projection", "0", "4"), ("full", "0", "0"),
+    ])
+    def test_rows_report_the_window_and_rank_run(self, capsys, variant, w, r):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "32", "--variant", variant,
+                               "--w", "8", "--r", "4", "--d", "16", "--ffn", "16")
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header.startswith("n,w,r,") and row.startswith(f"32,{w},{r},")
+
     def test_bad_lengths_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "64,banana", "--variant", "full")
         assert code == 2
@@ -274,6 +284,24 @@ class TestIoErrors:
         code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2
         assert str(out_path) in err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--corpus", "CORPUS", "--seed", "-3"],
+        ["ablate", "--corpus", "SMALL", "--seeds", "1"],
+    ], ids=["train-seed", "ablate-corpus"])
+    def test_failed_run_leaves_out_untouched(self, capsys, tmp_path, command):
+        corpus, small = tmp_path / "corpus.bin", tmp_path / "small.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        small.write_bytes(b"abcd" * 10)
+        argv = [{"CORPUS": str(corpus), "SMALL": str(small)}.get(arg, arg) for arg in command]
+        existing = tmp_path / "existing.csv"
+        existing.write_text("earlier results\n")
+        code, _, err = run_cli(capsys, *argv, "--out", str(existing))
+        assert code == 2 and "error:" in err
+        assert existing.read_text() == "earlier results\n"
+        fresh = tmp_path / "fresh.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(fresh))
+        assert code == 2 and not fresh.exists()
 
     def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "report.csv"
