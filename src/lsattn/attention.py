@@ -144,6 +144,8 @@ def multi_head(
 
     `attn` gets x with a unit head axis, (..., 1, n, d), and the stacked
     parameters of `MultiHeadParams.stacked`, and returns (..., h, n, d_k).
+    The long-short kernels return it as a view of an (..., n, h, d_k)
+    buffer (`tensor.attend`), so the join is a view too.
     """
     n, d = x.shape[-2:]
     heads = attn(x.reshape(*x.shape[:-2], 1, n, d), p.stacked())

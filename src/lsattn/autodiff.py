@@ -44,7 +44,8 @@ def gradients(
     """Gradients of `output` w.r.t. each parameter; zeros when disconnected.
 
     Interior gradients are dropped as soon as they have been routed to the
-    node's parents, so only the requested parameters keep a .grad.
+    node's parents, so only the requested parameters keep a .grad. The seed
+    array is never written.
     """
     if seed is None:
         seed_arr = np.ones(output.shape, dtype=np.float64)
@@ -57,7 +58,7 @@ def gradients(
         node.grad = None
     for p in params:
         p.grad = None
-    output.grad = seed_arr
+    output.grad, output._grad_owned = seed_arr, False
     keep = {id(p) for p in params}
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

@@ -1,9 +1,13 @@
 """Dense float64 tensors with reverse-mode gradient recording.
 
-Every operation is a pure function: it allocates a fresh output tensor and,
-when gradients are enabled and an input requires them, attaches a backward
-closure. Values are always float64; masks are plain boolean numpy arrays and
-never receive gradients.
+Every operation is a pure function: it never writes its inputs, and its
+output is a new tensor, which may view an input's buffer (`reshape`,
+`swap_axes`, `slice_axis`) or a buffer laid out for the next op (`attend`).
+When gradients are enabled and an input requires them, the op attaches a
+backward closure. Backward reads only what that closure keeps and the data of
+the op's inputs. Gradients accumulate under one ownership rule (`_accum`).
+Values are always float64; masks are plain boolean numpy arrays and never
+receive gradients.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -69,19 +73,39 @@ class RuntimeFlopCounter:
 
 
 class PeakBytesTracker:
-    """Byte counter fed by tensor buffer allocations and releases."""
+    """Byte counter fed by the buffers under tensors created while it tracks.
+
+    Each buffer counts once, however many tensors view it, from the first
+    tensor on it until the last one dies.
+    """
 
     def __init__(self) -> None:
         self.current = 0
         self.peak = 0
+        # id(buffer) -> [tensors on it, the buffer]; the reference keeps the id unique.
+        self._buffers: dict[int, list] = {}
 
-    def _acquire(self, nbytes: int) -> None:
-        self.current += nbytes
+    def _acquire(self, data: np.ndarray) -> int:
+        buffer = data
+        while isinstance(buffer.base, np.ndarray):
+            buffer = buffer.base
+        key = id(buffer)
+        entry = self._buffers.get(key)
+        if entry is not None:
+            entry[0] += 1
+            return key
+        self._buffers[key] = [1, buffer]
+        self.current += buffer.nbytes
         if self.current > self.peak:
             self.peak = self.current
+        return key
 
-    def _release(self, nbytes: int) -> None:
-        self.current -= nbytes
+    def _release(self, key: int) -> None:
+        entry = self._buffers[key]
+        entry[0] -= 1
+        if entry[0] == 0:
+            del self._buffers[key]
+            self.current -= entry[1].nbytes
 
 
 @contextmanager
@@ -111,7 +135,11 @@ def count_flops_runtime():
 
 @contextmanager
 def track_peak_bytes():
-    """Track peak bytes held by tensor buffers allocated inside the block."""
+    """Track peak bytes held by buffers under tensors created inside the block.
+
+    A view (reshape, swap_axes, slice_axis, attend's output) adds no bytes to
+    the buffer it views.
+    """
     global _alloc_tracker
     prev = _alloc_tracker
     tracker = PeakBytesTracker()
@@ -125,18 +153,19 @@ def track_peak_bytes():
 class Tensor:
     """A dense row-major array of float64 values, optionally differentiable."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_grad_owned",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self._grad_owned = False
         self.requires_grad = requires_grad
         self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
         if _alloc_tracker is not None:
-            _alloc_tracker._acquire(self.data.nbytes)
-            weakref.finalize(self, _alloc_tracker._release, self.data.nbytes)
+            weakref.finalize(self, _alloc_tracker._release, _alloc_tracker._acquire(self.data))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -193,16 +222,31 @@ def _attach(out: Tensor, parents: tuple[Tensor, ...], backward: Callable[[], Non
     out._backward = backward
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    # Never mutate in place: an earlier contribution may alias a consumer's grad.
-    t.grad = g if t.grad is None else t.grad + g
+def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
+    """Add one gradient contribution g, of t's shape, into t.grad.
 
-
-def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
-    """`_accum` for a g that nothing else references: the sum is formed in g."""
-    if t.grad is not None:
+    owned says nothing else references g. A tensor whose grad is an array it
+    owns adds later contributions in place. A g that aliases another node's
+    array (`add`, `sub`, `reshape`, `swap_axes`, `concat` and `stack` hand on
+    their output grad or views of it; `gradients` hands on the caller's seed)
+    is kept but never written: the next contribution is added into a fresh
+    array, or into itself when it is owned.
+    """
+    if t.grad is None:
+        t.grad, t._grad_owned = g, owned
+    elif t._grad_owned:
+        t.grad += g
+    elif owned:
         g += t.grad
-    t.grad = g
+        t.grad, t._grad_owned = g, True
+    else:
+        t.grad, t._grad_owned = t.grad + g, True
+
+
+def _pass_on(t: Tensor, g: np.ndarray) -> None:
+    """Route an op's output grad g to input t: summed where t was broadcast, else shared."""
+    part = _unbroadcast(g, t.shape)
+    _accum(t, part, owned=part is not g)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -214,25 +258,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=axes).reshape(shape) if axes else grad
 
 
-def _product_parts(
-    x: np.ndarray, y: np.ndarray, shape: tuple[int, ...], lead: tuple[int, ...]
-) -> Iterator[np.ndarray]:
-    """Fresh arrays that sum to np.matmul(x, y) reduced to `shape`; lead is the product's batch.
+def _accum_product(t: Tensor, x: np.ndarray, y: np.ndarray, lead: tuple[int, ...]) -> None:
+    """Add np.matmul(x, y), reduced to t's shape, into t.grad; lead is the product's batch.
 
-    Where `shape` keeps a leading axis at size 1 that the product spreads (an
-    input broadcast against a head axis), each slice along that axis is one
-    part, so the whole product is never held.
+    Where t keeps a leading axis at size 1 that the product spreads (an input
+    broadcast against a head axis), the product is formed one slice of that
+    axis at a time, and each slice is added in and freed before the next is
+    formed, so at most one slice is held besides t.grad.
     """
+    shape = t.shape
     units = [axis for axis in range(-len(shape), -2) if shape[axis] == 1 and lead[axis + 2] > 1]
     if not units:
-        yield _unbroadcast(np.matmul(x, y), shape)
+        _accum(t, _unbroadcast(np.matmul(x, y), shape))
         return
     axis = units[0]
     for i in range(lead[axis + 2]):
         xs, ys = (a if a.ndim < -axis or a.shape[axis] == 1
                   else a[(Ellipsis, slice(i, i + 1)) + (slice(None),) * (-axis - 1)]
                   for a in (x, y))
-        yield _unbroadcast(np.matmul(xs, ys), shape)
+        _accum(t, _unbroadcast(np.matmul(xs, ys), shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,11 +294,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g = out.grad
             lead = g.shape[:-2]
             if a.requires_grad:
-                for part in _product_parts(g, np.swapaxes(b.data, -1, -2), a.shape, lead):
-                    _accum_fresh(a, part)
+                _accum_product(a, g, np.swapaxes(b.data, -1, -2), lead)
             if b.requires_grad:
-                for part in _product_parts(np.swapaxes(a.data, -1, -2), g, b.shape, lead):
-                    _accum_fresh(b, part)
+                _accum_product(b, np.swapaxes(a.data, -1, -2), g, lead)
         _attach(out, (a, b), route)
     return out
 
@@ -334,6 +376,9 @@ def attend(
     are blocks g and g + 1 joined. kbar and vbar are (..., slots, d). Logits
     are q.k / sqrt(d). Returns the output (..., groups * size, d) and the
     weights (..., groups, size, 2w + slots), with masked slots exactly 0.
+    With batch axes, the output is a view of a buffer that keeps the rows
+    outside the last batch axis, (..., groups * size, h, d) for a head axis
+    h, so joining the heads of each row into one of width h * d is a view.
 
     Only the weights P are kept for the backward pass, which uses
     dS = P * (dP - rowsum(dP * P)), formed in place in one buffer; window
@@ -369,8 +414,14 @@ def attend(
     p = weights.data
     p.setflags(write=False)
     p_far = p[..., 2 * w :].reshape(rows + (slots,))
-    out_local = np.matmul(p[..., : 2 * w], _windows(v_blocks.data)).reshape(rows + (d,))
-    out = Tensor(out_local + np.matmul(p_far, vbar.data))
+    if batch:
+        out_data = np.swapaxes(np.empty(batch[:-1] + (groups * size, batch[-1], d)), -3, -2)
+    else:
+        out_data = np.empty(rows + (d,))
+    np.matmul(p[..., : 2 * w], _windows(v_blocks.data),
+              out=out_data.reshape(batch + (groups, size, d)))
+    out_data += np.matmul(p_far, vbar.data)
+    out = Tensor(out_data)
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, k_blocks, v_blocks, kbar, vbar):
@@ -413,6 +464,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     eps sits inside the square root; constant rows map to the bias. gain and
     bias share one shape (..., d), which broadcasts against x; a stacked
     (h, 1, d) pair gives each head of an (..., h, n, d) input its own norm.
+
+    Only the row means and reciprocal deviations, (..., 1), are kept for the
+    backward pass, which recomputes the normalized rows from x and holds at
+    most them and dx at full size.
     """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
@@ -421,7 +476,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm gain/bias must share a shape (..., {d})")
     # Means are sums over d (what ndarray.mean computes, without its call
     # overhead), and each step after the first works in place.
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    mean = x.data.sum(axis=-1, keepdims=True) / d
+    xhat = x.data - mean
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
@@ -433,18 +489,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if _tracking(x, gain, bias):
         def route() -> None:
             g = out.grad
-            if x.requires_grad:
-                dx = g * gain.data
-                m1 = dx.sum(axis=-1, keepdims=True) / d
-                m2 = (dx * xhat).sum(axis=-1, keepdims=True) / d
-                dx -= m1
-                dx -= xhat * m2
-                dx *= inv
-                _accum(x, _unbroadcast(dx, x.shape))
+            xhat = x.data - mean
+            xhat *= inv
             if gain.requires_grad:
                 _accum(gain, _unbroadcast(g * xhat, gain.shape))
             if bias.requires_grad:
-                _accum(bias, _unbroadcast(g, bias.shape))
+                _pass_on(bias, g)
+            if x.requires_grad:
+                dx = g * gain.data
+                m1 = dx.sum(axis=-1, keepdims=True) / d
+                m2 = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
+                dx -= m1
+                xhat *= m2
+                dx -= xhat
+                dx *= inv
+                _accum(x, _unbroadcast(dx, x.shape))
         _attach(out, (x, gain, bias), route)
     return out
 
@@ -470,7 +529,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 if t.requires_grad:
                     index = [slice(None)] * g.ndim
                     index[ax] = slice(offset, offset + size)
-                    _accum(t, g[tuple(index)])
+                    _accum(t, g[tuple(index)], owned=False)
                 offset += size
         _attach(out, tuple(tensors), route)
     return out
@@ -488,7 +547,7 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         def route() -> None:
             for t, g in zip(tensors, out.grad):
                 if t.requires_grad:
-                    _accum(t, g)
+                    _accum(t, g, owned=False)
         _attach(out, tuple(tensors), route)
     return out
 
@@ -497,11 +556,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if _tracking(a, b):
         def route() -> None:
-            g = out.grad
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.shape))
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.shape))
+            for t in (a, b):
+                if t.requires_grad:
+                    _pass_on(t, out.grad)
         _attach(out, (a, b), route)
     return out
 
@@ -512,7 +569,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         def route() -> None:
             g = out.grad
             if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.shape))
+                _pass_on(a, g)
             if b.requires_grad:
                 _accum(b, _unbroadcast(-g, b.shape))
         _attach(out, (a, b), route)
@@ -564,11 +621,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
-    """Swap two axes (a view; a following reshape copies it)."""
+    """Swap two axes; a view, which a following reshape copies unless the buffer matches."""
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
     if _tracking(a):
         def route() -> None:
-            _accum(a, np.swapaxes(out.grad, axis1, axis2))
+            _accum(a, np.swapaxes(out.grad, axis1, axis2), owned=False)
         _attach(out, (a,), route)
     return out
 
@@ -583,7 +640,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     if _tracking(a):
         orig = a.shape
         def route() -> None:
-            _accum(a, out.grad.reshape(orig))
+            _accum(a, out.grad.reshape(orig), owned=False)
         _attach(out, (a,), route)
     return out
 

@@ -18,8 +18,10 @@ from lsattn import (
     masked_softmax,
     matmul,
 )
+from lsattn.attention import block_forward, multi_head
 from lsattn.errors import ShapeError
-from lsattn.tensor import layer_norm, mul, stack, swap_axes, take, tensor_sum
+from lsattn.params import init_block_params, init_multi_head_params
+from lsattn.tensor import add, layer_norm, mul, stack, swap_axes, take, tensor_sum
 
 
 def test_product_rule_scalar():
@@ -161,6 +163,58 @@ def test_swap_axes_gradient():
     weights = Tensor(rng.normal(size=(3, 2, 4)))
     f = lambda: tensor_sum(mul(swap_axes(x, 0, 1), weights))
     assert finite_diff_check(f, [x], step=1e-5) < 1e-9
+
+
+@pytest.mark.parametrize("matmul_first", [False, True])
+def test_shared_gradient_array_is_never_written(matmul_first):
+    # add hands one array to both of its inputs as their gradient; a's other
+    # contribution, from a matmul, must never be summed into that array.
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)))
+    probe = Tensor(rng.normal(size=(3, 4)))
+
+    def f():
+        pair = (matmul(a, w), add(a, b)) if matmul_first else (add(a, b), matmul(a, w))
+        return tensor_sum(mul(add(*pair), probe))
+
+    assert finite_diff_check(f, [a, b], step=1e-5) < 1e-7
+    ga, gb = gradients(f(), [a, b])
+    assert np.array_equal(gb, probe.data)
+    assert np.array_equal(ga, probe.data + probe.data @ w.data.T)
+    assert not np.shares_memory(ga, gb)
+
+
+SEED_CONFIGS = {
+    "bidirectional": (LSConfig(seq_len=8, model_dim=8, heads=2, window=2, rank=2,
+                               dual_ln=True), aggregate_head),
+    "causal": (LSConfig(seq_len=8, model_dim=8, heads=2, window=2, rank=1, seg_len=4,
+                        mode="causal", dual_ln=True), causal_aggregate_head),
+}
+
+
+@pytest.mark.parametrize("layer", ["multi_head", "block"])
+@pytest.mark.parametrize("mode", sorted(SEED_CONFIGS))
+def test_gradients_never_write_the_seed(mode, layer):
+    # A block hands the seed on through its residual adds, and the input then
+    # collects more contributions; a multi-head layer, as perfbench drives it,
+    # gets its cotangent as the seed.
+    cfg, fn = SEED_CONFIGS[mode]
+    rng = Rng(12)
+    head = lambda t, p: fn(t, p, cfg)
+    x = Tensor(rng.child(1).normal((2, cfg.seq_len, cfg.model_dim)), requires_grad=True)
+    if layer == "block":
+        params = init_block_params(rng.child(0), cfg, ffn_dim=16)
+        out = block_forward(x, params, head)
+    else:
+        params = init_multi_head_params(rng.child(0), cfg)
+        out = multi_head(x, params, head)
+    seed = rng.child(2).normal(out.shape)
+    kept = seed.copy()
+    grads = gradients(out, [x] + [t for _, t in params.named_parameters()], seed=seed)
+    assert np.array_equal(seed, kept)
+    assert all(np.abs(g).max() > 0 for g in grads)
 
 
 def _head_param_list(p):

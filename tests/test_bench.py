@@ -10,7 +10,7 @@ from lsattn.bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write
 from lsattn.config import LSConfig
 from lsattn.errors import ConfigError
 from lsattn.flops import DEFAULT_ARCH
-from lsattn.tensor import Tensor, track_peak_bytes
+from lsattn.tensor import Tensor, reshape, swap_axes, track_peak_bytes
 
 
 def arch(variant, **fields):
@@ -92,3 +92,20 @@ class TestPeakBytesTracker:
             del b
             assert tracker.peak >= 2 * a.data.nbytes
         assert first == a.data.nbytes
+
+    def test_views_count_once(self):
+        # Views share their buffer's bytes; the bytes go when the last
+        # tensor on the buffer dies.
+        with track_peak_bytes() as tracker:
+            a = Tensor(np.zeros((4, 6, 8)))
+            first = tracker.current
+            flat = reshape(a, (24, 8))
+            swapped = swap_axes(a, 0, 1)
+            assert tracker.current == first
+            b = Tensor(np.ones((3, 5)))
+            assert tracker.current == first + b.data.nbytes
+            del a, flat
+            assert tracker.current == first + b.data.nbytes
+            del swapped
+            assert tracker.current == b.data.nbytes
+            assert tracker.peak == first + b.data.nbytes

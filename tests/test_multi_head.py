@@ -5,6 +5,9 @@ a head axis. The reference here runs each head on its own, joins the outputs
 along the width and applies wo, as the per-head definition reads.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from lsattn import (
     matmul,
     multi_head,
 )
+from lsattn import attention
 from lsattn.tensor import mul, tensor_sum
 
 CONFIGS = {
@@ -57,3 +61,66 @@ def test_stacked_heads_match_one_call_per_head(mode):
                                    grads, ref_grads):
         assert np.abs(g_ref).max() > 0, name
         assert np.abs(g - g_ref).max() <= 1e-12 * max(1.0, np.abs(g_ref).max()), name
+
+
+def test_forward_keeps_only_what_backward_needs(monkeypatch):
+    # One bidirectional dual-LN layer: the bytes its graph holds after the
+    # forward pass are the buffers listed here from their shapes, to within
+    # 2% (Python objects). No normalized copy of k or v and no merged copy of
+    # the heads is kept, and wo reads attend's output buffer directly.
+    n, d, h, w, r = 1024, 64, 2, 8, 32
+    dk, f8 = d // h, 8
+    cfg = LSConfig(seq_len=n, model_dim=d, heads=h, window=w, rank=r, dual_ln=True)
+    params = init_multi_head_params(Rng(0), cfg)
+    x = Tensor(Rng(1).normal((n, d)), requires_grad=True)
+    seen = {}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            seen.setdefault(name, []).append((args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(attention, "attend", recording("attend", attention.attend))
+    monkeypatch.setattr(attention, "matmul", recording("matmul", attention.matmul))
+    forward = lambda: multi_head(x, params, lambda t, p: aggregate_head(t, p, cfg))
+    forward()
+    seen.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = forward()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    rows = h * n * dk * f8  # one (h, n, d_k) array
+    read_by_backward = {
+        "stacked wq, wk, wv, wp": (3 * h * d * dk + h * d * r) * f8,
+        "stacked norm gains": 2 * h * dk * f8,
+        "q, k, v": 3 * rows,
+        "projection weights (h, 1, r, n)": h * r * n * f8,
+        "projected k, v before and after their norm": 4 * h * r * dk * f8,
+        "window key and value blocks": 2 * h * (n + w) * dk * f8,
+        "attention weights": h * n * (2 * w + r) * f8,
+        "attend output": rows,
+        "norm row means and 1/sigma": 2 * 2 * h * n * f8 + 2 * 2 * h * r * f8,
+    }
+    # Graph parents whose values no backward reads, and the layer output.
+    held_unread = {
+        "projection logits": rows,
+        "normed window k, v": 2 * rows,
+        "window zero padding": h * w * dk * f8,
+        "stacked norm biases": 2 * h * dk * f8,
+        "output": n * d * f8,
+    }
+    listed = sum(read_by_backward.values()) + sum(held_unread.values())
+    assert listed <= held <= 1.02 * listed, (held, listed)
+
+    (_, heads), = seen["attend"]
+    merged = next(args[0] for args, _ in seen["matmul"] if args[1] is params.wo)
+    assert np.shares_memory(merged.data, heads[0].data)
+    assert out.shape == (n, d)
