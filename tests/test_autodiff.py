@@ -15,12 +15,14 @@ from lsattn import (
     full_attention_head,
     gradients,
     init_head_params,
+    init_multi_head_params,
     masked_softmax,
     matmul,
+    multi_head,
 )
-from lsattn.attention import block_forward, multi_head
+from lsattn.attention import block_forward
 from lsattn.errors import ShapeError
-from lsattn.params import init_block_params, init_multi_head_params
+from lsattn.params import init_block_params
 from lsattn.tensor import add, layer_norm, mul, stack, swap_axes, take, tensor_sum
 
 

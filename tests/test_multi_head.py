@@ -66,8 +66,9 @@ def test_stacked_heads_match_one_call_per_head(mode):
 def test_forward_keeps_only_what_backward_needs(monkeypatch):
     # One bidirectional dual-LN layer: the bytes its graph holds after the
     # forward pass are the buffers listed here from their shapes, to within
-    # 2% (Python objects). No normalized copy of k or v and no merged copy of
-    # the heads is kept, and wo reads attend's output buffer directly.
+    # 2% (Python objects). The layer norms keep no normalized copy of their
+    # input, no merged copy of the heads is made, and wo reads attend's
+    # output buffer directly.
     n, d, h, w, r = 1024, 64, 2, 8, 32
     dk, f8 = d // h, 8
     cfg = LSConfig(seq_len=n, model_dim=d, heads=h, window=w, rank=r, dual_ln=True)
