@@ -6,8 +6,8 @@ mode, and `block_forward` is the pre-LN block that runs any per-head attention.
 
 All operations accept inputs of shape (..., n, d) with optional leading batch
 axes and return per-head outputs of shape (..., n, head_dim). They take one
-head's parameters, or all heads stacked on a leading axis
-(`MultiHeadParams.stacked`) with x given a unit head axis (..., 1, n, d),
+head's parameters, or a layer's heads as stored, on a leading axis
+(`MultiHeadParams.stacked`), with x given a unit head axis (..., 1, n, d),
 which gives (..., h, n, head_dim). Sequences are padded internally to whole
 window segments; padded rows never influence real outputs and are dropped
 before returning.
@@ -143,12 +143,12 @@ def multi_head(
     """Run `attn` once for all heads, join their outputs along the width, project with wo.
 
     `attn` gets x with a unit head axis, (..., 1, n, d), and the stacked
-    parameters of `MultiHeadParams.stacked`, and returns (..., h, n, d_k).
+    parameters `MultiHeadParams.stacked`, and returns (..., h, n, d_k).
     The long-short kernels return it as a view of an (..., n, h, d_k)
     buffer (`tensor.attend`), so the join is a view too.
     """
     n, d = x.shape[-2:]
-    heads = attn(x.reshape(*x.shape[:-2], 1, n, d), p.stacked())
+    heads = attn(x.reshape(*x.shape[:-2], 1, n, d), p.stacked)
     return matmul(swap_axes(heads, -3, -2).reshape(*x.shape[:-1], -1), p.wo)
 
 
@@ -345,7 +345,7 @@ def norm_ratio_probe(
     with no_grad():
         for seed in seeds:
             rng = Rng(seed)
-            p = init_multi_head_params(rng, cfg, trainable=False).stacked()
+            p = init_multi_head_params(rng, cfg, trainable=False).stacked
             x = Tensor(np.stack([rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim))
                                  for h in range(cfg.heads)]))
             k = matmul(x, p.wk)

@@ -43,9 +43,11 @@ def gradients(
 ) -> list[np.ndarray]:
     """Gradients of `output` w.r.t. each parameter; zeros when disconnected.
 
-    Interior gradients are dropped as soon as they have been routed to the
-    node's parents, so only the requested parameters keep a .grad. The seed
-    array is never written.
+    A parameter that views a leaf (`Tensor.view_of`) gets its own gradient
+    plus the base's gradient at its index, so it may be used directly, through
+    the base, or both. Interior gradients are dropped as soon as they have
+    been routed to the node's parents, so only the requested parameters and
+    the bases they view keep a .grad. The seed array is never written.
     """
     if seed is None:
         seed_arr = np.ones(output.shape, dtype=np.float64)
@@ -54,18 +56,26 @@ def gradients(
         if seed_arr.shape != output.shape:
             raise ShapeError(f"seed shape {seed_arr.shape} does not match output {output.shape}")
     order = _topo_order(output)
-    for node in order:
+    kept = [*params, *(p.view_of[0] for p in params if p.view_of is not None)]
+    for node in (*order, *kept):
         node.grad = None
-    for p in params:
-        p.grad = None
     output.grad, output._grad_owned = seed_arr, False
-    keep = {id(p) for p in params}
+    keep = {id(t) for t in kept}
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward()
             if id(node) not in keep:
                 node.grad = None
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    return [_total_grad(p) for p in params]
+
+
+def _total_grad(p: Tensor) -> np.ndarray:
+    grad = p.grad
+    if p.view_of is not None:
+        base, index = p.view_of
+        if base.grad is not None:
+            grad = base.grad[index] if grad is None else grad + base.grad[index]
+    return np.zeros_like(p.data) if grad is None else grad
 
 
 def finite_diff_check(

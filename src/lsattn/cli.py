@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flops = sub.add_parser("flops", help="closed-form FLOP table for one architecture",
                              **only_given)
-    p_flops.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p_flops.add_argument("--preset-file", type=Path, default=None,
-                         help="key = value file describing the architecture")
+    source = p_flops.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    source.add_argument("--preset-file", type=Path, default=None,
+                        help="key = value file describing the architecture")
     p_flops.add_argument("--variant", choices=VARIANTS)
     p_flops.add_argument("--n", dest="seq_len", type=int, help="sequence length")
     p_flops.add_argument("--docs", type=int)

@@ -259,6 +259,8 @@ def load_preset_file(path: str | Path) -> ArchSpec:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if key in _INT_FIELDS:
             try:
                 values[key] = int(value)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .config import LSConfig
-from .tensor import Rng, Tensor, init_matrix, stack
+from .tensor import Rng, Tensor, init_matrix
 
 __all__ = ["LnParams", "HeadParams", "MultiHeadParams", "BlockParams", "init_head_params",
            "init_multi_head_params", "init_block_params"]
@@ -22,7 +22,11 @@ class LnParams:
 
 @dataclass
 class HeadParams:
-    """Projections for one head plus its two key/value normalizations."""
+    """Projections for one head plus its two key/value normalizations.
+
+    The same fields hold all heads of a layer on a leading head axis
+    (`MultiHeadParams.stacked`).
+    """
 
     wq: Tensor
     wk: Tensor
@@ -45,30 +49,18 @@ class HeadParams:
 
 @dataclass
 class MultiHeadParams:
+    """A layer's heads, stored once on a leading head axis, and its output projection.
+
+    stacked holds wq, wk and wv as (h, d, d_k), wp as (h, d, r), and the norm
+    gains and biases as (h, 1, d_k), so they broadcast against (..., h, n, d_k).
+    heads[i] holds head i's tensors, which view row i of those leaves
+    (`Tensor.view_of`), so writing one writes the other, and gradients that
+    reach the leaves are returned for the views.
+    """
+
+    stacked: HeadParams
     heads: list[HeadParams]
     wo: Tensor
-
-    def stacked(self) -> HeadParams:
-        """All heads' parameters joined on a leading head axis, inside the graph.
-
-        wq, wk and wv become (h, d, d_k), wp (h, d, r), and the norm gains and
-        biases (h, 1, d_k), so they broadcast against (..., h, n, d_k).
-        Gradients flow back to each head's own tensors.
-        """
-        heads = self.heads
-
-        def join_ln(norms: list[LnParams]) -> LnParams:
-            return LnParams(gain=stack([ln.gain for ln in norms]).reshape(len(heads), 1, -1),
-                            bias=stack([ln.bias for ln in norms]).reshape(len(heads), 1, -1))
-
-        return HeadParams(
-            wq=stack([head.wq for head in heads]),
-            wk=stack([head.wk for head in heads]),
-            wv=stack([head.wv for head in heads]),
-            wp=None if heads[0].wp is None else stack([head.wp for head in heads]),
-            ln_local=join_ln([head.ln_local for head in heads]),
-            ln_global=join_ln([head.ln_global for head in heads]),
-        )
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for i, head in enumerate(self.heads):
@@ -123,11 +115,42 @@ def init_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> HeadPar
     )
 
 
+def _join_heads(heads: list[HeadParams], join: Callable[[list[Tensor], bool], Tensor]) -> HeadParams:
+    """HeadParams whose every tensor is join(that tensor of each head, whether it is a norm's)."""
+    def ln(norms: list[LnParams]) -> LnParams:
+        return LnParams(gain=join([n.gain for n in norms], True),
+                        bias=join([n.bias for n in norms], True))
+
+    return HeadParams(
+        wq=join([head.wq for head in heads], False),
+        wk=join([head.wk for head in heads], False),
+        wv=join([head.wv for head in heads], False),
+        wp=None if heads[0].wp is None else join([head.wp for head in heads], False),
+        ln_local=ln([head.ln_local for head in heads]),
+        ln_global=ln([head.ln_global for head in heads]),
+    )
+
+
+def _view(base: Tensor, index: int | tuple[int, ...]) -> Tensor:
+    view = Tensor(base.data[index], requires_grad=base.requires_grad, name=base.name)
+    view.view_of = (base, index)
+    return view
+
+
 def init_multi_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> MultiHeadParams:
-    heads = [init_head_params(rng.child(i), cfg, trainable) for i in range(cfg.heads)]
+    """Head i drawn as by `init_head_params(rng.child(i))`, stored stacked; wo from rng.child(h)."""
+    drawn = [init_head_params(rng.child(i), cfg, trainable) for i in range(cfg.heads)]
+
+    def leaf(parts: list[Tensor], norm: bool) -> Tensor:
+        data = np.stack([t.data for t in parts])
+        return Tensor(data[:, None] if norm else data, requires_grad=trainable, name=parts[0].name)
+
+    stacked = _join_heads(drawn, leaf)
+    heads = [_join_heads([stacked], lambda parts, norm: _view(parts[0], (i, 0) if norm else i))
+             for i in range(cfg.heads)]
     wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim,
                      requires_grad=trainable, name="wo")
-    return MultiHeadParams(heads=heads, wo=wo)
+    return MultiHeadParams(stacked=stacked, heads=heads, wo=wo)
 
 
 def init_block_params(

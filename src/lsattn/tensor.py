@@ -29,7 +29,6 @@ __all__ = [
     "attend",
     "layer_norm",
     "concat",
-    "stack",
     "init_matrix",
     "add",
     "sub",
@@ -42,7 +41,6 @@ __all__ = [
     "take",
     "slice_axis",
     "tensor_sum",
-    "tensor_mean",
     "cross_entropy_mean",
     "scale_by_array",
     "no_grad",
@@ -151,10 +149,14 @@ def track_peak_bytes():
 
 
 class Tensor:
-    """A dense row-major array of float64 values, optionally differentiable."""
+    """A dense row-major array of float64 values, optionally differentiable.
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_grad_owned",
-                 "__weakref__")
+    view_of is None, or (base, index) for a leaf whose data is base.data[index]:
+    `autodiff.gradients` then adds base's gradient at index to the leaf's own.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "view_of", "_parents", "_backward",
+                 "_grad_owned", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -162,6 +164,7 @@ class Tensor:
         self._grad_owned = False
         self.requires_grad = requires_grad
         self.name = name
+        self.view_of: tuple[Tensor, int | tuple[int, ...]] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
         if _alloc_tracker is not None:
@@ -186,30 +189,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    # Convenience operators; the named functions below carry the contracts.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _tracking(*tensors: Tensor) -> bool:
@@ -227,7 +208,7 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
 
     owned says nothing else references g. A tensor whose grad is an array it
     owns adds later contributions in place. A g that aliases another node's
-    array (`add`, `sub`, `reshape`, `swap_axes`, `concat` and `stack` hand on
+    array (`add`, `sub`, `reshape`, `swap_axes` and `concat` hand on
     their output grad or views of it; `gradients` hands on the caller's seed)
     is kept but never written: the next contribution is added into a fresh
     array, or into itself when it is owned.
@@ -535,23 +516,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Join equal-shaped tensors along a new leading axis; each gets its slice back."""
-    if not tensors:
-        raise ShapeError("stack of an empty list")
-    shape = tensors[0].shape
-    if any(t.shape != shape for t in tensors):
-        raise ShapeError(f"stack shapes disagree: {[t.shape for t in tensors]}")
-    out = Tensor(np.stack([t.data for t in tensors]))
-    if _tracking(*tensors):
-        def route() -> None:
-            for t, g in zip(tensors, out.grad):
-                if t.requires_grad:
-                    _accum(t, g, owned=False)
-        _attach(out, tuple(tensors), route)
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if _tracking(a, b):
@@ -683,11 +647,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             _accum(a, np.broadcast_to(g, a.shape).copy())
         _attach(out, (a,), route)
     return out
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -23,7 +23,7 @@ from lsattn import (
 from lsattn.attention import block_forward
 from lsattn.errors import ShapeError
 from lsattn.params import init_block_params
-from lsattn.tensor import add, layer_norm, mul, stack, swap_axes, take, tensor_sum
+from lsattn.tensor import add, layer_norm, mul, swap_axes, take, tensor_sum
 
 
 def test_product_rule_scalar():
@@ -126,14 +126,6 @@ def test_primitive_gradients(op_name):
         f = lambda: tensor_sum(mul(take(x, idx, axis=0), weights))
         params = [x]
     assert finite_diff_check(f, params, step=1e-5) < 1e-7
-
-
-def test_stack_gradient_hands_each_input_its_slice():
-    rng = np.random.default_rng(4)
-    parts = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
-    weights = Tensor(rng.normal(size=(3, 3, 2)))
-    f = lambda: tensor_sum(mul(mul(stack(parts), stack(parts)), weights))
-    assert finite_diff_check(f, parts, step=1e-5) < 1e-7
 
 
 def test_layer_norm_with_stacked_head_gain_and_bias():

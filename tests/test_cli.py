@@ -175,6 +175,25 @@ class TestUsageErrors:
         assert "words.preset:1" in err and "'two'" in err
         assert "Traceback" not in err and out == ""
 
+    def test_preset_and_preset_file_together_exit_2(self, capsys, tmp_path):
+        preset = tmp_path / "tiny.preset"
+        preset.write_text("layers = 1\nmodel_dim = 8\nheads = 1\nffn_dim = 8\nseq_len = 16\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["flops", "--preset", "charlm-small", "--preset-file", str(preset)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+
+    def test_duplicate_preset_key_exits_2(self, capsys, tmp_path):
+        preset = tmp_path / "twice.preset"
+        preset.write_text(
+            "layers = 1\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\nlayers = 4\n"
+        )
+        code, out, err = run_cli(capsys, "flops", "--preset-file", str(preset))
+        assert code == 2
+        assert "twice.preset:6: duplicate key 'layers'" in err
+        assert "Traceback" not in err and out == ""
+
     def test_full_variant_bad_shape_exits_2(self, capsys, tmp_path):
         preset = tmp_path / "negative.preset"
         preset.write_text(

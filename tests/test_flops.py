@@ -128,6 +128,12 @@ class TestPresetFile:
         with pytest.raises(ConfigError, match="broken.preset:2"):
             load_preset_file(path)
 
+    def test_duplicate_key_reported_with_location(self, tmp_path):
+        path = tmp_path / "twice.preset"
+        path.write_text("layers = 1\n# the same key again\nlayers = 4\n")
+        with pytest.raises(ConfigError, match=r"twice.preset:3: duplicate key 'layers'"):
+            load_preset_file(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "partial.preset"
         path.write_text("layers = 2\n")

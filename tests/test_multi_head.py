@@ -1,8 +1,9 @@
 """Stacked-head attention against one call per head.
 
-`multi_head` runs every head in one attention call over parameters stacked on
-a head axis. The reference here runs each head on its own, joins the outputs
-along the width and applies wo, as the per-head definition reads.
+`multi_head` runs every head in one attention call over parameters stored
+stacked on a head axis. The reference here runs each head on its own, over
+the per-head views of those parameters, joins the outputs along the width and
+applies wo, as the per-head definition reads.
 """
 
 import gc
@@ -18,13 +19,14 @@ from lsattn import (
     aggregate_head,
     causal_aggregate_head,
     concat,
+    finite_diff_check,
     gradients,
     init_multi_head_params,
     matmul,
     multi_head,
 )
 from lsattn import attention
-from lsattn.tensor import mul, tensor_sum
+from lsattn.tensor import add, mul, tensor_sum
 
 CONFIGS = {
     "bidirectional": (LSConfig(seq_len=10, model_dim=12, heads=3, window=4, rank=3,
@@ -100,8 +102,6 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
 
     rows = h * n * dk * f8  # one (h, n, d_k) array
     read_by_backward = {
-        "stacked wq, wk, wv, wp": (3 * h * d * dk + h * d * r) * f8,
-        "stacked norm gains": 2 * h * dk * f8,
         "q, k, v": 3 * rows,
         "projection weights (h, 1, r, n)": h * r * n * f8,
         "projected k, v before and after their norm": 4 * h * r * dk * f8,
@@ -115,7 +115,6 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
         "projection logits": rows,
         "normed window k, v": 2 * rows,
         "window zero padding": h * w * dk * f8,
-        "stacked norm biases": 2 * h * dk * f8,
         "output": n * d * f8,
     }
     listed = sum(read_by_backward.values()) + sum(held_unread.values())
@@ -125,3 +124,90 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
     merged = next(args[0] for args, _ in seen["matmul"] if args[1] is params.wo)
     assert np.shares_memory(merged.data, heads[0].data)
     assert out.shape == (n, d)
+
+
+def stacked_leaf_of(params, name):
+    """The stacked leaf behind a per-head parameter name such as "ln_local.gain"."""
+    leaf = params.stacked
+    for part in name.split("."):
+        leaf = getattr(leaf, part)
+    return leaf
+
+
+def test_per_head_tensors_view_the_stacked_leaves():
+    cfg, _ = CONFIGS["bidirectional"]
+    params = init_multi_head_params(Rng(3), cfg)
+    for i, head in enumerate(params.heads):
+        for name, t in head.named_parameters():
+            leaf = stacked_leaf_of(params, name)
+            base, index = t.view_of
+            assert base is leaf and leaf.view_of is None
+            assert np.shares_memory(t.data, leaf.data), name
+            assert t.shape == leaf.data[index].shape
+            assert np.array_equal(t.data, leaf.data[i].reshape(t.shape)), name
+
+
+def test_writing_a_head_view_changes_the_layer_output():
+    cfg, fn = CONFIGS["bidirectional"]
+    params = init_multi_head_params(Rng(4), cfg)
+    x = Tensor(Rng(5).normal((cfg.seq_len, cfg.model_dim)))
+    head = lambda h, p: fn(h, p, cfg)
+    before = multi_head(x, params, head).data
+    wq = params.heads[1].wq.data
+    wq[0, 0] += 0.5
+    changed = multi_head(x, params, head).data
+    wq[0, 0] -= 0.5
+    assert not np.array_equal(changed, before)
+    assert np.array_equal(multi_head(x, params, head).data, before)
+
+
+@pytest.mark.parametrize("use", ["direct", "stacked", "both"])
+def test_gradients_of_head_views(use):
+    # A per-head view may feed the graph itself, through its stacked leaf, or
+    # both; its gradient sums what reaches it and its row of the leaf's.
+    cfg = LSConfig(seq_len=8, model_dim=8, heads=2, window=2, rank=2, dual_ln=True)
+    rng = Rng(6)
+    params = init_multi_head_params(rng.child(0), cfg)
+    x = Tensor(rng.child(1).normal((cfg.seq_len, cfg.model_dim)))
+    probe = Tensor(rng.child(2).normal((cfg.seq_len, cfg.model_dim)))
+    probe_head = Tensor(rng.child(3).normal((cfg.seq_len, cfg.head_dim)))
+    head = lambda h, p: aggregate_head(h, p, cfg)
+
+    def loss():
+        parts = []
+        if use in ("direct", "both"):
+            parts.append(tensor_sum(mul(head(x, params.heads[0]), probe_head)))
+        if use in ("stacked", "both"):
+            parts.append(tensor_sum(mul(multi_head(x, params, head), probe)))
+        return parts[0] if len(parts) == 1 else add(*parts)
+
+    views = [t for hp in params.heads for _, t in hp.named_parameters()]
+    grads = gradients(loss(), views)
+    assert all(np.abs(g).max() > 0 for g in grads[:8])
+    assert (use == "direct") == all(not g.any() for g in grads[8:])
+    assert finite_diff_check(loss, views, step=1e-5) < 1e-7
+
+
+def graph_nodes(root):
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
+def test_layer_graph_has_no_parameter_only_ops():
+    # The stacked leaves feed the layer directly: no op rebuilds or reshapes
+    # parameters on every forward.
+    n, d, h, w, r = 64, 8, 2, 8, 4
+    cfg = LSConfig(seq_len=n, model_dim=d, heads=h, window=w, rank=r, dual_ln=True)
+    params = init_multi_head_params(Rng(7), cfg)
+    x = Tensor(Rng(8).normal((n, d)), requires_grad=True)
+    nodes = graph_nodes(multi_head(x, params, lambda t, p: aggregate_head(t, p, cfg)))
+    leaves = {id(params.wo)} | {id(stacked_leaf_of(params, name))
+                                for name, _ in params.heads[0].named_parameters()}
+    assert len(nodes) == 38
+    assert leaves <= {id(t) for t in nodes}
+    assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
