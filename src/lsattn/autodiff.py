@@ -2,7 +2,10 @@
 
 The graph is implicit: every tensor produced while gradients are enabled
 keeps references to its parents and a closure that routes its own gradient
-to them. `gradients` replays those closures in reverse topological order.
+to them. The closure reads that gradient through a weak reference to its
+tensor, so a graph holds no reference cycles and is freed by reference
+counting once its output is dropped. `gradients` replays those closures in
+reverse topological order, and may replay one graph any number of times.
 """
 
 from __future__ import annotations

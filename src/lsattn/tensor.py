@@ -5,13 +5,20 @@ output is a new tensor, which may view an input's buffer (`reshape`,
 `swap_axes`, `slice_axis`) or a buffer laid out for the next op (`attend`).
 When gradients are enabled and an input requires them, the op attaches a
 backward closure. Backward reads only what that closure keeps and the data of
-the op's inputs. Gradients accumulate under one ownership rule (`_accum`).
-Values are always float64; masks are plain boolean numpy arrays and never
-receive gradients.
+the op's inputs. The closure reads the op's output gradient through a weak
+reference, so graphs hold no reference cycles: reference counting frees a
+step's buffers when its output and gradients are dropped, without waiting
+for the cyclic garbage collector. Gradients accumulate under one ownership
+rule (`_accum`). Values are always float64; masks are plain boolean numpy
+arrays and never receive gradients.
+
+Importing this module sets glibc's malloc to keep freed memory for reuse
+(`_pin_allocator`), process-wide; it does nothing on other C libraries.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import weakref
 from contextlib import contextmanager
@@ -51,6 +58,39 @@ __all__ = [
 _grad_enabled = True
 _flop_counter: "RuntimeFlopCounter | None" = None
 _alloc_tracker: "PeakBytesTracker | None" = None
+
+# mallopt parameters (glibc malloc.h) and the largest mmap threshold that
+# 64-bit glibc accepts.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _pin_allocator() -> bool:
+    """Have glibc's malloc keep freed blocks up to 32 MB for reuse; True if it took both settings.
+
+    Buffers below the mmap threshold come from the heap, and with trimming off
+    the heap is never given back, so a training loop reuses the same pages
+    every step instead of mapping and faulting them in again. Fixing the
+    threshold also stops glibc from moving it with each freed block, which
+    otherwise makes page faults and step times depend on heap history.
+    Nothing happens, quietly, when no glibc is loaded.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return False
+    if not hasattr(libc, "gnu_get_libc_version"):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1
+    trim_off = mallopt(_M_TRIM_THRESHOLD, -1) == 1
+    return mmap_set and trim_off
+
+
+_ALLOCATOR_PINNED = _pin_allocator()
 
 
 class RuntimeFlopCounter:
@@ -197,10 +237,16 @@ def _tracking(*tensors: Tensor) -> bool:
     return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
-def _attach(out: Tensor, parents: tuple[Tensor, ...], backward: Callable[[], None]) -> None:
+def _attach(out: Tensor, parents: tuple[Tensor, ...], route: Callable[[np.ndarray], None]) -> None:
+    """Record out's parents and a backward closure that hands out.grad to route.
+
+    route never holds out, and the closure reads it through a weak reference,
+    so out is in no reference cycle.
+    """
     out.requires_grad = True
     out._parents = parents
-    out._backward = backward
+    ref = weakref.ref(out)
+    out._backward = lambda: route(ref().grad)
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
@@ -271,8 +317,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _flop_counter.matmul_macs += out_data.size * a.shape[-1]
     out = Tensor(out_data)
     if _tracking(a, b):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             lead = g.shape[:-2]
             if a.requires_grad:
                 _accum_product(a, g, np.swapaxes(b.data, -1, -2), lead)
@@ -309,8 +354,7 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     p = _softmax(logits.data, mask)
     out = Tensor(p)
     if _tracking(logits):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             dx = g - (g * p).sum(axis=-1, keepdims=True)
             dx *= p
             _accum(logits, dx)
@@ -406,8 +450,8 @@ def attend(
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, k_blocks, v_blocks, kbar, vbar):
-        def route() -> None:
-            g, p = out.grad, weights.data
+        def route(g: np.ndarray) -> None:
+            p = weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
             k_half = _half_windows(k_blocks.data)
             ds = np.empty(p.shape)
@@ -468,8 +512,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _flop_counter.layer_norm_flops += 4 * x.size
     out = Tensor(out_data)
     if _tracking(x, gain, bias):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             xhat = x.data - mean
             xhat *= inv
             if gain.requires_grad:
@@ -503,8 +546,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
     if _tracking(*tensors):
         sizes = [t.shape[ax] for t in tensors]
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             offset = 0
             for t, size in zip(tensors, sizes):
                 if t.requires_grad:
@@ -519,10 +561,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if _tracking(a, b):
-        def route() -> None:
+        def route(g: np.ndarray) -> None:
             for t in (a, b):
                 if t.requires_grad:
-                    _pass_on(t, out.grad)
+                    _pass_on(t, g)
         _attach(out, (a, b), route)
     return out
 
@@ -530,8 +572,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
     if _tracking(a, b):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             if a.requires_grad:
                 _pass_on(a, g)
             if b.requires_grad:
@@ -543,8 +584,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     if _tracking(a, b):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             if a.requires_grad:
                 _accum(a, _unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
@@ -557,8 +597,8 @@ def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
     out = Tensor(a.data * f)
     if _tracking(a):
-        def route() -> None:
-            _accum(a, out.grad * f)
+        def route(g: np.ndarray) -> None:
+            _accum(a, g * f)
         _attach(out, (a,), route)
     return out
 
@@ -568,8 +608,8 @@ def scale_by_array(a: Tensor, arr: np.ndarray) -> Tensor:
     arr = np.asarray(arr, dtype=np.float64)
     out = Tensor(a.data * arr)
     if _tracking(a):
-        def route() -> None:
-            _accum(a, _unbroadcast(out.grad * arr, a.shape))
+        def route(g: np.ndarray) -> None:
+            _accum(a, _unbroadcast(g * arr, a.shape))
         _attach(out, (a,), route)
     return out
 
@@ -578,8 +618,8 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     if _tracking(a):
         positive = a.data > 0
-        def route() -> None:
-            _accum(a, out.grad * positive)
+        def route(g: np.ndarray) -> None:
+            _accum(a, g * positive)
         _attach(out, (a,), route)
     return out
 
@@ -588,8 +628,8 @@ def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Swap two axes; a view, which a following reshape copies unless the buffer matches."""
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
     if _tracking(a):
-        def route() -> None:
-            _accum(a, np.swapaxes(out.grad, axis1, axis2), owned=False)
+        def route(g: np.ndarray) -> None:
+            _accum(a, np.swapaxes(g, axis1, axis2), owned=False)
         _attach(out, (a,), route)
     return out
 
@@ -603,8 +643,8 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if _tracking(a):
         orig = a.shape
-        def route() -> None:
-            _accum(a, out.grad.reshape(orig), owned=False)
+        def route(g: np.ndarray) -> None:
+            _accum(a, g.reshape(orig), owned=False)
         _attach(out, (a,), route)
     return out
 
@@ -615,9 +655,9 @@ def take(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     out = Tensor(np.take(a.data, idx, axis=axis))
     if _tracking(a):
         ax = axis % a.ndim
-        def route() -> None:
+        def route(g: np.ndarray) -> None:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, (slice(None),) * ax + (idx,), out.grad)
+            np.add.at(acc, (slice(None),) * ax + (idx,), g)
             _accum(a, acc)
         _attach(out, (a,), route)
     return out
@@ -629,9 +669,9 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = (slice(None),) * ax + (slice(start, stop),)
     out = Tensor(a.data[index])
     if _tracking(a):
-        def route() -> None:
+        def route(g: np.ndarray) -> None:
             acc = np.zeros_like(a.data)
-            acc[index] = out.grad
+            acc[index] = g
             _accum(a, acc)
         _attach(out, (a,), route)
     return out
@@ -640,8 +680,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
     if _tracking(a):
-        def route() -> None:
-            g = out.grad
+        def route(g: np.ndarray) -> None:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.shape).copy())
@@ -661,11 +700,10 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     nll = lse - picked
     out = Tensor(nll.mean())
     if _tracking(logits):
-        def route() -> None:
-            g = float(out.grad)
+        def route(g: np.ndarray) -> None:
             p = np.exp(x - lse)
             np.put_along_axis(p, t[..., None], np.take_along_axis(p, t[..., None], -1) - 1.0, -1)
-            _accum(logits, p * (g / t.size))
+            _accum(logits, p * (float(g) / t.size))
         _attach(out, (logits,), route)
     return out
 

@@ -1,5 +1,7 @@
 """Reverse-mode gradients against closed forms and central differences."""
 
+import inspect
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,8 @@ from lsattn import (
     matmul,
     multi_head,
 )
+from lsattn import lm
+from lsattn import tensor as tensor_ops
 from lsattn.attention import block_forward
 from lsattn.errors import ShapeError
 from lsattn.params import init_block_params
@@ -268,3 +272,68 @@ def test_dualln_strengthens_projection_gradients():
             (g,) = gradients(loss, [p.wp])
             means[dual].append(np.abs(g).mean())
     assert np.mean(means[True]) >= np.mean(means[False])
+
+
+# The ops a timing tracer wraps by name (perfbench/tracing.py TRACED_OPS).
+TRACED_OPS = (
+    "matmul", "masked_softmax", "layer_norm", "take", "slice_axis", "concat", "add",
+    "reshape", "transpose_last", "scale", "sub", "mul", "relu", "tensor_sum",
+    "cross_entropy_mean", "scale_by_array",
+)
+
+
+def _every_traced_op_step():
+    """Leaves and a loss function whose graph runs every op in TRACED_OPS."""
+    attn = LSConfig(seq_len=16, model_dim=8, heads=2, window=2, rank=2, seg_len=4,
+                    mode="causal", dual_ln=True)
+    model = lm.build_model(lm.ModelConfig(attention=attn, layers=1, ffn_dim=16, dropout=0.1,
+                                          batch_size=2), Rng(3))
+    batch = Rng(4).integers(0, 256, size=(2, 17))
+    cfg = LSConfig(seq_len=12, model_dim=8, heads=2, window=2, rank=3, dual_ln=True)
+    params = init_multi_head_params(Rng(5), cfg)
+    x = Tensor(Rng(6).normal((2, 12, 8)), requires_grad=True)
+
+    def loss():
+        t = tensor_ops
+        out = multi_head(x, params, lambda h, p: aggregate_head(h, p, cfg))
+        extra = t.sub(t.relu(t.slice_axis(out, -1, 0, 4)), t.scale(t.slice_axis(out, -1, 4, 8), 0.5))
+        return t.add(lm.sequence_loss(model, batch, Rng(7)), t.tensor_sum(t.mul(extra, extra)))
+
+    return model.parameter_list() + [x] + [t for _, t in params.named_parameters()], loss
+
+
+def test_wrapped_backward_closures_give_identical_gradients(monkeypatch):
+    # A tracer replaces each traced op in every lsattn module and swaps the
+    # returned output's _backward for a zero-argument wrapper that calls the
+    # original. Gradients must not change by a bit.
+    leaves, loss = _every_traced_op_step()
+    plain = gradients(loss(), leaves)
+    seen, ran = [], []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            backward = out._backward
+            if backward is not None:
+                assert not inspect.signature(backward).parameters, name
+                seen.append(name)
+
+                def timed_backward():
+                    ran.append(name)
+                    backward()
+                out._backward = timed_backward
+            return out
+        return wrapper
+
+    for name in TRACED_OPS:
+        original = getattr(tensor_ops, name)
+        wrapper = traced(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "lsattn" or mod_name.startswith("lsattn."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    wrapped = gradients(loss(), leaves)
+    assert set(seen) == set(TRACED_OPS)
+    assert sorted(ran) == sorted(seen)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, wrapped))

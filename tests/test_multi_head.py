@@ -3,11 +3,14 @@
 `multi_head` runs every head in one attention call over parameters stored
 stacked on a head axis. The reference here runs each head on its own, over
 the per-head views of those parameters, joins the outputs along the width and
-applies wo, as the per-head definition reads.
+applies wo, as the per-head definition reads. The graph of a layer step, and
+of a whole LM step, is freed by reference counting alone.
 """
 
 import gc
 import tracemalloc
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from lsattn import (
     matmul,
     multi_head,
 )
-from lsattn import attention
+from lsattn import attention, lm
 from lsattn.tensor import add, mul, tensor_sum
 
 CONFIGS = {
@@ -211,3 +214,52 @@ def test_layer_graph_has_no_parameter_only_ops():
     assert len(nodes) == 38
     assert leaves <= {id(t) for t in nodes}
     assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
+
+
+@contextmanager
+def collector_off():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def op_refs(root):
+    """Weak references to every op output in root's graph (leaves are held elsewhere)."""
+    return [weakref.ref(t) for t in graph_nodes(root) if t._parents]
+
+
+@pytest.mark.parametrize("mode", sorted(CONFIGS))
+def test_step_graph_is_freed_without_the_collector(mode):
+    # Reference counting alone frees a batched dual-LN layer's graph once the
+    # loss and output are dropped, after gradients ran over it.
+    cfg, fn = CONFIGS[mode]
+    params = init_multi_head_params(Rng(5), cfg)
+    x = Tensor(Rng(6).normal((2, cfg.seq_len, cfg.model_dim)), requires_grad=True)
+    probe = Tensor(Rng(7).normal((2, cfg.seq_len, cfg.model_dim)))
+    with collector_off():
+        out = multi_head(x, params, lambda t, p: fn(t, p, cfg))
+        loss = tensor_sum(mul(out, probe))
+        gradients(loss, [x] + [t for _, t in params.named_parameters()])
+        refs = op_refs(loss)
+        del out, loss
+        alive = sum(r() is not None for r in refs)
+    assert len(refs) > 20
+    assert alive == 0
+
+
+def test_lm_step_graph_is_freed_without_the_collector():
+    attn = LSConfig(seq_len=16, model_dim=8, heads=2, window=2, rank=2, seg_len=4,
+                    mode="causal", dual_ln=True)
+    cfg = lm.ModelConfig(attention=attn, layers=2, ffn_dim=16, dropout=0.1, batch_size=2)
+    model = lm.build_model(cfg, Rng(3))
+    batch = Rng(4).integers(0, 256, size=(2, 17))
+    with collector_off():
+        loss = lm.sequence_loss(model, batch, Rng(5))
+        gradients(loss, model.parameter_list())
+        refs = op_refs(loss)
+        del loss
+        alive = sum(r() is not None for r in refs)
+    assert len(refs) > 50
+    assert alive == 0

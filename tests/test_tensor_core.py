@@ -1,12 +1,21 @@
 """Contracts of the dense tensor primitives."""
 
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsattn
 from lsattn import Rng, Tensor, concat, init_matrix, layer_norm, masked_softmax, matmul
 from lsattn.errors import FullyMaskedRowError, ShapeError
+from lsattn.tensor import _ALLOCATOR_PINNED, _pin_allocator
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -219,3 +228,33 @@ class TestRng:
         _ = r2.child(1).normal((3,))
         c2_second = r2.child(2).normal((3,))
         assert np.array_equal(c2_first, c2_second)
+
+
+class TestAllocatorSetting:
+    def test_missing_libc_leaves_the_import_quiet(self):
+        # With no C library to load, importing the package prints nothing,
+        # warns nothing, and records that nothing was set.
+        src = Path(lsattn.__file__).resolve().parent.parent
+        code = ("import ctypes, numpy\n"
+                "def missing(*args, **kwargs):\n"
+                "    raise OSError('no C library')\n"
+                "ctypes.CDLL = missing\n"
+                "from lsattn import tensor\n"
+                "assert tensor._ALLOCATOR_PINNED is False\n")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+    def test_other_libc_is_left_alone(self, monkeypatch):
+        class OtherLibc:
+            def mallopt(self, param, value):
+                raise AssertionError("mallopt called on a non-glibc libc")
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: OtherLibc())
+        assert _pin_allocator() is False
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_glibc_accepts_both_settings(self):
+        assert _ALLOCATOR_PINNED is True
+        assert _pin_allocator() is True
