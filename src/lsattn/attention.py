@@ -191,8 +191,12 @@ def dynamic_projection(
     applied before the tokens are cut into segments, so a stacked wp
     broadcasts like wk and wv.
 
-    Shapes: p is (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
+    Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, p is
+    (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
     """
+    if x.shape[-2] not in (cfg.seq_len, cfg.padded_len):
+        raise ShapeError(f"projection input has {x.shape[-2]} rows; config seq_len is "
+                         f"{cfg.seq_len}, padded {cfg.padded_len}")
     if cfg.rank == 0:
         empty = Tensor(np.zeros(x.shape[:-2] + (0, cfg.head_dim)))
         return ProjectedKV(pt=Tensor(np.zeros(x.shape[:-2] + (1, 0, x.shape[-2]))),
@@ -241,13 +245,15 @@ def _aggregate(
 
     Which slots a query may attend comes from `spans.slot_layout`; a branch
     with no slots (w = 0 or rank 0) contributes empty operands. Window keys
-    and values go to `attend` as blocks of w rows (see `_window_blocks`).
+    and values go to `attend` as rows; it reads the windows from them at
+    `spans.window_offset`.
     """
     _check_input(x, p, cfg, mode)
     n, n_pad = cfg.seq_len, cfg.padded_len
     attendable = slot_layout(cfg)
     x_pad = _pad_rows(x, n_pad)
-    out, weights = attend(matmul(x_pad, p.wq), *_key_value_slots(x_pad, p, cfg), attendable)
+    out, weights = attend(matmul(x_pad, p.wq), *_key_value_slots(x_pad, p, cfg), attendable,
+                          window_offset(cfg))
     if n_pad != n:
         out = slice_axis(out, -2, 0, n)
     if return_weights:
@@ -259,7 +265,7 @@ def _aggregate(
 def _key_value_slots(
     x: Tensor, p: HeadParams, cfg: LSConfig
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Window key/value blocks and projected keys/values of padded x, as `attend` takes them.
+    """Window and projected keys/values of padded x, as `attend` takes them.
 
     The keys, values and branch norms in between are not kept past the call,
     so without gradient recording they are freed before attention runs.
@@ -267,8 +273,7 @@ def _key_value_slots(
     k = matmul(x, p.wk)
     v = matmul(x, p.wv)
     pkv = dynamic_projection(x, p, cfg, keys=k, values=v)
-    k_win, v_win, kbar, vbar = _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
-    return (*_window_blocks(k_win, v_win, cfg), kbar, vbar)
+    return _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
 
 
 def _normalize_branches(
@@ -284,25 +289,6 @@ def _normalize_branches(
     local, glob = p.ln_local, p.ln_global
     return (layer_norm(k, local.gain, local.bias), layer_norm(v, local.gain, local.bias),
             layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias))
-
-
-def _window_blocks(k: Tensor, v: Tensor, cfg: LSConfig) -> tuple[Tensor, Tensor]:
-    """Window keys and values as (..., groups + 1, w, d_k) blocks.
-
-    The rows are zero-padded by `window_offset` in front and to whole blocks
-    behind, so window slot j of group g is padded row g*w + j, and the 2w
-    window slots of group g are blocks g and g + 1. At w = 0 both are two
-    empty blocks.
-    """
-    batch, dk, w = k.shape[:-2], k.shape[-1], cfg.window
-    if w == 0:
-        empty = Tensor(np.zeros(batch + (2, 0, dk)))
-        return empty, empty
-    offset = window_offset(cfg)
-    front, back = (Tensor(np.zeros(batch + (rows, dk))) for rows in (offset, w - offset))
-    k_blocks, v_blocks = (concat([front, t, back], axis=-2).reshape(*batch, -1, w, dk)
-                          for t in (k, v))
-    return k_blocks, v_blocks
 
 
 @dataclass

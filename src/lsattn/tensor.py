@@ -362,75 +362,91 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def _windows(blocks: np.ndarray) -> np.ndarray:
-    """(..., groups + 1, w, d) blocks to (..., groups, 2w, d) windows: blocks g and g + 1."""
-    return np.concatenate([blocks[..., :-1, :, :], blocks[..., 1:, :, :]], axis=-2)
+def _windows(rows: np.ndarray, w: int, offset: int) -> np.ndarray:
+    """The 2w window slots of every group of w rows, (..., groups, 2w, d), read-only.
+
+    rows (..., n, d) are copied once into a zero buffer of n + w rows, with
+    `offset` zero rows in front, so window slot j of group g is row
+    g*w - offset + j. The windows overlap by w rows: they are one strided
+    view of that buffer. At w = 0 there is one empty window and no copy.
+    """
+    *batch, n, d = rows.shape
+    if w == 0:
+        return np.empty((*batch, 1, 0, d))
+    padded = np.zeros((*batch, n + w, d))
+    padded[..., offset : offset + n, :] = rows
+    *lead, row, col = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (*batch, n // w, 2 * w, d), (*lead, w * row, row, col), writeable=False)
 
 
-def _half_windows(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first and second halves of every window, as views of the blocks."""
-    return blocks[..., :-1, :, :], blocks[..., 1:, :, :]
+def _window_grad(weights: np.ndarray, rows: np.ndarray, w: int, offset: int) -> np.ndarray:
+    """Row gradient (..., groups * w, d) of the window slots, without building windows.
 
-
-def _window_grad(weights: np.ndarray, rows: np.ndarray, w: int) -> np.ndarray:
-    """Block gradient (..., groups + 1, w, d) of window slots, without building windows.
-
-    weights (..., groups, size, 2w + ...) scale rows (..., groups, size, d);
-    window g's first half lands on block g and its second half on block g + 1.
+    weights (..., groups, w, 2w + ...) scale rows (..., groups, w, d). Window
+    g's halves land on blocks g and g + 1 of `_windows`' padded rows.
     """
     lo, hi = (np.swapaxes(weights[..., cols], -1, -2) for cols in (slice(None, w), slice(w, 2 * w)))
-    out = np.zeros(lo.shape[:-3] + (lo.shape[-3] + 1, w, rows.shape[-1]))
-    np.matmul(lo, rows, out=out[..., :-1, :, :])
-    out[..., 1:, :, :] += np.matmul(hi, rows)
-    return out
+    groups, d = lo.shape[-3], rows.shape[-1]
+    blocks = np.zeros(lo.shape[:-3] + (groups + 1, w, d))
+    np.matmul(lo, rows, out=blocks[..., :-1, :, :])
+    blocks[..., 1:, :, :] += np.matmul(hi, rows)
+    return blocks.reshape(lo.shape[:-3] + (-1, d))[..., offset : offset + groups * w, :]
 
 
 def attend(
     q: Tensor,
-    k_blocks: Tensor,
-    v_blocks: Tensor,
+    k: Tensor,
+    v: Tensor,
     kbar: Tensor,
     vbar: Tensor,
     attendable: np.ndarray,
+    offset: int,
 ) -> tuple[Tensor, np.ndarray]:
     """Long-short attention: one masked softmax per query over [window | projected] slots.
 
     attendable is (groups, size, 2w + slots) and q is (..., groups * size, d):
-    its rows form `groups` consecutive groups of `size` queries. k_blocks and
-    v_blocks are (..., groups + 1, w, d), and the 2w window slots of group g
-    are blocks g and g + 1 joined. kbar and vbar are (..., slots, d). Logits
-    are q.k / sqrt(d). Returns the output (..., groups * size, d) and the
-    weights (..., groups, size, 2w + slots), with masked slots exactly 0.
-    With batch axes, the output is a view of a buffer that keeps the rows
-    outside the last batch axis, (..., groups * size, h, d) for a head axis
-    h, so joining the heads of each row into one of width h * d is a view.
+    its rows form `groups` consecutive groups of `size` queries. k and v are
+    window keys and values in q's row layout; with w > 0 each group is a
+    window segment (size = w), and window slot j of group g is row
+    g*w - offset + j, zero outside k's rows. At w = 0 k and v are neither read
+    nor graph parents. kbar and vbar are (..., slots, d); batch axes
+    broadcast. Logits are q.k / sqrt(d). Returns the output
+    (..., groups * size, d) and the weights (..., groups, size, 2w + slots),
+    with masked slots exactly 0. With batch axes, the output is a view of a
+    buffer that keeps the rows outside the last batch axis,
+    (..., groups * size, h, d) for a head axis h, so joining the heads of
+    each row into one of width h * d is a view.
 
     Only the weights P are kept for the backward pass, which uses
-    dS = P * (dP - rowsum(dP * P)), formed in place in one buffer; window
-    gradients come from each window's two halves, multiplied against the
-    block views directly. The logits and P are held as tensors, so
-    `track_peak_bytes` sees the logits while the softmax runs and P for as
-    long as the backward pass may need it. The runtime counter gets the MACs
-    of the score and value products of both slot kinds, 2 * d per weight.
+    dS = P * (dP - rowsum(dP * P)), formed in place in one buffer, and reads
+    the windows from k and v again (`_windows`). The logits and P are held as
+    tensors, so `track_peak_bytes` sees the logits while the softmax runs and
+    P for as long as the backward pass may need it. The runtime counter gets
+    the MACs of the score and value products of both slot kinds, 2 * d per
+    weight.
     """
     groups, size, span = attendable.shape
-    w, d = k_blocks.shape[-2], q.shape[-1]
-    slots = kbar.shape[-2]
-    if (q.shape[-2] != groups * size or k_blocks.shape[-3] != groups + 1
-            or span != 2 * w + slots or v_blocks.shape != k_blocks.shape
-            or vbar.shape != kbar.shape):
+    d, slots = q.shape[-1], kbar.shape[-2]
+    w = (span - slots) // 2
+    try:
+        batch = np.broadcast_shapes(*(t.shape[:-2] for t in (q, k, v, kbar, vbar)))
+    except ValueError:
+        batch = None
+    if (batch is None or q.shape[-2] != groups * size or k.shape[-2:] != q.shape[-2:]
+            or v.shape != k.shape or kbar.shape[-1] != d or vbar.shape != kbar.shape
+            or span != 2 * w + slots or w < 0 or (w and size != w) or not 0 <= offset <= w):
         raise ShapeError(
-            f"attend shapes disagree: q {q.shape}, blocks {k_blocks.shape}/{v_blocks.shape}, "
-            f"projected {kbar.shape}/{vbar.shape}, mask {attendable.shape}"
+            f"attend shapes disagree: q {q.shape}, k/v {k.shape}/{v.shape}, projected "
+            f"{kbar.shape}/{vbar.shape}, mask {attendable.shape}, offset {offset}"
         )
-    batch = q.shape[:-2]
+    window = (k, v) if w else ()
     rows = batch + (groups * size,)
     inv_scale = 1.0 / math.sqrt(d)
-    q_grouped = q.data.reshape(batch + (groups, size, d))
-    halves = (slice(None, w), slice(w, 2 * w))
+    q_grouped = q.data.reshape(q.shape[:-2] + (groups, size, d))
     logits = Tensor(np.empty(batch + (groups, size, span)))
-    for cols, blocks in zip(halves, _half_windows(k_blocks.data)):
-        np.matmul(q_grouped, np.swapaxes(blocks, -1, -2), out=logits.data[..., cols])
+    np.matmul(q_grouped, np.swapaxes(_windows(k.data, w, offset), -1, -2),
+              out=logits.data[..., : 2 * w])
     np.matmul(q.data, np.swapaxes(kbar.data, -1, -2),
               out=logits.data.reshape(rows + (span,))[..., 2 * w :])
     logits.data *= inv_scale
@@ -443,20 +459,19 @@ def attend(
         out_data = np.swapaxes(np.empty(batch[:-1] + (groups * size, batch[-1], d)), -3, -2)
     else:
         out_data = np.empty(rows + (d,))
-    np.matmul(p[..., : 2 * w], _windows(v_blocks.data),
+    np.matmul(p[..., : 2 * w], _windows(v.data, w, offset),
               out=out_data.reshape(batch + (groups, size, d)))
     out_data += np.matmul(p_far, vbar.data)
     out = Tensor(out_data)
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
-    if _tracking(q, k_blocks, v_blocks, kbar, vbar):
+    if _tracking(q, *window, kbar, vbar):
         def route(g: np.ndarray) -> None:
             p = weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
-            k_half = _half_windows(k_blocks.data)
             ds = np.empty(p.shape)
-            for cols, blocks in zip(halves, _half_windows(v_blocks.data)):
-                np.matmul(g_grouped, np.swapaxes(blocks, -1, -2), out=ds[..., cols])
+            np.matmul(g_grouped, np.swapaxes(_windows(v.data, w, offset), -1, -2),
+                      out=ds[..., : 2 * w])
             np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
                       out=ds[..., 2 * w :])
             ds -= (ds * p).sum(axis=-1, keepdims=True)
@@ -464,22 +479,20 @@ def attend(
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:
-                dq = np.matmul(ds[..., halves[0]], k_half[0])
-                dq += np.matmul(ds[..., halves[1]], k_half[1])
-                dq = dq.reshape(rows + (d,))
+                dq = np.matmul(ds[..., : 2 * w], _windows(k.data, w, offset)).reshape(rows + (d,))
                 dq += np.matmul(ds_far, kbar.data)
                 _accum(q, _unbroadcast(dq, q.shape))
-            if k_blocks.requires_grad:
-                _accum(k_blocks, _unbroadcast(_window_grad(ds, q_grouped, w), k_blocks.shape))
+            if window and k.requires_grad:
+                _accum(k, _unbroadcast(_window_grad(ds, q_grouped, w, offset), k.shape))
             if kbar.requires_grad:
                 _accum(kbar, _unbroadcast(np.matmul(np.swapaxes(ds_far, -1, -2), q.data), kbar.shape))
             del ds, ds_far
-            if v_blocks.requires_grad:
-                _accum(v_blocks, _unbroadcast(_window_grad(p, g_grouped, w), v_blocks.shape))
+            if window and v.requires_grad:
+                _accum(v, _unbroadcast(_window_grad(p, g_grouped, w, offset), v.shape))
             if vbar.requires_grad:
                 p_far = p[..., 2 * w :].reshape(rows + (slots,))
                 _accum(vbar, _unbroadcast(np.matmul(np.swapaxes(p_far, -1, -2), g), vbar.shape))
-        _attach(out, (q, k_blocks, v_blocks, kbar, vbar), route)
+        _attach(out, (q, *window, kbar, vbar), route)
     return out, p
 
 

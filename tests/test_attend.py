@@ -19,7 +19,7 @@ from lsattn import (
     matmul,
 )
 from lsattn.errors import ShapeError
-from lsattn.spans import slot_layout
+from lsattn.spans import slot_layout, window_offset
 from lsattn.tensor import (
     attend, mul, scale, take, tensor_sum, track_peak_bytes, transpose_last,
 )
@@ -27,15 +27,13 @@ from reference import make_head
 
 
 def operands(cfg, seed, batch=()):
-    """Random leaf operands of `attend` in the shapes a head of cfg passes it."""
-    attendable = slot_layout(cfg)
-    groups, dk, w = attendable.shape[0], cfg.head_dim, cfg.window
+    """Random leaf operands of `attend` in the shapes a head of cfg passes it,
+    the mask and the window offset."""
+    rows, projected = (cfg.padded_len, cfg.head_dim), (cfg.projected_slots, cfg.head_dim)
     rng = Rng(seed)
-    shapes = [(cfg.padded_len, dk), (groups + 1, w, dk), (groups + 1, w, dk),
-              (cfg.projected_slots, dk), (cfg.projected_slots, dk)]
     leaves = [Tensor(rng.child(i).normal(batch + s), requires_grad=True)
-              for i, s in enumerate(shapes)]
-    return leaves, attendable
+              for i, s in enumerate([rows, rows, rows, projected, projected])]
+    return leaves, slot_layout(cfg), window_offset(cfg)
 
 
 CONFIGS = {
@@ -53,10 +51,10 @@ class TestAttendGradients:
     @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_central_differences(self, name, dual):
-        # With dual LN the blocks and projected rows pass through layer norms
+        # With dual LN the window and projected rows pass through layer norms
         # with their own trainable gains and biases first, as in a head.
         cfg = CONFIGS[name]
-        (q, kb, vb, kbar, vbar), attendable = operands(cfg, seed=len(name))
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(cfg, seed=len(name))
         probe = Tensor(Rng(3).normal(q.shape))
         params = [q, kb, vb, kbar, vbar]
         if dual:
@@ -71,48 +69,77 @@ class TestAttendGradients:
                 (g_local, b_local), (g_far, b_far) = norms
                 k, v = layer_norm(kb, g_local, b_local), layer_norm(vb, g_local, b_local)
                 kb_, vb_ = layer_norm(kbar, g_far, b_far), layer_norm(vbar, g_far, b_far)
-            out, _ = attend(q, k, v, kb_, vb_, attendable)
+            out, _ = attend(q, k, v, kb_, vb_, attendable, offset)
             return tensor_sum(mul(out, probe))
 
         # Layer norms over 3 features curve sharply, hence the looser dual-LN
-        # bound, the same as for whole dual-LN heads in test_autodiff.py.
+        # bound, the same as for whole dual-LN heads in test_autodiff.py. At
+        # w = 0 the window rows are not read, and get no gradient.
+        if cfg.window == 0:
+            params = [t for t in params if t is not kb and t is not vb]
         assert finite_diff_check(loss, params) < (1e-5 if dual else 1e-6)
 
     def test_leading_batch_axis(self):
         cfg = CONFIGS["bidirectional"]
-        (q, kb, vb, kbar, vbar), attendable = operands(cfg, seed=5, batch=(2,))
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(cfg, seed=5, batch=(2,))
         probe = Tensor(Rng(4).normal(q.shape))
-        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, attendable)[0], probe))
+        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, attendable, offset)[0],
+                                      probe))
         assert finite_diff_check(loss, [q, kb, vb, kbar, vbar]) < 1e-6
 
     def test_rows_with_one_kind_of_slot(self):
         # Row 0 of each group sees only projected slots, row 1 only window slots.
         cfg = CONFIGS["bidirectional"]
-        (q, kb, vb, kbar, vbar), attendable = operands(cfg, seed=6)
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(cfg, seed=6)
         mask = attendable.copy()
         w2 = 2 * cfg.window
         mask[:, 0, :w2] = False
         mask[:, 1, w2:] = False
         probe = Tensor(Rng(5).normal(q.shape))
-        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, mask)[0], probe))
+        loss = lambda: tensor_sum(mul(attend(q, kb, vb, kbar, vbar, mask, offset)[0], probe))
         assert finite_diff_check(loss, [q, kb, vb, kbar, vbar]) < 1e-6
-        _, weights = attend(q, kb, vb, kbar, vbar, mask)
+        _, weights = attend(q, kb, vb, kbar, vbar, mask, offset)
         assert (weights[:, 0, :w2] == 0.0).all() and (weights[:, 1, w2:] == 0.0).all()
 
     def test_peak_bytes_see_logits_and_weights(self):
-        (q, kb, vb, kbar, vbar), attendable = operands(CONFIGS["bidirectional"], seed=8)
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(CONFIGS["bidirectional"], seed=8)
         with track_peak_bytes() as tracker:
-            out, weights = attend(q, kb, vb, kbar, vbar, attendable)
+            out, weights = attend(q, kb, vb, kbar, vbar, attendable, offset)
             held = tracker.current
         # The logits and the weights meet in the softmax; the weights then
         # stay with the output for the backward pass.
         assert tracker.peak == weights.nbytes + max(weights.nbytes, out.data.nbytes)
         assert held == out.data.nbytes + weights.nbytes
 
-    def test_shape_mismatch_rejected(self):
-        (q, kb, vb, kbar, vbar), attendable = operands(CONFIGS["bidirectional"], seed=7)
+    @pytest.mark.parametrize("operand, bad", [
+        ("k", lambda t: t[:, :-1]),
+        ("v", lambda t: t[..., :-1]),
+        ("kbar", lambda t: np.concatenate([t, t[..., :1]], axis=-1)),
+        ("vbar", lambda t: np.stack([t, t, t])),
+        ("attendable", lambda t: t[:, :, 1:]),
+    ], ids=["k-rows", "v-shape", "kbar-width", "vbar-shape", "mask"])
+    def test_shape_mismatch_rejected(self, operand, bad):
+        # One bad operand at a time: its rows, width, batch axes or span.
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(
+            CONFIGS["bidirectional"], seed=7, batch=(2,))
+        args = dict(q=q, k=kb, v=vb, kbar=kbar, vbar=vbar, attendable=attendable)
+        value = args[operand]
+        args[operand] = bad(value) if operand == "attendable" else Tensor(bad(value.data))
         with pytest.raises(ShapeError):
-            attend(q, kb, vb, kbar, vbar, attendable[:, :, 1:])
+            attend(*args.values(), offset)
+
+    def test_batch_axes_that_do_not_broadcast_rejected(self):
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(
+            CONFIGS["bidirectional"], seed=7, batch=(2,))
+        kbar, vbar = (Tensor(np.stack([t.data[0]] * 3)) for t in (kbar, vbar))
+        with pytest.raises(ShapeError):
+            attend(q, kb, vb, kbar, vbar, attendable, offset)
+
+    @pytest.mark.parametrize("offset", [-1, 3])
+    def test_offset_outside_the_window_rejected(self, offset):
+        (q, kb, vb, kbar, vbar), attendable, _ = operands(CONFIGS["bidirectional"], seed=7)
+        with pytest.raises(ShapeError):
+            attend(q, kb, vb, kbar, vbar, attendable, offset)
 
 
 def composed_weights(x, p, cfg):

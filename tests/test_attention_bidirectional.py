@@ -15,6 +15,7 @@ from lsattn import (
     matmul,
     multi_head,
 )
+from lsattn.errors import ShapeError
 from reference import layer_norm_reference, make_head, np_softmax, window_keys
 
 
@@ -199,6 +200,15 @@ class TestDynamicProjection:
         pkv = dynamic_projection(x, p, cfg)
         assert pkv.p.shape == (4, 0)
         assert pkv.kbar.shape == (0, 2)
+
+    @pytest.mark.parametrize("rows", [10, 14])
+    def test_rows_other_than_real_or_padded_rejected(self, rows):
+        cfg = LSConfig(seq_len=12, model_dim=4, heads=1, window=8, rank=2)
+        p, _ = make_head(cfg, seed=21)
+        for ok in (cfg.seq_len, cfg.padded_len):
+            assert dynamic_projection(Tensor(np.ones((ok, 4))), p, cfg).kbar.shape == (2, 4)
+        with pytest.raises(ShapeError):
+            dynamic_projection(Tensor(np.ones((rows, 4))), p, cfg)
 
     def test_permutation_covariance(self):
         cfg = self.cfg(n=7, d=4, r=2)

@@ -108,7 +108,7 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
         "q, k, v": 3 * rows,
         "projection weights (h, 1, r, n)": h * r * n * f8,
         "projected k, v before and after their norm": 4 * h * r * dk * f8,
-        "window key and value blocks": 2 * h * (n + w) * dk * f8,
+        "normed window k, v": 2 * rows,
         "attention weights": h * n * (2 * w + r) * f8,
         "attend output": rows,
         "norm row means and 1/sigma": 2 * 2 * h * n * f8 + 2 * 2 * h * r * f8,
@@ -116,8 +116,6 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
     # Graph parents whose values no backward reads, and the layer output.
     held_unread = {
         "projection logits": rows,
-        "normed window k, v": 2 * rows,
-        "window zero padding": h * w * dk * f8,
         "output": n * d * f8,
     }
     listed = sum(read_by_backward.values()) + sum(held_unread.values())
@@ -201,19 +199,33 @@ def graph_nodes(root):
     return list(seen.values())
 
 
+def layer_graph(cfg):
+    """Graph nodes of one layer forward, and the stacked leaves it must use."""
+    params = init_multi_head_params(Rng(7), cfg)
+    x = Tensor(Rng(8).normal((cfg.seq_len, cfg.model_dim)), requires_grad=True)
+    nodes = graph_nodes(multi_head(x, params, lambda t, p: aggregate_head(t, p, cfg)))
+    return nodes, params, {id(t) for t in nodes}
+
+
 def test_layer_graph_has_no_parameter_only_ops():
     # The stacked leaves feed the layer directly: no op rebuilds or reshapes
-    # parameters on every forward.
-    n, d, h, w, r = 64, 8, 2, 8, 4
-    cfg = LSConfig(seq_len=n, model_dim=d, heads=h, window=w, rank=r, dual_ln=True)
-    params = init_multi_head_params(Rng(7), cfg)
-    x = Tensor(Rng(8).normal((n, d)), requires_grad=True)
-    nodes = graph_nodes(multi_head(x, params, lambda t, p: aggregate_head(t, p, cfg)))
+    # parameters on every forward, and no op pads the window keys and values.
+    cfg = LSConfig(seq_len=64, model_dim=8, heads=2, window=8, rank=4, dual_ln=True)
+    nodes, params, node_ids = layer_graph(cfg)
     leaves = {id(params.wo)} | {id(stacked_leaf_of(params, name))
                                 for name, _ in params.heads[0].named_parameters()}
-    assert len(nodes) == 38
-    assert leaves <= {id(t) for t in nodes}
+    assert len(nodes) == 32
+    assert leaves <= node_ids
     assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
+
+
+def test_projection_only_layer_graph_leaves_out_the_window_branch():
+    # At w = 0 the window keys, values and their norm are not in the graph.
+    cfg = LSConfig(seq_len=9, model_dim=8, heads=2, window=0, rank=3, dual_ln=True)
+    nodes, params, node_ids = layer_graph(cfg)
+    local = {id(params.stacked.ln_local.gain), id(params.stacked.ln_local.bias)}
+    assert len(nodes) == 28
+    assert id(params.stacked.ln_global.gain) in node_ids and not local & node_ids
 
 
 @contextmanager
