@@ -111,29 +111,25 @@ class TestAttendGradients:
         assert tracker.peak == weights.nbytes + max(weights.nbytes, out.data.nbytes)
         assert held == out.data.nbytes + weights.nbytes
 
-    @pytest.mark.parametrize("operand, bad", [
-        ("k", lambda t: t[:, :-1]),
-        ("v", lambda t: t[..., :-1]),
-        ("kbar", lambda t: np.concatenate([t, t[..., :1]], axis=-1)),
-        ("vbar", lambda t: np.stack([t, t, t])),
-        ("attendable", lambda t: t[:, :, 1:]),
-    ], ids=["k-rows", "v-shape", "kbar-width", "vbar-shape", "mask"])
-    def test_shape_mismatch_rejected(self, operand, bad):
-        # One bad operand at a time: its rows, width, batch axes or span.
+    @pytest.mark.parametrize("names, bad", [
+        (("k",), lambda t: t[:, :-1]),
+        (("v",), lambda t: t[..., :-1]),
+        (("kbar",), lambda t: np.concatenate([t, t[..., :1]], axis=-1)),
+        (("vbar",), lambda t: np.stack([t, t, t])),
+        (("kbar", "vbar"), lambda t: np.stack([t[0]] * 3)),
+        (("attendable",), lambda t: t[:, :, 1:]),
+    ], ids=["k-rows", "v-shape", "kbar-width", "vbar-shape", "projected-batch", "mask"])
+    def test_shape_mismatch_rejected(self, names, bad):
+        # One operand at a time (both projected ones for the batch axes)
+        # gets bad rows, width, batch axes or span.
         (q, kb, vb, kbar, vbar), attendable, offset = operands(
             CONFIGS["bidirectional"], seed=7, batch=(2,))
         args = dict(q=q, k=kb, v=vb, kbar=kbar, vbar=vbar, attendable=attendable)
-        value = args[operand]
-        args[operand] = bad(value) if operand == "attendable" else Tensor(bad(value.data))
+        for name in names:
+            value = args[name]
+            args[name] = bad(value) if name == "attendable" else Tensor(bad(value.data))
         with pytest.raises(ShapeError):
             attend(*args.values(), offset)
-
-    def test_batch_axes_that_do_not_broadcast_rejected(self):
-        (q, kb, vb, kbar, vbar), attendable, offset = operands(
-            CONFIGS["bidirectional"], seed=7, batch=(2,))
-        kbar, vbar = (Tensor(np.stack([t.data[0]] * 3)) for t in (kbar, vbar))
-        with pytest.raises(ShapeError):
-            attend(q, kb, vb, kbar, vbar, attendable, offset)
 
     @pytest.mark.parametrize("offset", [-1, 3])
     def test_offset_outside_the_window_rejected(self, offset):
