@@ -187,20 +187,22 @@ def dynamic_projection(
     other token. Only the first cfg.seq_len rows are valid tokens: rows past
     them (x's own padding rows, or the zero rows added here) receive exactly
     zero weight, and a segment with no valid token averages its zero rows
-    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv. wp is
-    applied before the tokens are cut into segments, so a stacked wp
-    broadcasts like wk and wv.
+    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv of x's
+    rows. wp is applied before the tokens are cut into segments, so a stacked
+    wp broadcasts like wk and wv.
 
     Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, p is
-    (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim).
+    (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim), where
+    (...) is the batch of x@wk, at rank 0 too.
     """
     if x.shape[-2] not in (cfg.seq_len, cfg.padded_len):
         raise ShapeError(f"projection input has {x.shape[-2]} rows; config seq_len is "
                          f"{cfg.seq_len}, padded {cfg.padded_len}")
     if cfg.rank == 0:
-        empty = Tensor(np.zeros(x.shape[:-2] + (0, cfg.head_dim)))
-        return ProjectedKV(pt=Tensor(np.zeros(x.shape[:-2] + (1, 0, x.shape[-2]))),
-                           kbar=empty, vbar=empty)
+        batch = np.broadcast_shapes(x.shape[:-2], p.wk.shape[:-2])
+        empty = Tensor(np.zeros(batch + (0, cfg.head_dim)))
+        return ProjectedKV(pt=Tensor(np.zeros(batch + (1, 0, x.shape[-2]))), kbar=empty,
+                           vbar=empty)
     if p.wp is None:
         raise ShapeError("head has no projection matrix but rank > 0")
     n = x.shape[-2]
@@ -210,8 +212,8 @@ def dynamic_projection(
     valid = (np.arange(n_pad) < cfg.seq_len).reshape(-1, l)
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
     dk = cfg.head_dim
-    k = keys if keys is not None else matmul(x, p.wk)
-    v = values if values is not None else matmul(x, p.wv)
+    k = matmul(x, p.wk) if keys is None else _pad_rows(keys, n_pad)
+    v = matmul(x, p.wv) if values is None else _pad_rows(values, n_pad)
     batch = k.shape[:-2]
     logits = matmul(x, p.wp).reshape(*batch, -1, l, cfg.rank)
     pt = masked_softmax(transpose_last(logits), mask)
@@ -334,15 +336,11 @@ def norm_ratio_probe(
             p = init_multi_head_params(rng, cfg, trainable=False).stacked
             x = Tensor(np.stack([rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim))
                                  for h in range(cfg.heads)]))
-            k = matmul(x, p.wk)
-            v = matmul(x, p.wv)
             if projection == "identity":
-                pt = Tensor(np.eye(cfg.seq_len))
-                kbar, vbar = matmul(pt, k), matmul(pt, v)
+                k, v, pt = matmul(x, p.wk), matmul(x, p.wv), Tensor(np.eye(cfg.seq_len))
+                k, v, kbar, vbar = _normalize_branches(p, cfg, k, v, matmul(pt, k), matmul(pt, v))
             else:
-                pkv = dynamic_projection(x, p, cfg)
-                kbar, vbar = pkv.kbar, pkv.vbar
-            k, v, kbar, vbar = _normalize_branches(p, cfg, k, v, kbar, vbar)
+                k, v, kbar, vbar = _key_value_slots(x, p, cfg)
             key_ratio = np.mean(_mean_row_norms(k.data) / _mean_row_norms(kbar.data))
             value_ratio = np.mean(_mean_row_norms(v.data) / _mean_row_norms(vbar.data))
             per_seed.append((seed, float(key_ratio), float(value_ratio)))

@@ -102,19 +102,16 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     """Fresh parameters; the output head starts at zero so initial logits are uniform."""
     d = cfg.attention.model_dim
     blocks = [
-        init_block_params(rng.child(10 + i), cfg.attention, cfg.ffn_dim, name=f"block{i}")
-        for i in range(cfg.layers)
+        init_block_params(rng.child(10 + i), cfg.attention, cfg.ffn_dim) for i in range(cfg.layers)
     ]
     return ModelParams(
         config=cfg,
-        token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d,
-                                    requires_grad=True, name="token_embedding"),
-        position_embedding=init_matrix(rng.child(1), cfg.seq_len, d,
-                                       requires_grad=True, name="position_embedding"),
+        token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d, requires_grad=True),
+        position_embedding=init_matrix(rng.child(1), cfg.seq_len, d, requires_grad=True),
         blocks=blocks,
-        ln_final=_ln_params(d, True, "ln_final"),
-        head_weight=Tensor(np.zeros((d, cfg.vocab_size)), requires_grad=True, name="head_weight"),
-        head_bias=Tensor(np.zeros(cfg.vocab_size), requires_grad=True, name="head_bias"),
+        ln_final=_ln_params(d, True),
+        head_weight=Tensor(np.zeros((d, cfg.vocab_size)), requires_grad=True),
+        head_bias=Tensor(np.zeros(cfg.vocab_size), requires_grad=True),
     )
 
 
@@ -144,7 +141,7 @@ def forward_logits(
         raise ShapeError(f"token rows must have length {cfg.seq_len}, got {tokens.shape}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ShapeError("token ids outside vocabulary")
-    x = add(take(model.token_embedding, tokens, axis=0), model.position_embedding)
+    x = add(take(model.token_embedding, tokens), model.position_embedding)
     dropout = _dropout(dropout_rng, cfg.dropout)
     for block in model.blocks:
         x = block_forward(

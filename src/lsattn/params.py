@@ -92,10 +92,10 @@ class BlockParams:
         yield f"{prefix}ffn_out_bias", self.ffn_out_bias
 
 
-def _ln_params(dim: int, trainable: bool, name: str) -> LnParams:
+def _ln_params(dim: int, trainable: bool) -> LnParams:
     return LnParams(
-        gain=Tensor(np.ones(dim), requires_grad=trainable, name=f"{name}.gain"),
-        bias=Tensor(np.zeros(dim), requires_grad=trainable, name=f"{name}.bias"),
+        gain=Tensor(np.ones(dim), requires_grad=trainable),
+        bias=Tensor(np.zeros(dim), requires_grad=trainable),
     )
 
 
@@ -104,14 +104,14 @@ def init_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> HeadPar
     d, dk = cfg.model_dim, cfg.head_dim
     wp = None
     if cfg.rank > 0:
-        wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable, name="wp")
+        wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable)
     return HeadParams(
-        wq=init_matrix(rng, d, dk, requires_grad=trainable, name="wq"),
-        wk=init_matrix(rng, d, dk, requires_grad=trainable, name="wk"),
-        wv=init_matrix(rng, d, dk, requires_grad=trainable, name="wv"),
+        wq=init_matrix(rng, d, dk, requires_grad=trainable),
+        wk=init_matrix(rng, d, dk, requires_grad=trainable),
+        wv=init_matrix(rng, d, dk, requires_grad=trainable),
         wp=wp,
-        ln_local=_ln_params(dk, trainable, "ln_local"),
-        ln_global=_ln_params(dk, trainable, "ln_global"),
+        ln_local=_ln_params(dk, trainable),
+        ln_global=_ln_params(dk, trainable),
     )
 
 
@@ -132,7 +132,7 @@ def _join_heads(heads: list[HeadParams], join: Callable[[list[Tensor], bool], Te
 
 
 def _view(base: Tensor, index: int | tuple[int, ...]) -> Tensor:
-    view = Tensor(base.data[index], requires_grad=base.requires_grad, name=base.name)
+    view = Tensor(base.data[index], requires_grad=base.requires_grad)
     view.view_of = (base, index)
     return view
 
@@ -143,33 +143,27 @@ def init_multi_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> M
 
     def leaf(parts: list[Tensor], norm: bool) -> Tensor:
         data = np.stack([t.data for t in parts])
-        return Tensor(data[:, None] if norm else data, requires_grad=trainable, name=parts[0].name)
+        return Tensor(data[:, None] if norm else data, requires_grad=trainable)
 
     stacked = _join_heads(drawn, leaf)
     heads = [_join_heads([stacked], lambda parts, norm: _view(parts[0], (i, 0) if norm else i))
              for i in range(cfg.heads)]
-    wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim,
-                     requires_grad=trainable, name="wo")
+    wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim, requires_grad=trainable)
     return MultiHeadParams(stacked=stacked, heads=heads, wo=wo)
 
 
-def init_block_params(
-    rng: Rng, cfg: LSConfig, ffn_dim: int, trainable: bool = True, name: str = ""
-) -> BlockParams:
+def init_block_params(rng: Rng, cfg: LSConfig, ffn_dim: int, trainable: bool = True) -> BlockParams:
     """Fresh block parameters: heads from rng, FFN matrices from its children 100 and 101.
 
-    Norms start at identity and FFN biases at zero; `name` prefixes tensor names.
+    Norms start at identity and FFN biases at zero.
     """
     d = cfg.model_dim
-    prefix = f"{name}." if name else ""
     return BlockParams(
-        ln_attn=_ln_params(d, trainable, f"{prefix}ln_attn"),
+        ln_attn=_ln_params(d, trainable),
         attn=init_multi_head_params(rng, cfg, trainable=trainable),
-        ln_ffn=_ln_params(d, trainable, f"{prefix}ln_ffn"),
-        ffn_in=init_matrix(rng.child(100), d, ffn_dim, requires_grad=trainable,
-                           name=f"{prefix}ffn_in"),
+        ln_ffn=_ln_params(d, trainable),
+        ffn_in=init_matrix(rng.child(100), d, ffn_dim, requires_grad=trainable),
         ffn_in_bias=Tensor(np.zeros(ffn_dim), requires_grad=trainable),
-        ffn_out=init_matrix(rng.child(101), ffn_dim, d, requires_grad=trainable,
-                            name=f"{prefix}ffn_out"),
+        ffn_out=init_matrix(rng.child(101), ffn_dim, d, requires_grad=trainable),
         ffn_out_bias=Tensor(np.zeros(d), requires_grad=trainable),
     )

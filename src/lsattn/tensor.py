@@ -55,6 +55,9 @@ __all__ = [
     "track_peak_bytes",
 ]
 
+# Added to the variance inside layer_norm's square root.
+LAYER_NORM_EPS = 1e-5
+
 _grad_enabled = True
 _flop_counter: "RuntimeFlopCounter | None" = None
 _alloc_tracker: "PeakBytesTracker | None" = None
@@ -195,15 +198,14 @@ class Tensor:
     `autodiff.gradients` then adds base's gradient at index to the leaf's own.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "view_of", "_parents", "_backward",
+    __slots__ = ("data", "grad", "requires_grad", "view_of", "_parents", "_backward",
                  "_grad_owned", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._grad_owned = False
         self.requires_grad = requires_grad
-        self.name = name
         self.view_of: tuple[Tensor, int | tuple[int, ...]] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
@@ -223,8 +225,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data)
@@ -410,8 +411,8 @@ def attend(
     window keys and values in q's row layout; with w > 0 each group is a
     window segment (size = w), and window slot j of group g is row
     g*w - offset + j, zero outside k's rows. At w = 0 k and v are neither read
-    nor graph parents. kbar and vbar are (..., slots, d); batch axes
-    broadcast. Logits are q.k / sqrt(d). Returns the output
+    nor graph parents. kbar and vbar are (..., slots, d). All five operands
+    share one batch shape (...). Logits are q.k / sqrt(d). Returns the output
     (..., groups * size, d) and the weights (..., groups, size, 2w + slots),
     with masked slots exactly 0. With batch axes, the output is a view of a
     buffer that keeps the rows outside the last batch axis,
@@ -427,14 +428,10 @@ def attend(
     weight.
     """
     groups, size, span = attendable.shape
-    d, slots = q.shape[-1], kbar.shape[-2]
+    batch, d, slots = q.shape[:-2], q.shape[-1], kbar.shape[-2]
     w = (span - slots) // 2
-    try:
-        batch = np.broadcast_shapes(*(t.shape[:-2] for t in (q, k, v, kbar, vbar)))
-    except ValueError:
-        batch = None
-    if (batch is None or q.shape[-2] != groups * size or k.shape[-2:] != q.shape[-2:]
-            or v.shape != k.shape or kbar.shape[-1] != d or vbar.shape != kbar.shape
+    if (q.shape[-2] != groups * size or k.shape != q.shape or v.shape != q.shape
+            or kbar.shape != batch + (slots, d) or vbar.shape != kbar.shape
             or span != 2 * w + slots or w < 0 or (w and size != w) or not 0 <= offset <= w):
         raise ShapeError(
             f"attend shapes disagree: q {q.shape}, k/v {k.shape}/{v.shape}, projected "
@@ -481,34 +478,33 @@ def attend(
             if q.requires_grad:
                 dq = np.matmul(ds[..., : 2 * w], _windows(k.data, w, offset)).reshape(rows + (d,))
                 dq += np.matmul(ds_far, kbar.data)
-                _accum(q, _unbroadcast(dq, q.shape))
+                _accum(q, dq)
             if window and k.requires_grad:
-                _accum(k, _unbroadcast(_window_grad(ds, q_grouped, w, offset), k.shape))
+                _accum(k, _window_grad(ds, q_grouped, w, offset))
             if kbar.requires_grad:
-                _accum(kbar, _unbroadcast(np.matmul(np.swapaxes(ds_far, -1, -2), q.data), kbar.shape))
+                _accum(kbar, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
             del ds, ds_far
             if window and v.requires_grad:
-                _accum(v, _unbroadcast(_window_grad(p, g_grouped, w, offset), v.shape))
+                _accum(v, _window_grad(p, g_grouped, w, offset))
             if vbar.requires_grad:
                 p_far = p[..., 2 * w :].reshape(rows + (slots,))
-                _accum(vbar, _unbroadcast(np.matmul(np.swapaxes(p_far, -1, -2), g), vbar.shape))
+                _accum(vbar, np.matmul(np.swapaxes(p_far, -1, -2), g))
         _attach(out, (q, *window, kbar, vbar), route)
     return out, p
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit population variance.
 
-    eps sits inside the square root; constant rows map to the bias. gain and
-    bias share one shape (..., d), which broadcasts against x; a stacked
-    (h, 1, d) pair gives each head of an (..., h, n, d) input its own norm.
+    LAYER_NORM_EPS (1e-5) sits inside the square root; constant rows map to
+    the bias. gain and bias share one shape (..., d), which broadcasts against
+    x; a stacked (h, 1, d) pair gives each head of an (..., h, n, d) input its
+    own norm.
 
     Only the row means and reciprocal deviations, (..., 1), are kept for the
     backward pass, which recomputes the normalized rows from x and holds at
     most them and dx at full size.
     """
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     d = x.shape[-1]
     if gain.shape[-1:] != (d,) or bias.shape != gain.shape:
         raise ShapeError(f"layer_norm gain/bias must share a shape (..., {d})")
@@ -517,7 +513,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mean = x.data.sum(axis=-1, keepdims=True) / d
     xhat = x.data - mean
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -662,15 +658,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     return out
 
 
-def take(a: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    """Gather slices of one axis; duplicate indices are allowed."""
+def take(a: Tensor, indices: np.ndarray) -> Tensor:
+    """Gather rows (slices of the first axis); duplicate indices are allowed."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = Tensor(np.take(a.data, idx, axis=axis))
+    out = Tensor(np.take(a.data, idx, axis=0))
     if _tracking(a):
-        ax = axis % a.ndim
         def route(g: np.ndarray) -> None:
             acc = np.zeros_like(a.data)
-            np.add.at(acc, (slice(None),) * ax + (idx,), g)
+            np.add.at(acc, idx, g)
             _accum(a, acc)
         _attach(out, (a,), route)
     return out
@@ -690,12 +685,11 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return out
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of all elements, a 0-d tensor."""
+    out = Tensor(a.data.sum())
     if _tracking(a):
         def route(g: np.ndarray) -> None:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.shape).copy())
         _attach(out, (a,), route)
     return out
@@ -748,10 +742,8 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def init_matrix(
-    rng: Rng, rows: int, cols: int, requires_grad: bool = False, name: str | None = None
-) -> Tensor:
+def init_matrix(rng: Rng, rows: int, cols: int, requires_grad: bool = False) -> Tensor:
     """Zero-mean uniform init with variance 1/rows (fan-in scaling)."""
     limit = np.sqrt(3.0 / rows)
     data = rng.uniform((rows, cols), -limit, limit)
-    return Tensor(data, requires_grad=requires_grad, name=name)
+    return Tensor(data, requires_grad=requires_grad)

@@ -118,10 +118,14 @@ class TestAttendGradients:
         (("vbar",), lambda t: np.stack([t, t, t])),
         (("kbar", "vbar"), lambda t: np.stack([t[0]] * 3)),
         (("attendable",), lambda t: t[:, :, 1:]),
-    ], ids=["k-rows", "v-shape", "kbar-width", "vbar-shape", "projected-batch", "mask"])
+        (("kbar", "vbar"), lambda t: t[:1]),
+        (("k", "v"), lambda t: t[:1]),
+    ], ids=["k-rows", "v-shape", "kbar-width", "vbar-shape", "projected-batch", "mask",
+            "projected-unit-batch", "window-unit-batch"])
     def test_shape_mismatch_rejected(self, names, bad):
-        # One operand at a time (both projected ones for the batch axes)
-        # gets bad rows, width, batch axes or span.
+        # One operand at a time (both projected or both window ones for the
+        # batch axes) gets bad rows, width, batch axes or span. A unit batch
+        # axis that would broadcast against q's is a mismatch too.
         (q, kb, vb, kbar, vbar), attendable, offset = operands(
             CONFIGS["bidirectional"], seed=7, batch=(2,))
         args = dict(q=q, k=kb, v=vb, kbar=kbar, vbar=vbar, attendable=attendable)
@@ -153,7 +157,7 @@ def composed_weights(x, p, cfg):
         kbar = layer_norm(kbar, p.ln_global.gain, p.ln_global.bias)
     offset = w if cfg.mode == "causal" else w // 2
     positions = np.arange(groups)[:, None] * size - offset + np.arange(2 * w)
-    k_window = take(k, np.clip(positions, 0, n_pad - 1), axis=0)
+    k_window = take(k, np.clip(positions, 0, n_pad - 1))
     inv = 1.0 / math.sqrt(dk)
     local = scale(matmul(q.reshape(groups, size, dk), transpose_last(k_window)), inv)
     far = scale(matmul(q, transpose_last(kbar)), inv).reshape(groups, size, -1)

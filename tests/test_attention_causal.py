@@ -11,6 +11,7 @@ from lsattn import (
     causal_full_attention_oracle,
     dynamic_projection,
     full_attention_head,
+    matmul,
 )
 from reference import layer_norm_reference, make_head, np_softmax, window_keys
 
@@ -90,6 +91,17 @@ class TestSegmentProjection:
             assert np.array_equal(whole.p.data[rows], piece.p.data)
             assert np.array_equal(whole.kbar.data[slots], piece.kbar.data)
             assert np.array_equal(whole.vbar.data[slots], piece.vbar.data)
+
+    def test_given_keys_of_unpadded_rows_match_computed_ones(self):
+        # The last segment is partial: keys and values passed in for x's own
+        # rows are padded like x before they are projected.
+        cfg = causal_cfg(n=10, w=2, r=2, l=4)
+        p, x = make_head(cfg, seed=4)
+        computed = dynamic_projection(x, p, cfg)
+        given = dynamic_projection(x, p, cfg, keys=matmul(x, p.wk), values=matmul(x, p.wv))
+        for a, b in ((computed.kbar, given.kbar), (computed.vbar, given.vbar)):
+            assert a.shape == b.shape == (3 * cfg.rank, cfg.head_dim)
+            assert np.abs(a.data - b.data).max() <= 1e-14
 
 
 class TestCausalAggregate:

@@ -11,6 +11,7 @@ import gc
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,46 @@ def test_per_head_tensors_view_the_stacked_leaves():
             assert np.shares_memory(t.data, leaf.data), name
             assert t.shape == leaf.data[index].shape
             assert np.array_equal(t.data, leaf.data[i].reshape(t.shape)), name
+
+
+# A layer with one branch left empty: the paper's window-only (r = 0) and
+# projection-only (w = 0) baselines. The third entry names the norm that no
+# output depends on with dual LN.
+SINGLE_BRANCH = {
+    "window-only": (LSConfig(seq_len=10, model_dim=12, heads=3, window=4, rank=0),
+                    aggregate_head, "ln_global"),
+    "causal-window-only": (LSConfig(seq_len=12, model_dim=12, heads=3, window=2, rank=0,
+                                    seg_len=4, mode="causal"), causal_aggregate_head,
+                           "ln_global"),
+    "projection-only": (LSConfig(seq_len=10, model_dim=12, heads=3, window=0, rank=3),
+                        aggregate_head, "ln_local"),
+}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+@pytest.mark.parametrize("name", sorted(SINGLE_BRANCH))
+def test_single_branch_stacked_heads_match_one_call_per_head(name, dual):
+    base, fn, unused_norm = SINGLE_BRANCH[name]
+    cfg = replace(base, dual_ln=dual)
+    rng = Rng(12)
+    params = init_multi_head_params(rng.child(0), cfg)
+    x = Tensor(rng.child(1).normal((2, cfg.seq_len, cfg.model_dim)), requires_grad=True)
+    probe = Tensor(rng.child(2).normal((2, cfg.seq_len, cfg.model_dim)))
+    named = [("x", x)] + list(params.named_parameters())
+    head = lambda h, p: fn(h, p, cfg)
+
+    results = []
+    for forward in (multi_head, per_head_reference):
+        out = forward(x, params, head)
+        grads = gradients(tensor_sum(mul(out, probe)), [t for _, t in named])
+        results.append((out.data, grads))
+    (out, grads), (ref, ref_grads) = results
+    assert out.shape == ref.shape == x.shape
+    assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    for (param, _), g, g_ref in zip(named, grads, ref_grads):
+        assert np.abs(g - g_ref).max() <= 1e-12 * max(1.0, np.abs(g_ref).max()), param
+        unused = ".ln_" in param and (not dual or unused_norm in param)
+        assert (not g_ref.any()) if unused else np.abs(g_ref).max() > 0, param
 
 
 def test_writing_a_head_view_changes_the_layer_output():

@@ -7,6 +7,7 @@ import pytest
 
 from lsattn import LSConfig, Rng, Tensor, dynamic_projection, init_head_params, matmul, norm_ratio_probe
 from lsattn.errors import ConfigError
+from lsattn.tensor import count_flops_runtime
 
 PROBE_CFG = LSConfig(seq_len=256, model_dim=64, heads=2, window=8, rank=8)
 SEEDS = tuple(range(10))
@@ -45,6 +46,18 @@ def test_projected_rows_are_shorter_on_average():
         local_means.append(np.sqrt((k * k).sum(-1)).mean())
         projected_means.append(np.sqrt((kbar * kbar).sum(-1)).mean())
     assert np.mean(projected_means) < np.mean(local_means)
+
+
+def test_probe_computes_each_product_once():
+    # Per seed and head: x@wk, x@wv and x@wp, then the projected keys and
+    # values. The dynamic probe reuses its keys and values for the projection.
+    cfg = LSConfig(seq_len=128, model_dim=32, heads=2, window=8, rank=8)
+    n, d, h, r, dk = cfg.seq_len, cfg.model_dim, cfg.heads, cfg.rank, cfg.head_dim
+    per_seed = h * (2 * n * d * dk + n * d * r + 2 * r * n * dk)
+    assert per_seed == 393_216
+    with count_flops_runtime() as counter:
+        norm_ratio_probe(cfg, SEEDS)
+    assert counter.matmul_macs == len(SEEDS) * per_seed
 
 
 def test_probe_requires_enough_seeds():

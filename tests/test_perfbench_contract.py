@@ -3,8 +3,13 @@
 The benchmark (`perfbench/`, workloads listed in BENCHMARK.json) judges a run
 incorrect when any of its checks fails. This runs each workload the way its
 timed loop does, once, and reads the same checks, so a change that would
-make the benchmark report incorrect outputs fails here first. Nothing under
-`perfbench/` is changed.
+make the benchmark report incorrect outputs fails here first. Between the two
+it runs what a benchmark run does with the library patched: one unit under
+the tracer, and the untimed memory and counter steps. Those patch every
+`TRACED_OPS` name, the workload's traced layers, `autodiff.gradients`,
+`tensor.track_peak_bytes` and `tensor.count_flops_runtime`, so a change that
+renames or reshapes one of them fails here too. Nothing under `perfbench/`
+is changed.
 """
 
 import json
@@ -13,9 +18,12 @@ from pathlib import Path
 
 import pytest
 
+from lsattn import tensor
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from tracing import StepClock  # noqa: E402
+import worker  # noqa: E402
+from tracing import StepClock, Tracer  # noqa: E402
 from workloads import make_workload  # noqa: E402
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -28,6 +36,22 @@ def test_one_unit_passes_every_check(name):
     clock = StepClock()
     workload.run_unit(clock, with_forward=True)
     assert clock.durations
+
+    tracer = Tracer()
+    tracer.install(workload.trace_layers(), tensor)
+    try:
+        workload.run_unit(StepClock(), with_forward=False)
+    finally:
+        tracer.uninstall()
+    traced = tracer.totals()
+    assert {layer for _, _, layer, _ in workload.trace_layers()} <= set(traced)
+    assert traced["tensor.matmul"]["calls"] and traced["tensor.matmul.bwd"]["calls"]
+
+    memory = worker.measure_memory(workload)
+    for key in ("tracemalloc_peak_bytes", "peak_bytes", "matmul_macs", "layer_norm_flops",
+                "graph_nodes"):
+        assert memory[key] > 0, key
+
     checks = workload.checks()
     assert checks
     failed = [(check, detail) for check, passed, detail in checks if not passed]

@@ -140,7 +140,7 @@ class TestLayerNorm:
         rng = np.random.default_rng(1)
         row = rng.normal(size=16)
         row = (row - row.mean()) / row.std() * np.sqrt(1.0 - eps)
-        out = layer_norm(Tensor(row[None]), Tensor(np.ones(16)), Tensor(np.zeros(16)), eps=eps)
+        out = layer_norm(Tensor(row[None]), Tensor(np.ones(16)), Tensor(np.zeros(16)))
         assert np.abs(out.data - row).max() < 1e-10
 
     def test_constant_row_maps_to_zero(self):
