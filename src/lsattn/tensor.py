@@ -10,7 +10,13 @@ reference, so graphs hold no reference cycles: reference counting frees a
 step's buffers when its output and gradients are dropped, without waiting
 for the cyclic garbage collector. Gradients accumulate under one ownership
 rule (`_accum`). Values are always float64; masks are plain boolean numpy
-arrays and never receive gradients.
+arrays and never receive gradients. A tensor has no name; parameters are
+named by the `named_parameters()` of their containers.
+
+Where every caller used one value, the op fixes it: `layer_norm` adds
+LAYER_NORM_EPS (1e-5) to the variance, `take` gathers rows, `tensor_sum`
+sums every element, and `attend` takes five operands that share one batch
+shape (it raises ShapeError rather than broadcasting them).
 
 Importing this module sets glibc's malloc to keep freed memory for reuse
 (`_pin_allocator`), process-wide; it does nothing on other C libraries.
