@@ -1,8 +1,9 @@
-"""Bidirectional attention heads, the long-short aggregation, and the block.
+"""Attention heads, the long-short aggregation, and the block.
 
-`full_attention_head` is exact attention; `aggregate_head` covers windowed,
-projected and combined attention. The aggregation is shared with the causal
-mode, and `block_forward` is the pre-LN block that runs any per-head attention.
+`full_attention_head` is exact attention. `aggregate_head` is the one
+long-short entry point for both modes: it covers windowed, projected and
+combined attention, and reads from cfg.mode which slots each query may see.
+`block_forward` is the pre-LN block that runs any per-head attention.
 
 All operations accept inputs of shape (..., n, d) with optional leading batch
 axes and return per-head outputs of shape (..., n, head_dim). They take one
@@ -95,9 +96,7 @@ class AttentionWeights:
         return self.weights.sum(axis=-1)[..., : self.seq_len]
 
 
-def _check_input(
-    x: Tensor, p: HeadParams, cfg: LSConfig | None, mode: str = "bidirectional"
-) -> None:
+def _check_input(x: Tensor, p: HeadParams, cfg: LSConfig | None) -> None:
     if x.ndim < 2:
         raise ShapeError(f"attention input must be (..., n, d), got {x.shape}")
     if x.shape[-1] != p.wq.shape[-2]:
@@ -107,8 +106,6 @@ def _check_input(
             raise ShapeError(f"input length {x.shape[-2]} != config seq_len {cfg.seq_len}")
         if p.wq.shape[-2:] != (cfg.model_dim, cfg.head_dim):
             raise ShapeError("head parameters do not match configuration")
-        if cfg.mode != mode:
-            raise ConfigError(f"{mode} aggregation requires a {mode} configuration")
 
 
 def _pad_rows(x: Tensor, padded_len: int) -> Tensor:
@@ -123,15 +120,28 @@ def full_attention_head(
     x: Tensor, p: HeadParams, return_weights: bool = False
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
     """Exact softmax attention of every query over every key."""
+    return _exact_attention(x, p, None, return_weights)
+
+
+def _exact_attention(
+    x: Tensor, p: HeadParams, key_mask: Callable[[np.ndarray], np.ndarray] | None,
+    return_weights: bool,
+) -> Tensor | tuple[Tensor, AttentionWeights]:
+    """Exact softmax attention of each query over the keys `key_mask` leaves it.
+
+    `key_mask` maps an all-true (n, n) query-by-key array to the attendable
+    mask (`np.tril` for causal attention); None lets every query see every key.
+    """
     _check_input(x, p, None)
+    n = x.shape[-2]
+    mask = None if key_mask is None else key_mask(np.ones((n, n), dtype=bool))
     q, k, v = matmul(x, p.wq), matmul(x, p.wk), matmul(x, p.wv)
     dk = p.wq.shape[-1]
     logits = scale(matmul(q, transpose_last(k)), 1.0 / math.sqrt(dk))
-    weights = masked_softmax(logits)
+    weights = masked_softmax(logits, mask)
     out = matmul(weights, v)
     if return_weights:
-        info = AttentionWeights(weights.data, None, x.shape[-2])
-        return out, info
+        return out, AttentionWeights(weights.data, mask, n)
     return out
 
 
@@ -225,32 +235,17 @@ def dynamic_projection(
 def aggregate_head(
     x: Tensor, p: HeadParams, cfg: LSConfig, return_weights: bool = False
 ) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """One softmax per query over its window span and all projected slots.
+    """One softmax per query over [2w window slots | all projected slots].
 
-    cfg selects the variant: rank 0 gives sliding-window attention, window 0
+    cfg selects the variant: cfg.mode gives the slots a query may attend
+    (`spans.slot_layout`), rank 0 gives sliding-window attention, window 0
     gives attention over the projected keys and values only, and cfg.dual_ln
     passes window and projected keys/values through separate layer norms
     before the joint softmax, which equalizes their row norms at
-    initialization.
+    initialization. Window keys and values go to `attend` as rows; it reads
+    the windows from them at `spans.window_offset`.
     """
-    return _aggregate(x, p, cfg, return_weights)
-
-
-def _aggregate(
-    x: Tensor,
-    p: HeadParams,
-    cfg: LSConfig,
-    return_weights: bool,
-    mode: str = "bidirectional",
-) -> Tensor | tuple[Tensor, AttentionWeights]:
-    """One softmax per query over [2w window slots | all projected slots].
-
-    Which slots a query may attend comes from `spans.slot_layout`; a branch
-    with no slots (w = 0 or rank 0) contributes empty operands. Window keys
-    and values go to `attend` as rows; it reads the windows from them at
-    `spans.window_offset`.
-    """
-    _check_input(x, p, cfg, mode)
+    _check_input(x, p, cfg)
     n, n_pad = cfg.seq_len, cfg.padded_len
     attendable = slot_layout(cfg)
     x_pad = _pad_rows(x, n_pad)

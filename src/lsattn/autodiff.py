@@ -19,6 +19,9 @@ from .tensor import Tensor
 
 __all__ = ["gradients", "finite_diff_check"]
 
+# Central-difference step of `finite_diff_check`.
+FD_STEP = 1e-5
+
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
@@ -81,19 +84,13 @@ def _total_grad(p: Tensor) -> np.ndarray:
     return np.zeros_like(p.data) if grad is None else grad
 
 
-def finite_diff_check(
-    f: Callable[[], Tensor],
-    params: Sequence[Tensor],
-    step: float = 1e-5,
-) -> float:
+def finite_diff_check(f: Callable[[], Tensor], params: Sequence[Tensor]) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     `f` evaluates a scalar loss from the current parameter values. Every
-    coordinate is checked, at two forward passes each. The denominator is
-    max(|analytic|, |numeric|, 1e-8).
+    coordinate is checked, at two forward passes each, `FD_STEP` to either
+    side. The denominator is max(|analytic|, |numeric|, 1e-8).
     """
-    if not 1e-7 <= step <= 1e-4:
-        raise ValueError("step must lie in [1e-7, 1e-4]")
     loss = f()
     if loss.shape != ():
         raise ShapeError("finite_diff_check requires a scalar-valued function")
@@ -104,12 +101,12 @@ def finite_diff_check(
         gflat = grad.reshape(-1)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + FD_STEP
             up = f().item()
-            flat[i] = original - step
+            flat[i] = original - FD_STEP
             down = f().item()
             flat[i] = original
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * FD_STEP)
             denom = max(abs(gflat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
     return worst

@@ -9,8 +9,6 @@ seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
-
 import numpy as np
 
 from .attention import (
@@ -63,10 +61,7 @@ def _stochasticity(seed: int) -> CheckResult:
         rng = Rng(seed + 10 * i)
         p = init_head_params(rng, cfg, trainable=False)
         x = Tensor(rng.child(5).normal((12, 8)))
-        if cfg.mode == "causal":
-            _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
-        else:
-            _, info = aggregate_head(x, p, cfg, return_weights=True)
+        _, info = aggregate_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
         if cfg.rank > 0:
             # Projection columns are distributions over each projection
@@ -100,20 +95,18 @@ def _causality(seed: int) -> CheckResult:
 
 def _gradients(seed: int) -> CheckResult:
     worst = 0.0
-    setups: list[tuple[LSConfig, Callable]] = [
-        (LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2, dual_ln=True),
-         aggregate_head),
-        (LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=1, seg_len=4,
-                  mode="causal", dual_ln=True),
-         causal_aggregate_head),
+    configs = [
+        LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2, dual_ln=True),
+        LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=1, seg_len=4,
+                 mode="causal", dual_ln=True),
     ]
-    for i, (cfg, fn) in enumerate(setups):
+    for i, cfg in enumerate(configs):
         rng = Rng(seed + i)
         p = init_head_params(rng, cfg)
         x = Tensor(rng.child(2).normal((8, 4)), requires_grad=True)
         probe = Tensor(rng.child(3).normal((8, cfg.head_dim)))
         params = [x] + [t for _, t in p.named_parameters()]
-        err = finite_diff_check(lambda: tensor_sum(mul(fn(x, p, cfg), probe)), params)
+        err = finite_diff_check(lambda: tensor_sum(mul(aggregate_head(x, p, cfg), probe)), params)
         worst = max(worst, err)
     return CheckResult("gradient-check", worst < 1e-5, f"max rel err {worst:.2e}")
 

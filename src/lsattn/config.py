@@ -79,18 +79,16 @@ class LSConfig:
         return self.rank * segments
 
 
-def desk_causal_config(
-    seq_len: int = 64, model_dim: int = 32, heads: int = 2, dual_ln: bool = True
-) -> LSConfig:
+def desk_causal_config(seq_len: int = 64) -> LSConfig:
     """Small causal setup for tests and the toy language model."""
     return LSConfig(
         seq_len=seq_len,
-        model_dim=model_dim,
-        heads=heads,
+        model_dim=32,
+        heads=2,
         window=4,
         rank=1,
         seg_len=4,
         mode="causal",
-        dual_ln=dual_ln,
+        dual_ln=True,
     )
 

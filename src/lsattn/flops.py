@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attention import aggregate_head, block_forward, full_attention_head
-from .causal import causal_aggregate_head, causal_full_attention_oracle
+from .causal import causal_full_attention_oracle
 from .config import MODES, LSConfig
 from .errors import ConfigError
 from .params import BlockParams, init_block_params
@@ -165,13 +165,9 @@ class ReferenceEncoder:
 
     def _head_fn(self):
         arch = self.arch
-        cfg = arch.attention_config()
         if arch.variant == "full":
-            if arch.mode == "causal":
-                return lambda x, hp: causal_full_attention_oracle(x, hp)
-            return lambda x, hp: full_attention_head(x, hp)
-        if arch.mode == "causal":
-            return lambda x, hp: causal_aggregate_head(x, hp, cfg)
+            return causal_full_attention_oracle if arch.mode == "causal" else full_attention_head
+        cfg = arch.attention_config()
         return lambda x, hp: aggregate_head(x, hp, cfg)
 
     def forward(self, x: Tensor) -> Tensor:

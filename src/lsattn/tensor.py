@@ -185,7 +185,9 @@ def track_peak_bytes():
     """Track peak bytes held by buffers under tensors created inside the block.
 
     A view (reshape, swap_axes, slice_axis, attend's output) adds no bytes to
-    the buffer it views.
+    the buffer it views. Plain numpy buffers are not counted: attend's padded
+    window copies, backward temporaries and gradient arrays. On one bidir-long
+    benchmark step it sees 0.713 of the tracemalloc peak (48.30 of 67.77 MB).
     """
     global _alloc_tracker
     prev = _alloc_tracker

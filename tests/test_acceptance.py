@@ -221,7 +221,7 @@ def test_criterion_5_gradient_checks():
             # normalized variants (zero feature-mean value rows).
             probe = Tensor(rng.child(2).normal((n, cfg.head_dim)))
             params = [x] + [t for _, t in p.named_parameters()]
-            err = finite_diff_check(lambda: loss_fn(x, p, cfg, probe), params, step=1e-5)
+            err = finite_diff_check(lambda: loss_fn(x, p, cfg, probe), params)
             worst[name] = max(worst[name], err)
         assert worst[name] < 1e-5, f"{name}: max rel err {worst[name]:.2e}"
     detail = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())

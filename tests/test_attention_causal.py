@@ -7,12 +7,17 @@ from lsattn import (
     LSConfig,
     Rng,
     Tensor,
+    aggregate_head,
     causal_aggregate_head,
     causal_full_attention_oracle,
     dynamic_projection,
     full_attention_head,
+    gradients,
+    init_head_params,
     matmul,
 )
+from lsattn.errors import ConfigError
+from lsattn.tensor import mul, tensor_sum
 from reference import layer_norm_reference, make_head, np_softmax, window_keys
 
 
@@ -167,6 +172,30 @@ class TestCausalAggregate:
         assert np.abs(info.row_sums() - 1.0).max() <= 1e-12
         assert (info.weights[~np.broadcast_to(info.attendable, info.weights.shape)] == 0.0).all()
 
+    @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+    def test_aggregate_head_runs_causal_configs_bit_for_bit(self, dual):
+        # The one long-short entry point reads the mode from the config;
+        # the causal entry point only checks the mode before calling it.
+        cfg = causal_cfg(n=12, w=2, r=2, l=4, dual=dual)
+        rng = Rng(15)
+        p = init_head_params(rng.child(0), cfg)
+        x = Tensor(rng.child(1).normal((2, 12, cfg.model_dim)), requires_grad=True)
+        probe = Tensor(rng.child(2).normal((2, 12, cfg.head_dim)))
+        leaves = [x] + [t for _, t in p.named_parameters()]
+        results = []
+        for fn in (aggregate_head, causal_aggregate_head):
+            out, info = fn(x, p, cfg, return_weights=True)
+            grads = gradients(tensor_sum(mul(out, probe)), leaves)
+            results.append([out.data, info.weights, info.attendable] + grads)
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
+        assert np.abs(results[0][3]).max() > 0  # the gradient of x
+
+    def test_causal_entry_point_rejects_bidirectional_config(self):
+        cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=1)
+        p, x = make_head(cfg, seed=16)
+        with pytest.raises(ConfigError, match="causal"):
+            causal_aggregate_head(x, p, cfg)
+
     def test_leading_batch_axis_matches_per_sequence(self):
         cfg = causal_cfg(n=12, w=2, r=2, l=4, dual=True)
         p, _ = make_head(cfg, seed=12)
@@ -199,3 +228,13 @@ class TestCausalFullOracle:
         x.data[4:] *= -3.0
         bumped = causal_full_attention_oracle(x, p).data
         assert np.array_equal(base[:4], bumped[:4])
+
+    def test_weights_are_lower_triangular_distributions(self):
+        cfg = causal_cfg(n=6, d=4)
+        p, x = make_head(cfg, seed=17)
+        out, info = causal_full_attention_oracle(x, p, return_weights=True)
+        assert np.array_equal(out.data, causal_full_attention_oracle(x, p).data)
+        assert np.array_equal(info.attendable, np.tril(np.ones((6, 6), dtype=bool)))
+        assert (info.weights[~info.attendable] == 0.0).all()
+        assert (info.weights[info.attendable] > 0.0).all()
+        assert np.abs(info.row_sums() - 1.0).max() <= 1e-12

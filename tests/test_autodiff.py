@@ -101,7 +101,7 @@ def test_masked_positions_contribute_zero_gradient():
 
 def test_quadratic_finite_difference_floor():
     theta = Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True)
-    err = finite_diff_check(lambda: tensor_sum(mul(theta, theta)), [theta], step=1e-5)
+    err = finite_diff_check(lambda: tensor_sum(mul(theta, theta)), [theta])
     assert err < 1e-9
 
 
@@ -134,7 +134,7 @@ def test_primitive_gradients(op_name):
         weights = Tensor(rng.normal(size=(2, 2, 3)))
         f = lambda: tensor_sum(mul(take(x, idx), weights))
         params = [x]
-    assert finite_diff_check(f, params, step=1e-5) < 1e-7
+    assert finite_diff_check(f, params) < 1e-7
 
 
 def test_layer_norm_with_stacked_head_gain_and_bias():
@@ -146,7 +146,7 @@ def test_layer_norm_with_stacked_head_gain_and_bias():
     c = Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
     weights = Tensor(rng.normal(size=(2, 3, 4, 5)))
     f = lambda: tensor_sum(mul(layer_norm(x, g, c), weights))
-    assert finite_diff_check(f, [x, g, c], step=1e-5) < 1e-7
+    assert finite_diff_check(f, [x, g, c]) < 1e-7
 
 
 def test_matmul_unit_axis_against_head_axis():
@@ -157,7 +157,7 @@ def test_matmul_unit_axis_against_head_axis():
     w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
     weights = Tensor(rng.normal(size=(2, 3, 4, 2)))
     f = lambda: tensor_sum(mul(matmul(x, w), weights))
-    assert finite_diff_check(f, [x, w], step=1e-5) < 1e-7
+    assert finite_diff_check(f, [x, w]) < 1e-7
 
 
 def test_swap_axes_gradient():
@@ -165,7 +165,7 @@ def test_swap_axes_gradient():
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     weights = Tensor(rng.normal(size=(3, 2, 4)))
     f = lambda: tensor_sum(mul(swap_axes(x, 0, 1), weights))
-    assert finite_diff_check(f, [x], step=1e-5) < 1e-9
+    assert finite_diff_check(f, [x]) < 1e-9
 
 
 @pytest.mark.parametrize("matmul_first", [False, True])
@@ -182,7 +182,7 @@ def test_shared_gradient_array_is_never_written(matmul_first):
         pair = (matmul(a, w), add(a, b)) if matmul_first else (add(a, b), matmul(a, w))
         return tensor_sum(mul(add(*pair), probe))
 
-    assert finite_diff_check(f, [a, b], step=1e-5) < 1e-7
+    assert finite_diff_check(f, [a, b]) < 1e-7
     ga, gb = gradients(f(), [a, b])
     assert np.array_equal(gb, probe.data)
     assert np.array_equal(ga, probe.data + probe.data @ w.data.T)
@@ -230,7 +230,7 @@ def test_full_attention_gradient_matches_central_differences():
     p = init_head_params(rng, cfg)
     x = Tensor(rng.normal((4, 4)), requires_grad=True)
     f = lambda: tensor_sum(full_attention_head(x, p))
-    err = finite_diff_check(f, [x, p.wq, p.wk, p.wv], step=1e-5)
+    err = finite_diff_check(f, [x, p.wq, p.wk, p.wv])
     assert err < 1e-6
 
 
@@ -243,7 +243,7 @@ def test_dualln_aggregate_gradient():
     x = Tensor(rng.normal((8, 4)), requires_grad=True)
     probe = Tensor(rng.normal((8, cfg.head_dim)))
     f = lambda: tensor_sum(mul(aggregate_head(x, p, cfg), probe))
-    err = finite_diff_check(f, [x] + _head_param_list(p), step=1e-5)
+    err = finite_diff_check(f, [x] + _head_param_list(p))
     assert err < 1e-5
 
 
@@ -257,7 +257,7 @@ def test_causal_aggregate_gradient():
     x = Tensor(rng.normal((8, 4)), requires_grad=True)
     probe = Tensor(rng.normal((8, cfg.head_dim)))
     f = lambda: tensor_sum(mul(causal_aggregate_head(x, p, cfg), probe))
-    err = finite_diff_check(f, [x] + _head_param_list(p), step=1e-5)
+    err = finite_diff_check(f, [x] + _head_param_list(p))
     assert err < 1e-5
 
 

@@ -227,7 +227,7 @@ def test_gradients_of_head_views(use):
     grads = gradients(loss(), views)
     assert all(np.abs(g).max() > 0 for g in grads[:8])
     assert (use == "direct") == all(not g.any() for g in grads[8:])
-    assert finite_diff_check(loss, views, step=1e-5) < 1e-7
+    assert finite_diff_check(loss, views) < 1e-7
 
 
 def graph_nodes(root):

@@ -1,0 +1,145 @@
+"""Print sha256 digests of the outputs a behaviour-preserving change must keep.
+
+Run it once per tree, with that tree's `src` on PYTHONPATH, and compare the
+two JSON objects; equal digests mean bit-identical outputs:
+
+    PYTHONPATH=src python tools/parity_digest.py > digest.json
+
+It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
+
+- the perfbench `bidir-long` layer (seed 901): output and every gradient;
+- the perfbench `lm-train` config: a 50-step `lm.train` at seed 901, its
+  train losses, val bpcs, final val bpc and trained parameters;
+- `count_flops` of every preset and of `DEFAULT_ARCH`, and both workloads'
+  closed-form and runtime flop-parity totals;
+- stdout and exit code of 18 `lsattn` commands, run in this process, with the
+  `wall_ms` column blanked; `train` and `ablate` read a corpus written to a
+  temporary directory.
+
+perfbench is imported from this script's checkout and only read. BLAS runs
+on one thread, so matrix products sum in the same order on every run.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import lsattn  # noqa: E402
+from lsattn import cli, flops, lm  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import long_range_copy_corpus, make_workload  # noqa: E402
+
+SEED = 901
+
+
+def digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    h = hashlib.sha256(f"{a.shape} {a.dtype}".encode())
+    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def bidir_long() -> dict[str, str]:
+    workload = make_workload("bidir-long", SEED)
+    workload.build()
+    out, grads = workload.step()
+    names = ["x"] + [name for name, _ in workload.params.named_parameters()]
+    result = {"bidir-long.output": digest(out)}
+    result.update({f"bidir-long.grad.{name}": digest(g) for name, g in zip(names, grads)})
+    result["bidir-long.flop_parity"] = text_digest(repr(workload.flop_counts()))
+    return result
+
+
+def lm_train() -> dict[str, str]:
+    workload = make_workload("lm-train", SEED)
+    workload.build()
+    model, report = lm.train(workload.cfg, workload.corpus)
+    workload.model = model  # flop_counts runs one forward of the trained model
+    result = {
+        "lm-train.train_losses": digest(report.train_losses),
+        "lm-train.val_bpcs": digest(report.val_bpcs),
+        "lm-train.final_val_bpc": digest(report.final_val_bpc),
+        "lm-train.flop_parity": text_digest(repr(workload.flop_counts())),
+    }
+    result.update({f"lm-train.param.{name}": digest(t.data)
+                   for name, t in model.named_parameters()})
+    return result
+
+
+def flop_counts() -> dict[str, str]:
+    archs = {**flops.PRESETS, "DEFAULT_ARCH": flops.DEFAULT_ARCH}
+    return {f"count_flops.{name}": text_digest(repr(flops.count_flops(arch)))
+            for name, arch in sorted(archs.items())}
+
+
+def blank_wall_ms(text: str) -> str:
+    lines = text.splitlines()
+    header = lines[0].split(",") if lines else []
+    if "wall_ms" not in header:
+        return text
+    col = header.index("wall_ms")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[col] = ""
+    return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+
+
+def cli_commands(corpus: str) -> list[list[str]]:
+    lm_args = ["--corpus", corpus]
+    sweeps = [["--variant", v] for v in flops.VARIANTS] + [
+        ["--variant", "long-short", "--mode", "causal", "--l", "16", "--dual-ln"]]
+    return [
+        ["flops"],
+        *(["flops", "--preset", name] for name in sorted(flops.PRESETS)),
+        *(["sweep", "--n", "64,128", *args] for args in sweeps),
+        ["norms"],
+        ["norms", "--layers", "2"],
+        ["norms", "--n", "16", "--r", "16", "--projection", "identity"],
+        ["train", *lm_args],
+        ["train", *lm_args, "--no-dual-ln"],
+        ["train", *lm_args, "--dropout", "0.1", "--seed", "3"],
+        ["ablate", *lm_args, "--steps", "8", "--seeds", "2"],
+        ["check", "--seed", "1"],
+    ]
+
+
+def cli_outputs() -> dict[str, str]:
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.bin"
+        corpus.write_bytes(long_range_copy_corpus(SEED).tobytes())
+        for argv in cli_commands(str(corpus)):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            key = " ".join(argv).replace(str(corpus), "CORPUS")
+            result[f"cli.{key}"] = text_digest(f"exit {code}\n{blank_wall_ms(stdout.getvalue())}")
+    return result
+
+
+def main() -> None:
+    print(f"lsattn from {lsattn.__file__}", file=sys.stderr)
+    result = {**bidir_long(), **lm_train(), **flop_counts(), **cli_outputs()}
+    print(json.dumps(result, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
