@@ -9,6 +9,7 @@ seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .attention import (
