@@ -63,6 +63,7 @@ PROJECTIONS = ("dynamic", "identity")
 class ProjectedKV:
     """Input-dependent compression of keys and values to `rank` rows.
 
+    k and v are the key and value embeddings x@wk and x@wv of x's own rows.
     pt holds, per projection segment, `rank` distributions over that
     segment's tokens, (..., segments, rank, seg_len); kbar and vbar are the
     correspondingly weighted key and value embeddings.
@@ -71,6 +72,8 @@ class ProjectedKV:
     pt: Tensor
     kbar: Tensor
     vbar: Tensor
+    k: Tensor
+    v: Tensor
 
     @property
     def p(self) -> Tensor:
@@ -180,14 +183,8 @@ def block_forward(
     return add(x, add(matmul(hidden, block.ffn_out), block.ffn_out_bias))
 
 
-def dynamic_projection(
-    x: Tensor,
-    p: HeadParams,
-    cfg: LSConfig,
-    keys: Tensor | None = None,
-    values: Tensor | None = None,
-) -> ProjectedKV:
-    """Compress keys and values through token distributions learned from x.
+def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
+    """Compress x's keys and values through token distributions learned from x.
 
     The tokens are cut into projection segments: bidirectionally the whole
     sequence is one segment, causally each run of seg_len tokens is one
@@ -197,39 +194,34 @@ def dynamic_projection(
     other token. Only the first cfg.seq_len rows are valid tokens: rows past
     them (x's own padding rows, or the zero rows added here) receive exactly
     zero weight, and a segment with no valid token averages its zero rows
-    uniformly. `keys`/`values` may pass in precomputed x@wk and x@wv of x's
-    rows. wp is applied before the tokens are cut into segments, so a stacked
-    wp broadcasts like wk and wv.
+    uniformly. wp is applied before the tokens are cut into segments, so a
+    stacked wp broadcasts like wk and wv. Rank 0 runs the same steps on
+    empty arrays.
 
-    Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, p is
-    (..., n, rank) and kbar/vbar are (..., segments*rank, head_dim), where
-    (...) is the batch of x@wk, at rank 0 too.
+    Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, wp is
+    (..., d, cfg.rank), k and v are (..., n, head_dim), p is (..., n, rank)
+    and kbar/vbar are (..., segments*rank, head_dim), where (...) is the
+    batch of x@wk.
     """
     if x.shape[-2] not in (cfg.seq_len, cfg.padded_len):
         raise ShapeError(f"projection input has {x.shape[-2]} rows; config seq_len is "
                          f"{cfg.seq_len}, padded {cfg.padded_len}")
-    if cfg.rank == 0:
-        batch = np.broadcast_shapes(x.shape[:-2], p.wk.shape[:-2])
-        empty = Tensor(np.zeros(batch + (0, cfg.head_dim)))
-        return ProjectedKV(pt=Tensor(np.zeros(batch + (1, 0, x.shape[-2]))), kbar=empty,
-                           vbar=empty)
-    if p.wp is None:
-        raise ShapeError("head has no projection matrix but rank > 0")
-    n = x.shape[-2]
+    if p.wp.shape[-1] != cfg.rank:
+        raise ShapeError(f"projection matrix {p.wp.shape} does not have config rank {cfg.rank}")
+    n, r, dk = x.shape[-2], cfg.rank, cfg.head_dim
     l = cfg.seg_len if cfg.mode == "causal" else n
-    n_pad = -(-n // l) * l
-    x = _pad_rows(x, n_pad)
-    valid = (np.arange(n_pad) < cfg.seq_len).reshape(-1, l)
+    segments = -(-n // l)
+    n_pad = segments * l
+    valid = (np.arange(n_pad) < cfg.seq_len).reshape(segments, l)
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
-    dk = cfg.head_dim
-    k = matmul(x, p.wk) if keys is None else _pad_rows(keys, n_pad)
-    v = matmul(x, p.wv) if values is None else _pad_rows(values, n_pad)
+    k, v = matmul(x, p.wk), matmul(x, p.wv)
     batch = k.shape[:-2]
-    logits = matmul(x, p.wp).reshape(*batch, -1, l, cfg.rank)
+    logits = matmul(_pad_rows(x, n_pad), p.wp).reshape(*batch, segments, l, r)
     pt = masked_softmax(transpose_last(logits), mask)
-    kbar = matmul(pt, k.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
-    vbar = matmul(pt, v.reshape(*batch, -1, l, dk)).reshape(*batch, -1, dk)
-    return ProjectedKV(pt=pt, kbar=kbar, vbar=vbar)
+    kbar = matmul(pt, _pad_rows(k, n_pad).reshape(*batch, segments, l, dk))
+    vbar = matmul(pt, _pad_rows(v, n_pad).reshape(*batch, segments, l, dk))
+    return ProjectedKV(pt=pt, kbar=kbar.reshape(*batch, segments * r, dk),
+                       vbar=vbar.reshape(*batch, segments * r, dk), k=k, v=v)
 
 
 def aggregate_head(
@@ -267,10 +259,8 @@ def _key_value_slots(
     The keys, values and branch norms in between are not kept past the call,
     so without gradient recording they are freed before attention runs.
     """
-    k = matmul(x, p.wk)
-    v = matmul(x, p.wv)
-    pkv = dynamic_projection(x, p, cfg, keys=k, values=v)
-    return _normalize_branches(p, cfg, k, v, pkv.kbar, pkv.vbar)
+    pkv = dynamic_projection(x, p, cfg)
+    return _normalize_branches(p, cfg, pkv.k, pkv.v, pkv.kbar, pkv.vbar)
 
 
 def _normalize_branches(

@@ -64,14 +64,13 @@ def _stochasticity(seed: int) -> CheckResult:
         x = Tensor(rng.child(5).normal((12, 8)))
         _, info = aggregate_head(x, p, cfg, return_weights=True)
         worst = max(worst, float(np.abs(info.row_sums() - 1.0).max()))
-        if cfg.rank > 0:
-            # Projection columns are distributions over each projection
-            # segment: the whole sequence bidirectionally, seg_len causally.
-            proj = dynamic_projection(x, p, cfg).p.data
-            seg = cfg.seg_len if cfg.mode == "causal" else proj.shape[0]
-            sums = proj.reshape(-1, seg, cfg.rank).sum(axis=1)
-            worst = max(worst, float(np.abs(sums - 1.0).max()))
-            negative |= bool((proj < 0).any())
+        # Projection columns are distributions over each projection segment:
+        # the whole sequence bidirectionally, seg_len causally (none at rank 0).
+        proj = dynamic_projection(x, p, cfg).p.data
+        seg = cfg.seg_len if cfg.mode == "causal" else proj.shape[0]
+        sums = proj.reshape(proj.shape[0] // seg, seg, cfg.rank).sum(axis=1)
+        worst = max(worst, float(np.abs(sums - 1.0).max(initial=0.0)))
+        negative |= bool((proj < 0).any())
     return CheckResult(
         "row-column-stochasticity", worst <= 1e-12 and not negative,
         f"max |sum-1| {worst:.2e}, negative weights {negative}",

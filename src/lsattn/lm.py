@@ -16,6 +16,7 @@ from typing import Callable, ClassVar, Iterator
 import numpy as np
 
 from .attention import block_forward
+from .autodiff import gradients
 from .causal import causal_aggregate_head
 from .config import LSConfig
 from .errors import ConfigError, DivergenceError, ShapeError
@@ -230,8 +231,6 @@ def train(cfg: ModelConfig, corpus: np.ndarray | bytes) -> tuple[ModelParams, Tr
     val_batch = _sample_batch(val_data, n, min(cfg.batch_size, 4), rng.child(3))
 
     params = model.parameter_list()
-    from .autodiff import gradients
-
     report = TrainReport()
     lr = cfg.learning_rate
     for step in range(cfg.steps):

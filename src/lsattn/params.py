@@ -31,7 +31,7 @@ class HeadParams:
     wq: Tensor
     wk: Tensor
     wv: Tensor
-    wp: Tensor | None
+    wp: Tensor
     ln_local: LnParams
     ln_global: LnParams
 
@@ -39,7 +39,7 @@ class HeadParams:
         yield f"{prefix}wq", self.wq
         yield f"{prefix}wk", self.wk
         yield f"{prefix}wv", self.wv
-        if self.wp is not None:
+        if self.wp.shape[-1]:
             yield f"{prefix}wp", self.wp
         yield f"{prefix}ln_local.gain", self.ln_local.gain
         yield f"{prefix}ln_local.bias", self.ln_local.bias
@@ -51,7 +51,7 @@ class HeadParams:
 class MultiHeadParams:
     """A layer's heads, stored once on a leading head axis, and its output projection.
 
-    stacked holds wq, wk and wv as (h, d, d_k), wp as (h, d, r), and the norm
+    stacked holds wq, wk, wv as (h, d, d_k), wp as (h, d, r) at every rank, and the norm
     gains and biases as (h, 1, d_k), so they broadcast against (..., h, n, d_k).
     heads[i] holds head i's tensors, which view row i of those leaves
     (`Tensor.view_of`), so writing one writes the other, and gradients that
@@ -100,11 +100,9 @@ def _ln_params(dim: int, trainable: bool) -> LnParams:
 
 
 def init_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> HeadParams:
-    """Fresh head parameters: fan-in scaled projections, identity norms."""
+    """Fresh head parameters: fan-in scaled projections (wp (d, rank) first), identity norms."""
     d, dk = cfg.model_dim, cfg.head_dim
-    wp = None
-    if cfg.rank > 0:
-        wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable)
+    wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable)
     return HeadParams(
         wq=init_matrix(rng, d, dk, requires_grad=trainable),
         wk=init_matrix(rng, d, dk, requires_grad=trainable),
@@ -125,7 +123,7 @@ def _join_heads(heads: list[HeadParams], join: Callable[[list[Tensor], bool], Te
         wq=join([head.wq for head in heads], False),
         wk=join([head.wk for head in heads], False),
         wv=join([head.wv for head in heads], False),
-        wp=None if heads[0].wp is None else join([head.wp for head in heads], False),
+        wp=join([head.wp for head in heads], False),
         ln_local=ln([head.ln_local for head in heads]),
         ln_global=ln([head.ln_global for head in heads]),
     )

@@ -418,8 +418,9 @@ def attend(
     its rows form `groups` consecutive groups of `size` queries. k and v are
     window keys and values in q's row layout; with w > 0 each group is a
     window segment (size = w), and window slot j of group g is row
-    g*w - offset + j, zero outside k's rows. At w = 0 k and v are neither read
-    nor graph parents. kbar and vbar are (..., slots, d). All five operands
+    g*w - offset + j, zero outside k's rows. kbar and vbar are (..., slots, d).
+    A zero-width branch is no graph parent: k and v at w = 0 (they are not
+    read either), kbar and vbar with no projected slots. All five operands
     share one batch shape (...). Logits are q.k / sqrt(d). Returns the output
     (..., groups * size, d) and the weights (..., groups, size, 2w + slots),
     with masked slots exactly 0. With batch axes, the output is a view of a
@@ -446,6 +447,7 @@ def attend(
             f"{kbar.shape}/{vbar.shape}, mask {attendable.shape}, offset {offset}"
         )
     window = (k, v) if w else ()
+    projected = (kbar, vbar) if slots else ()
     rows = batch + (groups * size,)
     inv_scale = 1.0 / math.sqrt(d)
     q_grouped = q.data.reshape(q.shape[:-2] + (groups, size, d))
@@ -470,7 +472,7 @@ def attend(
     out = Tensor(out_data)
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
-    if _tracking(q, *window, kbar, vbar):
+    if _tracking(q, *window, *projected):
         def route(g: np.ndarray) -> None:
             p = weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
@@ -489,15 +491,15 @@ def attend(
                 _accum(q, dq)
             if window and k.requires_grad:
                 _accum(k, _window_grad(ds, q_grouped, w, offset))
-            if kbar.requires_grad:
+            if slots and kbar.requires_grad:
                 _accum(kbar, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
             del ds, ds_far
             if window and v.requires_grad:
                 _accum(v, _window_grad(p, g_grouped, w, offset))
-            if vbar.requires_grad:
+            if slots and vbar.requires_grad:
                 p_far = p[..., 2 * w :].reshape(rows + (slots,))
                 _accum(vbar, np.matmul(np.swapaxes(p_far, -1, -2), g))
-        _attach(out, (q, *window, kbar, vbar), route)
+        _attach(out, (q, *window, *projected), route)
     return out, p
 
 

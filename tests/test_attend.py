@@ -150,7 +150,7 @@ def composed_weights(x, p, cfg):
     groups, size, span = attendable.shape
     x_pad = concat([x, Tensor(np.zeros((n_pad - cfg.seq_len, x.shape[-1])))], axis=0)
     q, k, v = matmul(x_pad, p.wq), matmul(x_pad, p.wk), matmul(x_pad, p.wv)
-    pkv = dynamic_projection(x_pad, p, cfg, keys=k, values=v)
+    pkv = dynamic_projection(x_pad, p, cfg)
     kbar = pkv.kbar
     if cfg.dual_ln:
         k = layer_norm(k, p.ln_local.gain, p.ln_local.bias)

@@ -1,5 +1,7 @@
 """Bidirectional attention variants against independent numpy oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,9 +199,19 @@ class TestDynamicProjection:
     def test_rank_zero_sentinel(self):
         cfg = LSConfig(seq_len=4, model_dim=2, heads=1, window=2, rank=0)
         p, x = make_head(cfg, seed=15)
+        assert p.wp.shape == (2, 0)
+        assert "wp" not in dict(p.named_parameters())
         pkv = dynamic_projection(x, p, cfg)
         assert pkv.p.shape == (4, 0)
         assert pkv.kbar.shape == (0, 2)
+
+    @pytest.mark.parametrize("rank,cfg_rank", [(0, 2), (2, 3)])
+    def test_projection_matrix_of_another_rank_rejected(self, rank, cfg_rank):
+        cfg = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=cfg_rank)
+        p, x = make_head(replace(cfg, rank=rank), seed=22)
+        for call in (dynamic_projection, aggregate_head):
+            with pytest.raises(ShapeError):
+                call(x, p, cfg)
 
     @pytest.mark.parametrize("rows", [10, 14])
     def test_rows_other_than_real_or_padded_rejected(self, rows):

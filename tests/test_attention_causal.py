@@ -14,7 +14,6 @@ from lsattn import (
     full_attention_head,
     gradients,
     init_head_params,
-    matmul,
 )
 from lsattn.errors import ConfigError
 from lsattn.tensor import mul, tensor_sum
@@ -97,16 +96,19 @@ class TestSegmentProjection:
             assert np.array_equal(whole.kbar.data[slots], piece.kbar.data)
             assert np.array_equal(whole.vbar.data[slots], piece.vbar.data)
 
-    def test_given_keys_of_unpadded_rows_match_computed_ones(self):
-        # The last segment is partial: keys and values passed in for x's own
-        # rows are padded like x before they are projected.
+    def test_keys_of_own_rows_and_padded_projection(self):
+        # The last segment is partial: k and v are x@wk and x@wv of x's own
+        # rows, and they are padded like x before they are projected.
         cfg = causal_cfg(n=10, w=2, r=2, l=4)
         p, x = make_head(cfg, seed=4)
-        computed = dynamic_projection(x, p, cfg)
-        given = dynamic_projection(x, p, cfg, keys=matmul(x, p.wk), values=matmul(x, p.wv))
-        for a, b in ((computed.kbar, given.kbar), (computed.vbar, given.vbar)):
+        own = dynamic_projection(x, p, cfg)
+        assert np.array_equal(own.k.data, x.data @ p.wk.data)
+        assert np.array_equal(own.v.data, x.data @ p.wv.data)
+        pad = np.zeros((cfg.padded_len - cfg.seq_len, cfg.model_dim))
+        padded = dynamic_projection(Tensor(np.concatenate([x.data, pad])), p, cfg)
+        for a, b in ((own.kbar, padded.kbar), (own.vbar, padded.vbar)):
             assert a.shape == b.shape == (3 * cfg.rank, cfg.head_dim)
-            assert np.abs(a.data - b.data).max() <= 1e-14
+            assert np.array_equal(a.data, b.data)
 
 
 class TestCausalAggregate:

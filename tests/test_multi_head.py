@@ -269,6 +269,19 @@ def test_projection_only_layer_graph_leaves_out_the_window_branch():
     assert id(params.stacked.ln_global.gain) in node_ids and not local & node_ids
 
 
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+def test_window_only_layer_graph_leaves_out_the_projected_branch(mode):
+    # At r = 0 the empty projection and its ln_global norms are not in the
+    # graph: no node reachable from the output is zero-size.
+    cfg = LSConfig(seq_len=12, model_dim=8, heads=2, window=4, rank=0, seg_len=4, mode=mode,
+                   dual_ln=True)
+    nodes, params, node_ids = layer_graph(cfg)
+    glob = {id(params.stacked.ln_global.gain), id(params.stacked.ln_global.bias)}
+    assert len(nodes) == 17
+    assert all(t.size for t in nodes), [t.shape for t in nodes if not t.size]
+    assert id(params.stacked.ln_local.gain) in node_ids and not glob & node_ids
+
+
 @contextmanager
 def collector_off():
     gc.disable()

@@ -10,6 +10,12 @@ It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
 - the perfbench `bidir-long` layer (seed 901): output and every gradient;
 - the perfbench `lm-train` config: a 50-step `lm.train` at seed 901, its
   train losses, val bpcs, final val bpc and trained parameters;
+- four stacked-head `multi_head` layers with one branch empty or padding
+  rows (window-only dual LN in both modes, projection-only, and a padded
+  causal layer with a padding-only projection segment): output, the
+  gradients of x and of every `named_parameters()` entry, the runtime FLOPs
+  of that forward, and `count_flops`/`measured_flops` of the matching
+  one-layer `ArchSpec`;
 - `count_flops` of every preset and of `DEFAULT_ARCH`, and both workloads'
   closed-form and runtime flop-parity totals;
 - stdout and exit code of 18 `lsattn` commands, run in this process, with the
@@ -39,6 +45,10 @@ import numpy as np  # noqa: E402
 
 import lsattn  # noqa: E402
 from lsattn import cli, flops, lm  # noqa: E402
+from lsattn import (  # noqa: E402
+    LSConfig, Rng, Tensor, aggregate_head, count_flops_runtime, gradients,
+    init_multi_head_params, multi_head, no_grad,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import long_range_copy_corpus, make_workload  # noqa: E402
@@ -81,6 +91,45 @@ def lm_train() -> dict[str, str]:
     }
     result.update({f"lm-train.param.{name}": digest(t.data)
                    for name, t in model.named_parameters()})
+    return result
+
+
+# Layers whose rank-0, window-0 or padding paths the two workloads never run.
+EDGE_LAYERS = {
+    "window-only-dual": LSConfig(seq_len=10, model_dim=12, heads=3, window=4, rank=0,
+                                 dual_ln=True),
+    "causal-window-only-dual": LSConfig(seq_len=12, model_dim=12, heads=3, window=2, rank=0,
+                                        seg_len=4, mode="causal", dual_ln=True),
+    "projection-only-dual": LSConfig(seq_len=10, model_dim=12, heads=3, window=0, rank=3,
+                                     dual_ln=True),
+    # n=5, w=4, l=2: tokens 6-7 form a padding-only projection segment.
+    "causal-padded-dual": LSConfig(seq_len=5, model_dim=8, heads=2, window=4, rank=2,
+                                   seg_len=2, mode="causal", dual_ln=True),
+}
+
+
+def edge_layers() -> dict[str, str]:
+    result = {}
+    for name, cfg in EDGE_LAYERS.items():
+        rng = Rng(SEED)
+        params = init_multi_head_params(rng.child(0), cfg)
+        x = Tensor(rng.child(1).normal((2, cfg.seq_len, cfg.model_dim)), requires_grad=True)
+        probe = rng.child(2).normal((2, cfg.seq_len, cfg.model_dim))
+        head = lambda t, p: aggregate_head(t, p, cfg)  # noqa: E731
+        out = multi_head(x, params, head)
+        named = [("x", x)] + list(params.named_parameters())
+        grads = gradients(out, [t for _, t in named], seed=probe)
+        with no_grad(), count_flops_runtime() as counter:
+            multi_head(x, params, head)
+        variant = "projection" if cfg.window == 0 else "window" if cfg.rank == 0 else "long-short"
+        arch = flops.ArchSpec(
+            layers=1, model_dim=cfg.model_dim, heads=cfg.heads, ffn_dim=cfg.model_dim,
+            seq_len=cfg.seq_len, variant=variant, window=cfg.window, rank=cfg.rank,
+            seg_len=cfg.seg_len, mode=cfg.mode, dual_ln=cfg.dual_ln)
+        result[f"{name}.output"] = digest(out.data)
+        result.update({f"{name}.grad.{param}": digest(g) for (param, _), g in zip(named, grads)})
+        result[f"{name}.flops"] = text_digest(repr((
+            counter.total, flops.count_flops(arch), flops.measured_flops(arch))))
     return result
 
 
@@ -137,7 +186,7 @@ def cli_outputs() -> dict[str, str]:
 
 def main() -> None:
     print(f"lsattn from {lsattn.__file__}", file=sys.stderr)
-    result = {**bidir_long(), **lm_train(), **flop_counts(), **cli_outputs()}
+    result = {**bidir_long(), **lm_train(), **edge_layers(), **flop_counts(), **cli_outputs()}
     print(json.dumps(result, indent=1, sort_keys=True))
 
 
