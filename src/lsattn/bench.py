@@ -1,9 +1,10 @@
 """Scaling sweeps and probe runners with CSV output.
 
-Wall times are medians of repeated forward passes after one warmup run;
-peak memory is tracked by the tensor allocation shim in a separate untimed
-pass, so the numbers never contaminate each other. BLAS runs with whatever
-threads the environment gives it (set OPENBLAS_NUM_THREADS=1 to pin it).
+Wall times are medians of forward passes timed round-robin over the sequence
+lengths after one warmup run each; peak memory is tracked by the tensor
+allocation shim in a separate untimed pass, so the numbers never contaminate
+each other. BLAS runs with whatever threads the environment gives it (set
+OPENBLAS_NUM_THREADS=1 to pin it).
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ def fmt(value: float | int) -> str:
 def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -> list[SweepRow]:
     """Median forward wall time, peak buffer bytes, and modeled FLOPs per n.
 
-    Each sequence length n runs `arch` with seq_len replaced by n. Rows report
-    the window and rank the variant runs (`ArchSpec.attention_config`): 0 for a
-    disabled branch, and 0 and 0 for full attention.
+    Each sequence length n runs `arch` with seq_len replaced by n. Each of `reps`
+    rounds times one forward at every n in turn, so a change of host speed
+    reaches all lengths alike; an n that runs out of memory is marked "oom".
+    Rows report the window and rank the variant runs (`ArchSpec.attention_config`):
+    0 for a disabled branch, and 0 and 0 for full attention.
     """
     if reps < 5:
         raise ConfigError("need at least 5 timed repetitions")
@@ -59,30 +62,41 @@ def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -
         raise ConfigError("need at least one sequence length")
     if list(seq_lens) != sorted(set(seq_lens)):
         raise ConfigError("sequence lengths must be strictly increasing")
-    rows = []
-    for n in seq_lens:
-        arch_n = replace(arch, seq_len=n)
-        cfg = arch_n.attention_config()
-        w, r = (0, 0) if cfg is None else (cfg.window, cfg.rank)
-        row = SweepRow(n=n, w=w, r=r, mode=arch.mode, variant=arch.variant,
-                       flops=count_flops(arch_n).total, wall_ms=float("nan"), peak_bytes=0)
-        try:
-            rng = Rng(seed)
-            encoder = ReferenceEncoder.build(arch_n, rng)
-            x = Tensor(rng.child(999).normal((n, arch.model_dim)))
-            with no_grad():
+    rows = {}
+    runs = {}  # n -> (encoder, x, wall times) while n has not run out of memory
+    with no_grad():
+        for n in seq_lens:
+            arch_n = replace(arch, seq_len=n)
+            cfg = arch_n.attention_config()
+            w, r = (0, 0) if cfg is None else (cfg.window, cfg.rank)
+            rows[n] = SweepRow(n=n, w=w, r=r, mode=arch.mode, variant=arch.variant,
+                               flops=count_flops(arch_n).total, wall_ms=float("nan"),
+                               peak_bytes=0, status="oom")
+            try:
+                rng = Rng(seed)
+                encoder = ReferenceEncoder.build(arch_n, rng)
+                x = Tensor(rng.child(999).normal((n, arch.model_dim)))
                 encoder.forward(x)  # warmup: caches and allocator steady state
-                times = []
-                for _ in range(reps):
+                runs[n] = (encoder, x, [])
+            except MemoryError:
+                pass
+        for _ in range(reps):
+            for n, (encoder, x, times) in list(runs.items()):
+                try:
                     started = time.perf_counter()
                     encoder.forward(x)
                     times.append((time.perf_counter() - started) * 1e3)
+                except MemoryError:
+                    del runs[n]
+        for n, (encoder, x, times) in runs.items():
+            try:
                 with track_peak_bytes() as tracker:
                     encoder.forward(x)
-            rows.append(replace(row, wall_ms=statistics.median(times), peak_bytes=tracker.peak))
-        except MemoryError:
-            rows.append(replace(row, status="oom"))
-    return rows
+            except MemoryError:
+                continue
+            rows[n] = replace(rows[n], wall_ms=statistics.median(times),
+                              peak_bytes=tracker.peak, status="ok")
+    return list(rows.values())
 
 
 def sweep_csv_rows(rows: Iterable[SweepRow]) -> list[list[str]]:

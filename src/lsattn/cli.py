@@ -20,12 +20,12 @@ from .bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
 from .checks import run_all_checks
 from .config import MODES, LSConfig, desk_causal_config
 from .errors import ConfigError, DivergenceError, ShapeError
-from .flops import (DEFAULT_ARCH, PRESETS, VARIANTS, ArchSpec, count_flops, load_preset_file,
-                    preset_arch)
+from .flops import PRESETS, VARIANTS, ArchSpec, count_flops, load_preset_file
 from .lm import ModelConfig, dualln_ablation, train
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+DEFAULT_PRESET = "lra-listops"  # what `sweep`, and `flops` without a source, start from
 
 _ARCH_FIELDS = {f.name for f in fields(ArchSpec)}
 _LS_FIELDS = {f.name for f in fields(LSConfig)}
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_flops = sub.add_parser("flops", help="closed-form FLOP table for one architecture",
                              **only_given)
     source = p_flops.add_mutually_exclusive_group()
-    source.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    source.add_argument("--preset", choices=sorted(PRESETS), default=DEFAULT_PRESET,
+                        help="architecture the other flags override (default %(default)s)")
     source.add_argument("--preset-file", type=Path, default=None,
                         help="key = value file describing the architecture")
     p_flops.add_argument("--variant", choices=VARIANTS)
@@ -159,20 +160,12 @@ def _write_out(rows: list[list[str]], out: Path | None) -> None:
 
 
 def _cmd_flops(args) -> int:
-    given = _given(args, _ARCH_FIELDS)
-    preset = load_preset_file(args.preset_file) if args.preset_file is not None else args.preset
-    if preset is None:
-        arch = replace(DEFAULT_ARCH, **given)
-    else:
-        arch = preset_arch(preset, given.pop("variant", None), **given)
-    report = count_flops(arch)
+    base = PRESETS[args.preset] if args.preset_file is None else load_preset_file(args.preset_file)
+    report = count_flops(replace(base, **_given(args, _ARCH_FIELDS)))
     rows = [["component", "flops_per_layer"]]
-    for name, value in sorted(report.components.items()):
-        rows.append([name, str(value)])
-    rows.append(["layers", str(report.layers)])
-    rows.append(["docs", str(report.docs)])
-    rows.append(["total", str(report.total)])
-    rows.append(["total_formatted", report.formatted])
+    rows += [[name, str(value)] for name, value in sorted(report.components.items())]
+    rows += [["layers", str(report.layers)], ["docs", str(report.docs)],
+             ["total", str(report.total)], ["total_formatted", report.formatted]]
     _write_out(rows, args.out)
     return 0
 
@@ -182,7 +175,7 @@ def _cmd_sweep(args) -> int:
         seq_lens = [int(part) for part in args.n.split(",") if part]
     except ValueError:
         raise ConfigError(f"--n must be comma-separated integers, got {args.n!r}")
-    arch = replace(DEFAULT_ARCH, **_given(args, _ARCH_FIELDS))
+    arch = replace(PRESETS[DEFAULT_PRESET], **_given(args, _ARCH_FIELDS))
     _check_out(args.out)
     rows = run_scaling(arch, seq_lens, args.reps, args.seed)
     _write_out(sweep_csv_rows(rows), args.out)

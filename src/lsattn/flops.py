@@ -4,13 +4,16 @@ Counting convention: one multiply-accumulate inside a matrix product is one
 FLOP, and a layer normalization costs 4 FLOPs per normalized element.
 Softmax, masking, scaling, and bias additions are free. The closed forms
 here mirror the executed operations term by term, so they agree exactly
-with the runtime counter (`measured_flops`) on every variant.
+with the runtime counter (`measured_flops`) on every variant. `ArchSpec` is
+the one description of an architecture: a preset or a preset file is a whole
+ArchSpec, and callers change its fields with `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .attention import aggregate_head, block_forward, full_attention_head
 from .causal import causal_full_attention_oracle
@@ -20,7 +23,7 @@ from .params import BlockParams, init_block_params
 from .tensor import Rng, Tensor, count_flops_runtime, no_grad
 
 __all__ = ["ArchSpec", "FlopReport", "count_flops", "measured_flops",
-           "PRESETS", "DEFAULT_ARCH", "load_preset_file", "ReferenceEncoder"]
+           "PRESETS", "load_preset_file", "ReferenceEncoder"]
 
 VARIANTS = ("full", "window", "projection", "long-short")
 
@@ -35,9 +38,10 @@ class ArchSpec:
     ffn_dim: int
     seq_len: int
     variant: str = "full"
-    window: int = 0
-    rank: int = 0
-    seg_len: int = 1
+    # Span settings w, r, l: every variant runs from the shape fields alone.
+    window: int = 8
+    rank: int = 32
+    seg_len: int = 16
     mode: str = "bidirectional"
     dual_ln: bool = False
     docs: int = 1
@@ -202,41 +206,11 @@ PRESETS: dict[str, ArchSpec] = {
     ),
 }
 
-# What `lsattn flops` and `lsattn sweep` run without a preset: lra-listops with
-# the span settings that re-pointing a preset at a windowed or projected
-# variant also takes.
-DEFAULT_ARCH = replace(PRESETS["lra-listops"], window=8, rank=32, seg_len=16)
-
-
-def preset_arch(preset: str | ArchSpec, variant: str | None = None, **overrides) -> ArchSpec:
-    """A preset, optionally re-pointed at another variant, with fields overridden.
-
-    `preset` is a PRESETS name or an ArchSpec, such as a parsed preset file.
-    Re-pointing sets the new variant's span defaults (DEFAULT_ARCH's window
-    and rank, and dual LN for long-short); `overrides` (ArchSpec fields) win
-    over both.
-    """
-    if isinstance(preset, str):
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        preset = PRESETS[preset]
-    updates: dict = {}
-    if variant is not None and variant != preset.variant:
-        updates["variant"] = variant
-        if variant in ("long-short", "window"):
-            updates["window"] = DEFAULT_ARCH.window
-        if variant in ("long-short", "projection"):
-            updates["rank"] = DEFAULT_ARCH.rank
-        if variant == "long-short":
-            updates["dual_ln"] = True
-    return replace(preset, **{**updates, **overrides})
-
-
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
-_INT_FIELDS = ("layers", "model_dim", "heads", "ffn_dim", "seq_len",
-               "window", "rank", "seg_len", "docs")
-_STR_FIELDS = ("variant", "mode")
+# A preset file's keys, their value types and its required keys are ArchSpec's fields.
+_FIELD_TYPES = get_type_hints(ArchSpec)
+_PARSERS = {int: int, str: str, bool: lambda value: _BOOL_VALUES[value.lower()]}
 
 
 def load_preset_file(path: str | Path) -> ArchSpec:
@@ -257,21 +231,14 @@ def load_preset_file(path: str | Path) -> ArchSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad integer {value!r} for {key}") from None
-        elif key in _STR_FIELDS:
-            values[key] = value
-        elif key == "dual_ln":
-            try:
-                values[key] = _BOOL_VALUES[value.lower()]
-            except KeyError:
-                raise ConfigError(f"{path}:{lineno}: bad boolean {value!r}") from None
-        else:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    missing = {"layers", "model_dim", "heads", "ffn_dim", "seq_len"} - values.keys()
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = _PARSERS[kind](value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: bad {kind.__name__} {value!r} for {key}") from None
+    missing = {f.name for f in fields(ArchSpec) if f.default is MISSING} - values.keys()
     if missing:
         raise ConfigError(f"{path}: missing required keys {sorted(missing)}")
     return ArchSpec(**values)

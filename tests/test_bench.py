@@ -9,12 +9,12 @@ import pytest
 from lsattn.bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
 from lsattn.config import LSConfig
 from lsattn.errors import ConfigError
-from lsattn.flops import DEFAULT_ARCH
+from lsattn.flops import PRESETS, ReferenceEncoder
 from lsattn.tensor import Tensor, reshape, swap_axes, track_peak_bytes
 
 
 def arch(variant, **fields):
-    return replace(DEFAULT_ARCH, variant=variant, **fields)
+    return replace(PRESETS["lra-listops"], variant=variant, **fields)
 
 
 class TestRunScaling:
@@ -37,6 +37,21 @@ class TestRunScaling:
                            seed=2)
         ratio = rows[2].peak_bytes / rows[1].peak_bytes
         assert 1.5 <= ratio <= 2.5
+
+    def test_timed_forwards_interleave_lengths(self, monkeypatch):
+        forward, seen = ReferenceEncoder.forward, []
+
+        def recording_forward(encoder, x):
+            seen.append(encoder.arch.seq_len)
+            return forward(encoder, x)
+
+        monkeypatch.setattr(ReferenceEncoder, "forward", recording_forward)
+        lengths = [32, 64, 128]
+        rows = run_scaling(arch("long-short", window=8, rank=8), lengths, reps=5, seed=0)
+        assert all(r.status == "ok" for r in rows)
+        # A warm-up pass per length, then five timed rounds over all lengths,
+        # then a peak-memory pass per length.
+        assert seen == lengths * (1 + 5 + 1)
 
     def test_sequence_lengths_must_increase(self):
         with pytest.raises(ConfigError):

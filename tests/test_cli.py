@@ -60,10 +60,25 @@ class TestFlopsCommand:
         preset.write_text(
             "layers = 2\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\n"
         )
-        for source in (["--preset", "lra-listops"], ["--preset-file", str(preset)]):
-            code, out, _ = run_cli(capsys, "flops", *source, "--variant", "long-short")
-            assert code == 0
-            assert "total,197165056" in out
+        for source in ([], ["--preset", "lra-listops"], ["--preset-file", str(preset)]):
+            for flags, total in ((["--variant", "long-short"], 195035136),
+                                 (["--variant", "long-short", "--mode", "causal"], 2325741568)):
+                code, out, _ = run_cli(capsys, "flops", *source, *flags)
+                assert code == 0
+                assert f"total,{total}\n" in out
+
+    @pytest.mark.parametrize("argv,total", [
+        (["--preset", "lra-listops", "--variant", "long-short", "--dual-ln"], 197165056),
+        (["--preset", "charlm-small", "--variant", "window"], 212751876096),
+        (["--preset", "lra-listops", "--variant", "long-short", "--mode", "causal", "--w", "4"],
+         None),
+    ], ids=["dual-ln-only-when-given", "keeps-preset-window", "keeps-default-seg-len"])
+    def test_variant_overrides_only_itself(self, capsys, argv, total):
+        code, out, err = run_cli(capsys, "flops", *argv)
+        if total is None:
+            assert code == 2 and "seg_len" in err and out == ""
+        else:
+            assert code == 0 and f"total,{total}\n" in out
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"
@@ -183,6 +198,22 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert "not allowed with argument" in captured.err and captured.out == ""
+
+    def test_default_preset_named_with_preset_file_exits_2(self, capsys, tmp_path):
+        preset = tmp_path / "tiny.preset"
+        preset.write_text("layers = 1\nmodel_dim = 8\nheads = 1\nffn_dim = 8\nseq_len = 16\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["flops", "--preset", "lra-listops", "--preset-file", str(preset)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+
+    def test_unknown_preset_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["flops", "--preset", "lra-pathfinder"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice" in captured.err and captured.out == ""
 
     def test_duplicate_preset_key_exits_2(self, capsys, tmp_path):
         preset = tmp_path / "twice.preset"
@@ -542,3 +573,40 @@ class TestCommandFuzz:
         assert code in (0, 1, 2) and "Traceback" not in err, err
         if code != 2:
             assert "checks passed" in out
+
+
+_LISTOPS_FILE = b"layers = 2\nmodel_dim = 64\nheads = 2\nffn_dim = 128\nseq_len = 2048\n"
+
+
+@st.composite
+def _override_flags(draw):
+    flags = _flag(draw, "--variant", VARIANTS) + _flag(draw, "--mode", MODES)
+    flags += _flag(draw, "--w", (0, 2, 4, 8, 16))
+    flags += _flag(draw, "--r", (0, 1, 8, 32))
+    flags += _flag(draw, "--l", (1, 4, 16, 32))
+    flags += _flag(draw, "--n", (1, 100, 2048))
+    if draw(st.booleans()):
+        flags.append("--dual-ln")
+    return flags
+
+
+def _total_or_exit(argv: list[str]) -> str | int:
+    code, out, err = _run_main(argv)
+    assert code in (0, 2) and "Traceback" not in err, err
+    return code or next(line for line in out.splitlines() if line.startswith("total,"))
+
+
+class TestFlopsRoutes:
+    """One architecture, one total: flags alone, the lra-listops preset named,
+    and a preset file with its five required keys give the same `total` row,
+    or all exit 2."""
+
+    @given(flags=_override_flags())
+    @settings(max_examples=100, deadline=None)
+    def test_three_routes_agree(self, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "listops.preset"
+            path.write_bytes(_LISTOPS_FILE)
+            results = [_total_or_exit(["flops", *source, *flags]) for source in
+                       ([], ["--preset", "lra-listops"], ["--preset-file", str(path)])]
+        assert results[1] == results[0] and results[2] == results[0], results

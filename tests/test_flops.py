@@ -1,11 +1,12 @@
 """FLOP accounting: reference totals, dual-route parity, scaling ratios."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from lsattn.errors import ConfigError
-from lsattn.flops import ArchSpec, count_flops, load_preset_file, measured_flops, preset_arch
+from lsattn.flops import PRESETS, ArchSpec, count_flops, load_preset_file, measured_flops
 
 
 class TestReferenceTotals:
@@ -15,7 +16,7 @@ class TestReferenceTotals:
         ("lra-retrieval", 9_135_194_112, "9.14 G"),
     ])
     def test_full_attention_exact(self, preset, total, formatted):
-        report = count_flops(preset_arch(preset, "full"))
+        report = count_flops(replace(PRESETS[preset], variant="full"))
         assert report.total == total
         assert report.formatted == formatted
 
@@ -25,11 +26,11 @@ class TestReferenceTotals:
         ("lra-retrieval", 0.80e9),
     ])
     def test_long_short_within_ten_percent(self, preset, reference):
-        report = count_flops(preset_arch(preset, "long-short", window=8, rank=32))
+        report = count_flops(replace(PRESETS[preset], variant="long-short", window=8, rank=32))
         assert abs(report.total - reference) / reference <= 0.10
 
     def test_report_total_is_component_sum(self):
-        report = count_flops(preset_arch("lra-listops", "long-short"))
+        report = count_flops(replace(PRESETS["lra-listops"], variant="long-short"))
         assert report.total == sum(report.components.values()) * report.layers * report.docs
 
 
@@ -96,10 +97,6 @@ class TestArchValidation:
             ArchSpec(layers=1, model_dim=8, heads=1, ffn_dim=8, seq_len=16,
                      variant="projection", rank=2, mode="causal")
 
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            preset_arch("lra-pathfinder")
-
 
 class TestPresetFile:
     def test_round_trip(self, tmp_path):
@@ -132,6 +129,12 @@ class TestPresetFile:
         path = tmp_path / "twice.preset"
         path.write_text("layers = 1\n# the same key again\nlayers = 4\n")
         with pytest.raises(ConfigError, match=r"twice.preset:3: duplicate key 'layers'"):
+            load_preset_file(path)
+
+    def test_bad_boolean_reported_with_key(self, tmp_path):
+        path = tmp_path / "odd.preset"
+        path.write_text("dual_ln = maybe\n")
+        with pytest.raises(ConfigError, match=r"odd.preset:1: bad bool 'maybe' for dual_ln"):
             load_preset_file(path)
 
     def test_missing_keys(self, tmp_path):

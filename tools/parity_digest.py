@@ -16,8 +16,8 @@ It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
   gradients of x and of every `named_parameters()` entry, the runtime FLOPs
   of that forward, and `count_flops`/`measured_flops` of the matching
   one-layer `ArchSpec`;
-- `count_flops` of every preset and of `DEFAULT_ARCH`, and both workloads'
-  closed-form and runtime flop-parity totals;
+- `count_flops` of every preset, and both workloads' closed-form and runtime
+  flop-parity totals;
 - stdout and exit code of 18 `lsattn` commands, run in this process, with the
   `wall_ms` column blanked; `train` and `ablate` read a corpus written to a
   temporary directory.
@@ -134,9 +134,8 @@ def edge_layers() -> dict[str, str]:
 
 
 def flop_counts() -> dict[str, str]:
-    archs = {**flops.PRESETS, "DEFAULT_ARCH": flops.DEFAULT_ARCH}
     return {f"count_flops.{name}": text_digest(repr(flops.count_flops(arch)))
-            for name, arch in sorted(archs.items())}
+            for name, arch in sorted(flops.PRESETS.items())}
 
 
 def blank_wall_ms(text: str) -> str:
