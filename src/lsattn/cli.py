@@ -163,9 +163,12 @@ def _cmd_flops(args) -> int:
     base = PRESETS[args.preset] if args.preset_file is None else load_preset_file(args.preset_file)
     report = count_flops(replace(base, **_given(args, _ARCH_FIELDS)))
     rows = [["component", "flops_per_layer"]]
-    rows += [[name, str(value)] for name, value in sorted(report.components.items())]
-    rows += [["layers", str(report.layers)], ["docs", str(report.docs)],
-             ["total", str(report.total)], ["total_formatted", report.formatted]]
+    for name, value in sorted(report.components.items()):
+        rows.append([name, str(value)])
+    rows.append(["layers", str(report.layers)])
+    rows.append(["docs", str(report.docs)])
+    rows.append(["total", str(report.total)])
+    rows.append(["total_formatted", report.formatted])
     _write_out(rows, args.out)
     return 0
 

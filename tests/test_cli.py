@@ -200,6 +200,8 @@ class TestUsageErrors:
         assert "not allowed with argument" in captured.err and captured.out == ""
 
     def test_default_preset_named_with_preset_file_exits_2(self, capsys, tmp_path):
+        # lra-listops is --preset's default, and argparse lets an option that
+        # holds its default object pass the exclusion check.
         preset = tmp_path / "tiny.preset"
         preset.write_text("layers = 1\nmodel_dim = 8\nheads = 1\nffn_dim = 8\nseq_len = 16\n")
         with pytest.raises(SystemExit) as excinfo:
