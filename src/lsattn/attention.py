@@ -36,6 +36,7 @@ from .tensor import (
     masked_softmax,
     matmul,
     no_grad,
+    projection_softmax,
     relu,
     scale,
     slice_axis,
@@ -194,9 +195,11 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     other token. Only the first cfg.seq_len rows are valid tokens: rows past
     them (x's own padding rows, or the zero rows added here) receive exactly
     zero weight, and a segment with no valid token averages its zero rows
-    uniformly. wp is applied before the tokens are cut into segments, so a
-    stacked wp broadcasts like wk and wv. Rank 0 runs the same steps on
-    empty arrays.
+    uniformly. `tensor.projection_softmax` computes the distributions in one
+    op: it applies wp before cutting the tokens into segments, so a stacked
+    wp broadcasts like wk and wv, and it keeps only the distributions, not
+    the logits, for the backward pass. Rank 0 runs the same steps on empty
+    arrays.
 
     Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, wp is
     (..., d, cfg.rank), k and v are (..., n, head_dim), p is (..., n, rank)
@@ -216,8 +219,7 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
     k, v = matmul(x, p.wk), matmul(x, p.wv)
     batch = k.shape[:-2]
-    logits = matmul(_pad_rows(x, n_pad), p.wp).reshape(*batch, segments, l, r)
-    pt = masked_softmax(transpose_last(logits), mask)
+    pt = projection_softmax(_pad_rows(x, n_pad), p.wp, mask)
     kbar = matmul(pt, _pad_rows(k, n_pad).reshape(*batch, segments, l, dk))
     vbar = matmul(pt, _pad_rows(v, n_pad).reshape(*batch, segments, l, dk))
     return ProjectedKV(pt=pt, kbar=kbar.reshape(*batch, segments * r, dk),

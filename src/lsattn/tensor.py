@@ -39,6 +39,7 @@ __all__ = [
     "Rng",
     "matmul",
     "masked_softmax",
+    "projection_softmax",
     "attend",
     "layer_norm",
     "concat",
@@ -63,6 +64,10 @@ __all__ = [
 
 # Added to the variance inside layer_norm's square root.
 LAYER_NORM_EPS = 1e-5
+
+# Bytes of product held at once when backward adds a product into a
+# gradient by runs of rows (`_accum_rows`, `_window_grad`).
+_BLOCK_BYTES = 1 << 18
 
 _grad_enabled = True
 _flop_counter: "RuntimeFlopCounter | None" = None
@@ -187,7 +192,7 @@ def track_peak_bytes():
     A view (reshape, swap_axes, slice_axis, attend's output) adds no bytes to
     the buffer it views. Plain numpy buffers are not counted: attend's padded
     window copies, backward temporaries and gradient arrays. On one bidir-long
-    benchmark step it sees 0.713 of the tracemalloc peak (48.30 of 67.77 MB).
+    benchmark step it sees 0.712 of the tracemalloc peak (44.11 of 61.94 MB).
     """
     global _alloc_tracker
     prev = _alloc_tracker
@@ -294,13 +299,42 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=axes).reshape(shape) if axes else grad
 
 
+def _runs(n: int, row_bytes: int) -> list[slice]:
+    """range(n) cut into near-equal runs of at most `_BLOCK_BYTES` at row_bytes per index."""
+    count = max(1, -(-n * row_bytes // _BLOCK_BYTES))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _accum_rows(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
+    """Add np.matmul(x, y), of t's shape, into t.grad by runs of rows (`_runs`).
+
+    One run's product is held at a time. Each element sums as in the
+    one-shot product where BLAS runs the same kernel on a run as on the
+    whole; OpenBLAS changes kernel for products of one column or of about a
+    thousand elements, far below half of `_BLOCK_BYTES`.
+    """
+    runs = _runs(t.shape[-2], t.data[..., :1, :].nbytes)
+    if t.grad is not None and t._grad_owned:
+        for rows in runs:
+            t.grad[..., rows, :] += np.matmul(x[..., rows, :], y)
+        return
+    prior = t.grad
+    t.grad, t._grad_owned = np.empty(t.shape), True
+    for rows in runs:
+        np.matmul(x[..., rows, :], y, out=t.grad[..., rows, :])
+    if prior is not None:
+        t.grad += prior
+
+
 def _accum_product(t: Tensor, x: np.ndarray, y: np.ndarray, lead: tuple[int, ...]) -> None:
     """Add np.matmul(x, y), reduced to t's shape, into t.grad; lead is the product's batch.
 
     Where t keeps a leading axis at size 1 that the product spreads (an input
     broadcast against a head axis), the product is formed one slice of that
-    axis at a time, and each slice is added in and freed before the next is
-    formed, so at most one slice is held besides t.grad.
+    axis at a time. A slice of t's own shape is added in by runs of rows
+    (`_accum_rows`), so at most one run is held besides t.grad; any other
+    slice is added in and freed before the next is formed.
     """
     shape = t.shape
     units = [axis for axis in range(-len(shape), -2) if shape[axis] == 1 and lead[axis + 2] > 1]
@@ -308,11 +342,15 @@ def _accum_product(t: Tensor, x: np.ndarray, y: np.ndarray, lead: tuple[int, ...
         _accum(t, _unbroadcast(np.matmul(x, y), shape))
         return
     axis = units[0]
+    exact = len(units) == 1 and len(shape) == len(lead) + 2
     for i in range(lead[axis + 2]):
         xs, ys = (a if a.ndim < -axis or a.shape[axis] == 1
                   else a[(Ellipsis, slice(i, i + 1)) + (slice(None),) * (-axis - 1)]
                   for a in (x, y))
-        _accum(t, _unbroadcast(np.matmul(xs, ys), shape))
+        if exact:
+            _accum_rows(t, xs, ys)
+        else:
+            _accum(t, _unbroadcast(np.matmul(xs, ys), shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -354,6 +392,15 @@ def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return out
 
 
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of a last-axis softmax's logits, P * (dP - rowsum(dP * P)), in one fresh buffer."""
+    t = g * p
+    s = t.sum(axis=-1, keepdims=True)
+    np.subtract(g, s, out=t)
+    t *= p
+    return t
+
+
 def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis with excluded positions pinned to exactly 0.
 
@@ -364,10 +411,48 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     out = Tensor(p)
     if _tracking(logits):
         def route(g: np.ndarray) -> None:
-            dx = g - (g * p).sum(axis=-1, keepdims=True)
-            dx *= p
-            _accum(logits, dx)
+            _accum(logits, _softmax_grad(g, p))
         _attach(out, (logits,), route)
+    return out
+
+
+def projection_softmax(x: Tensor, wp: Tensor, attendable: np.ndarray) -> Tensor:
+    """Token distributions of a dynamic projection: a masked softmax of x @ wp per segment.
+
+    x is (..., n, d) and wp (..., d, r); attendable is (segments, 1, l) with
+    n = segments * l, and marks the tokens each segment's softmax may weight.
+    The logits x @ wp are cut into segments of l consecutive rows, and each
+    of the r columns of a segment is normalized over its tokens. Returns
+    P (..., segments, r, l), bit for bit the output of
+    `masked_softmax(transpose_last(reshape(matmul(x, wp), ...)), attendable)`.
+
+    Only P is kept for the backward pass; the logits are freed on return.
+    Backward forms the logits' gradient from P in one buffer and reads x and
+    wp for the two products; where x has a unit head axis, each head's part
+    of x's gradient is added by runs of rows. The runtime counter gets the
+    MACs of x @ wp.
+    """
+    segments, _, l = attendable.shape
+    if x.ndim < 2 or wp.ndim < 2 or wp.shape[-2] != x.shape[-1] or x.shape[-2] != segments * l:
+        raise ShapeError(f"projection_softmax shapes disagree: x {x.shape}, wp {wp.shape}, "
+                         f"mask {attendable.shape}")
+    n, d, r = x.shape[-2], x.shape[-1], wp.shape[-1]
+    logits = np.matmul(x.data, wp.data)
+    batch = logits.shape[:-2]
+    if _flop_counter is not None:
+        _flop_counter.matmul_macs += logits.size * d
+    p = _softmax(np.swapaxes(logits.reshape(batch + (segments, l, r)), -1, -2), attendable)
+    del logits
+    out = Tensor(p)
+    if _tracking(x, wp):
+        def route(g: np.ndarray) -> None:
+            # A view of the softmax gradient with one segment, else a copy.
+            dlogits = np.swapaxes(_softmax_grad(g, p), -1, -2).reshape(batch + (n, r))
+            if x.requires_grad:
+                _accum_product(x, dlogits, np.swapaxes(wp.data, -1, -2), batch)
+            if wp.requires_grad:
+                _accum_product(wp, np.swapaxes(x.data, -1, -2), dlogits, batch)
+        _attach(out, (x, wp), route)
     return out
 
 
@@ -393,13 +478,16 @@ def _window_grad(weights: np.ndarray, rows: np.ndarray, w: int, offset: int) -> 
     """Row gradient (..., groups * w, d) of the window slots, without building windows.
 
     weights (..., groups, w, 2w + ...) scale rows (..., groups, w, d). Window
-    g's halves land on blocks g and g + 1 of `_windows`' padded rows.
+    g's halves land on blocks g and g + 1 of `_windows`' padded rows; the
+    second halves are added in by runs of groups (`_runs`).
     """
     lo, hi = (np.swapaxes(weights[..., cols], -1, -2) for cols in (slice(None, w), slice(w, 2 * w)))
     groups, d = lo.shape[-3], rows.shape[-1]
     blocks = np.zeros(lo.shape[:-3] + (groups + 1, w, d))
     np.matmul(lo, rows, out=blocks[..., :-1, :, :])
-    blocks[..., 1:, :, :] += np.matmul(hi, rows)
+    for run in _runs(groups, blocks[..., :1, :, :].nbytes):
+        after = slice(run.start + 1, run.stop + 1)
+        blocks[..., after, :, :] += np.matmul(hi[..., run, :, :], rows[..., run, :, :])
     return blocks.reshape(lo.shape[:-3] + (-1, d))[..., offset : offset + groups * w, :]
 
 
@@ -506,10 +594,13 @@ def attend(
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit population variance.
 
-    LAYER_NORM_EPS (1e-5) sits inside the square root; constant rows map to
-    the bias. gain and bias share one shape (..., d), which broadcasts against
-    x; a stacked (h, 1, d) pair gives each head of an (..., h, n, d) input its
-    own norm.
+    LAYER_NORM_EPS (1e-5) sits inside the square root. A constant row maps
+    to the bias only where its mean, a sum over d divided by d, rounds back
+    to the row's value; elsewhere (at d = 3, 7 and 64, among others) the
+    rounding error, scaled up by 1/sqrt(eps), is left, up to about 1e-13
+    times the row's value. gain and bias share one shape (..., d), which
+    broadcasts against x; a stacked (h, 1, d) pair gives each head of an
+    (..., h, n, d) input its own norm.
 
     Only the row means and reciprocal deviations, (..., 1), are kept for the
     backward pass, which recomputes the normalized rows from x and holds at

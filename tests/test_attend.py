@@ -14,10 +14,12 @@ from lsattn import (
     concat,
     dynamic_projection,
     finite_diff_check,
+    gradients,
     layer_norm,
     masked_softmax,
     matmul,
 )
+from lsattn import tensor as tensor_ops
 from lsattn.errors import ShapeError
 from lsattn.spans import slot_layout, window_offset
 from lsattn.tensor import (
@@ -100,6 +102,19 @@ class TestAttendGradients:
         assert finite_diff_check(loss, [q, kb, vb, kbar, vbar]) < 1e-6
         _, weights = attend(q, kb, vb, kbar, vbar, mask, offset)
         assert (weights[:, 0, :w2] == 0.0).all() and (weights[:, 1, w2:] == 0.0).all()
+
+    def test_window_gradient_runs_change_no_bit(self, monkeypatch):
+        # The second halves of the windows are added into the row gradient by
+        # runs of groups; one group per run gives the same bits as one run.
+        cfg = LSConfig(seq_len=40, model_dim=4, heads=1, window=4, rank=3)
+        leaves, attendable, offset = operands(cfg, seed=9, batch=(2,))
+        probe = Rng(6).normal(leaves[0].shape)
+        results = []
+        for block_bytes in (tensor_ops._BLOCK_BYTES, 1):
+            monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", block_bytes)
+            out, _ = attend(*leaves, attendable, offset)
+            results.append(gradients(out, leaves, seed=probe))
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
 
     def test_peak_bytes_see_logits_and_weights(self):
         (q, kb, vb, kbar, vbar), attendable, offset = operands(CONFIGS["bidirectional"], seed=8)

@@ -30,6 +30,7 @@ from lsattn import (
     multi_head,
 )
 from lsattn import attention, lm
+from lsattn import tensor as tensor_ops
 from lsattn.tensor import add, mul, tensor_sum
 
 CONFIGS = {
@@ -69,17 +70,40 @@ def test_stacked_heads_match_one_call_per_head(mode):
         assert np.abs(g - g_ref).max() <= 1e-12 * max(1.0, np.abs(g_ref).max()), name
 
 
+# One bidirectional dual-LN layer at n = 1024 for the two tests below.
+N, D, H, W, R = 1024, 64, 2, 8, 32
+F8 = 8
+HELD_CFG = LSConfig(seq_len=N, model_dim=D, heads=H, window=W, rank=R, dual_ln=True)
+ROWS = N * D * F8  # one (h, n, d_k) array, or one (n, d) array
+# What the layer's graph holds after its forward pass, from the shapes.
+READ_BY_BACKWARD = {
+    "q, k, v": 3 * ROWS,
+    "projection weights (h, 1, r, n)": H * R * N * F8,
+    "projected k, v before and after their norm": 4 * H * R * (D // H) * F8,
+    "normed window k, v": 2 * ROWS,
+    "attention weights": H * N * (2 * W + R) * F8,
+    "attend output": ROWS,
+    "norm row means and 1/sigma": 2 * 2 * H * N * F8 + 2 * 2 * H * R * F8,
+}
+# Held, but read by no backward: the layer output.
+HELD_UNREAD = {"output": ROWS}
+HELD = sum(READ_BY_BACKWARD.values()) + sum(HELD_UNREAD.values())
+
+
+def held_layer():
+    """The layer's parameters, input and a forward that runs it."""
+    params = init_multi_head_params(Rng(0), HELD_CFG)
+    x = Tensor(Rng(1).normal((N, D)), requires_grad=True)
+    return params, x, lambda: multi_head(x, params, lambda t, p: aggregate_head(t, p, HELD_CFG))
+
+
 def test_forward_keeps_only_what_backward_needs(monkeypatch):
-    # One bidirectional dual-LN layer: the bytes its graph holds after the
-    # forward pass are the buffers listed here from their shapes, to within
-    # 2% (Python objects). The layer norms keep no normalized copy of their
-    # input, no merged copy of the heads is made, and wo reads attend's
-    # output buffer directly.
-    n, d, h, w, r = 1024, 64, 2, 8, 32
-    dk, f8 = d // h, 8
-    cfg = LSConfig(seq_len=n, model_dim=d, heads=h, window=w, rank=r, dual_ln=True)
-    params = init_multi_head_params(Rng(0), cfg)
-    x = Tensor(Rng(1).normal((n, d)), requires_grad=True)
+    # The bytes the graph holds after the forward pass are the buffers
+    # listed above, to within 2% (Python objects). The layer norms keep no
+    # normalized copy of their input, the projection keeps no logits, no
+    # merged copy of the heads is made, and wo reads attend's output buffer
+    # directly.
+    params, x, forward = held_layer()
     seen = {}
 
     def recording(name, fn):
@@ -91,7 +115,6 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
 
     monkeypatch.setattr(attention, "attend", recording("attend", attention.attend))
     monkeypatch.setattr(attention, "matmul", recording("matmul", attention.matmul))
-    forward = lambda: multi_head(x, params, lambda t, p: aggregate_head(t, p, cfg))
     forward()
     seen.clear()
     gc.collect()
@@ -104,28 +127,49 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
     finally:
         tracemalloc.stop()
 
-    rows = h * n * dk * f8  # one (h, n, d_k) array
-    read_by_backward = {
-        "q, k, v": 3 * rows,
-        "projection weights (h, 1, r, n)": h * r * n * f8,
-        "projected k, v before and after their norm": 4 * h * r * dk * f8,
-        "normed window k, v": 2 * rows,
-        "attention weights": h * n * (2 * w + r) * f8,
-        "attend output": rows,
-        "norm row means and 1/sigma": 2 * 2 * h * n * f8 + 2 * 2 * h * r * f8,
-    }
-    # Graph parents whose values no backward reads, and the layer output.
-    held_unread = {
-        "projection logits": rows,
-        "output": n * d * f8,
-    }
-    listed = sum(read_by_backward.values()) + sum(held_unread.values())
-    assert listed <= held <= 1.02 * listed, (held, listed)
+    assert HELD <= held <= 1.02 * HELD, (held, HELD)
 
     (_, heads), = seen["attend"]
     merged = next(args[0] for args, _ in seen["matmul"] if args[1] is params.wo)
     assert np.shares_memory(merged.data, heads[0].data)
-    assert out.shape == (n, d)
+    assert out.shape == (N, D)
+
+
+def test_backward_peak_is_held_buffers_plus_bounded_temporaries():
+    # The tracemalloc peak of forward plus `gradients` stays within 1% of
+    # the held buffers plus what backward adds at its fullest, in the
+    # projection's backward:
+    # - the seed of ones (n, d) that `gradients` makes, and every
+    #   parameter's gradient;
+    # - four gradients in flight, each of one (h, n, d_k) array: those of
+    #   the token distributions, of x's unit-head-axis view, and of the
+    #   window values before and after their cut into segments;
+    # - the logits' gradient, formed in one (h, r, n) buffer;
+    # - one run of rows of x's gradient product, at most
+    #   `tensor._BLOCK_BYTES`.
+    # A full-size product per head or per window half, or a logits buffer
+    # in the graph, would each add 0.5 MB.
+    params, x, forward = held_layer()
+    leaves = [x] + [t for _, t in params.named_parameters()]
+    gradients(forward(), leaves)
+    backward = {
+        "seed": ROWS,
+        "parameter gradients": sum(t.data.nbytes for t in leaves[1:]),
+        "gradients in flight": 4 * ROWS,
+        "logits gradient (h, r, n)": H * R * N * F8,
+        "one run of x's gradient product": tensor_ops._BLOCK_BYTES,
+    }
+    bound = HELD + sum(backward.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = gradients(forward(), leaves)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * bound, (peak, bound)
+    assert grads[0].shape == (N, D)
 
 
 def stacked_leaf_of(params, name):
@@ -255,7 +299,7 @@ def test_layer_graph_has_no_parameter_only_ops():
     nodes, params, node_ids = layer_graph(cfg)
     leaves = {id(params.wo)} | {id(stacked_leaf_of(params, name))
                                 for name, _ in params.heads[0].named_parameters()}
-    assert len(nodes) == 32
+    assert len(nodes) == 29
     assert leaves <= node_ids
     assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
 
@@ -265,7 +309,7 @@ def test_projection_only_layer_graph_leaves_out_the_window_branch():
     cfg = LSConfig(seq_len=9, model_dim=8, heads=2, window=0, rank=3, dual_ln=True)
     nodes, params, node_ids = layer_graph(cfg)
     local = {id(params.stacked.ln_local.gain), id(params.stacked.ln_local.bias)}
-    assert len(nodes) == 28
+    assert len(nodes) == 25
     assert id(params.stacked.ln_global.gain) in node_ids and not local & node_ids
 
 

@@ -13,9 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lsattn
-from lsattn import Rng, Tensor, concat, init_matrix, layer_norm, masked_softmax, matmul
+from lsattn import Rng, Tensor, concat, gradients, init_matrix, layer_norm, masked_softmax, matmul
+from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
-from lsattn.tensor import _ALLOCATOR_PINNED, _pin_allocator
+from lsattn.tensor import (
+    _ALLOCATOR_PINNED, _pin_allocator, count_flops_runtime, projection_softmax, reshape,
+    transpose_last,
+)
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,6 +125,85 @@ class TestMaskedSoftmax:
         logits[1] = 1e6
         bumped = masked_softmax(Tensor(logits), mask).data
         assert np.array_equal(base, bumped)
+
+
+def projection_mask(seq_len: int, segments: int, l: int) -> np.ndarray:
+    """(segments, 1, l): a segment's real tokens, or all of its tokens if it has none."""
+    valid = (np.arange(segments * l) < seq_len).reshape(segments, l)
+    return np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
+
+
+def projection_chain(x: Tensor, wp: Tensor, mask: np.ndarray) -> Tensor:
+    """The four ops that `projection_softmax` replaces."""
+    segments, _, l = mask.shape
+    logits = matmul(x, wp)
+    split = reshape(logits, logits.shape[:-2] + (segments, l, logits.shape[-1]))
+    return masked_softmax(transpose_last(split), mask)
+
+
+class TestProjectionSoftmax:
+    @given(
+        causal=st.booleans(), seq_len=st.integers(1, 12), l=st.integers(1, 4),
+        pad_segments=st.integers(0, 2), pad_rows=st.integers(0, 3), r=st.integers(1, 5),
+        d=st.integers(1, 6), heads=st.sampled_from([0, 1, 3]), batch=st.sampled_from([(), (2,)]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_equals_the_composed_chain_bit_for_bit(
+        self, causal, seq_len, l, pad_segments, pad_rows, r, d, heads, batch, seed
+    ):
+        # Causal: segments of l tokens, pad_segments of them padding only.
+        # Bidirectional: one segment with pad_rows padding rows. heads 0 is
+        # one head's (d, r) wp; otherwise wp is stacked and x has a unit
+        # head axis.
+        if causal:
+            segments = -(-seq_len // l) + pad_segments
+        else:
+            segments, l = 1, seq_len + pad_rows
+        n = segments * l
+        mask = projection_mask(seq_len, segments, l)
+        rng = np.random.default_rng(seed)
+        x_data = rng.normal(size=batch + (1,) * (heads > 0) + (n, d))
+        x_data[..., seq_len:, :] = 0.0
+        wp_data = rng.normal(size=(heads,) * (heads > 0) + (d, r))
+        results = []
+        for op in (projection_softmax, projection_chain):
+            x, wp = Tensor(x_data, requires_grad=True), Tensor(wp_data, requires_grad=True)
+            with count_flops_runtime() as counter:
+                p = op(x, wp, mask)
+            probe = np.random.default_rng(seed + 1).normal(size=p.shape)
+            results.append([p.data, *gradients(p, [x, wp], seed=probe), counter.total])
+        (p, gx, gwp, flops), (p_ref, gx_ref, gwp_ref, flops_ref) = results
+        assert p.shape == batch + (heads,) * (heads > 0) + (segments, r, l)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(gx, gx_ref)
+        assert np.array_equal(gwp, gwp_ref)
+        assert flops == flops_ref
+
+    def test_row_runs_equal_one_shot_product(self, monkeypatch):
+        # x's gradient, added per head in runs of rows, equals the one-shot
+        # products of the logits' gradient with each head's wp, bit for bit.
+        n, d, h, r = 1200, 64, 2, 32
+        monkeypatch.setattr(tensor_ops, "_BLOCK_BYTES", 64 * d * 8 * 2)
+        assert len(tensor_ops._runs(n, d * 8 * 2)) == 19
+        rng = np.random.default_rng(5)
+        mask = np.ones((1, 1, n), dtype=bool)
+        x = Tensor(rng.normal(size=(2, 1, n, d)), requires_grad=True)
+        wp = Tensor(rng.normal(size=(h, d, r)))
+        p = projection_softmax(x, wp, mask)
+        probe = rng.normal(size=p.shape)
+        (gx,) = gradients(p, [x], seed=probe)
+        dlogits = np.swapaxes(tensor_ops._softmax_grad(probe, p.data), -1, -2).reshape(2, h, n, r)
+        wp_t = np.swapaxes(wp.data, -1, -2)
+        expected = np.matmul(dlogits[:, :1], wp_t[:1])
+        for i in range(1, h):
+            expected += np.matmul(dlogits[:, i : i + 1], wp_t[i : i + 1])
+        assert np.array_equal(gx, expected)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            projection_softmax(Tensor(np.ones((6, 3))), Tensor(np.ones((3, 2))),
+                               np.ones((2, 1, 4), dtype=bool))
 
 
 class TestLayerNorm:

@@ -10,11 +10,13 @@ It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
 - the perfbench `bidir-long` layer (seed 901): output and every gradient;
 - the perfbench `lm-train` config: a 50-step `lm.train` at seed 901, its
   train losses, val bpcs, final val bpc and trained parameters;
-- four stacked-head `multi_head` layers with one branch empty or padding
-  rows (window-only dual LN in both modes, projection-only, and a padded
-  causal layer with a padding-only projection segment): output, the
-  gradients of x and of every `named_parameters()` entry, the runtime FLOPs
-  of that forward, and `count_flops`/`measured_flops` of the matching
+- five stacked-head `multi_head` layers, each on a batch of 2, with one
+  branch empty or padding rows (window-only dual LN in both modes,
+  projection-only, a padded causal layer with a padding-only projection
+  segment, and a padded bidirectional layer with both branches, long
+  enough that backward adds x's gradient in several runs of rows): output,
+  the gradients of x and of every `named_parameters()` entry, the runtime
+  FLOPs of that forward, and `count_flops`/`measured_flops` of the matching
   one-layer `ArchSpec`;
 - `count_flops` of every preset, and both workloads' closed-form and runtime
   flop-parity totals;
@@ -105,6 +107,9 @@ EDGE_LAYERS = {
     # n=5, w=4, l=2: tokens 6-7 form a padding-only projection segment.
     "causal-padded-dual": LSConfig(seq_len=5, model_dim=8, heads=2, window=4, rank=2,
                                    seg_len=2, mode="causal", dual_ln=True),
+    # n=1021 pads to 1024 rows; x's gradient (2, 1, 1024, 32) spans two runs.
+    "padded-dual": LSConfig(seq_len=1021, model_dim=32, heads=2, window=8, rank=16,
+                            dual_ln=True),
 }
 
 
