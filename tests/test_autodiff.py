@@ -297,7 +297,7 @@ def _every_traced_op_step():
         out = multi_head(x, params, lambda h, p: aggregate_head(h, p, cfg))
         low, high = t.slice_axis(out, -1, 0, 4), t.slice_axis(out, -1, 4, 8)
         extra = t.concat([t.sub(t.relu(low), t.scale(high, 0.5)), low], axis=-1)
-        # Exact attention is the one caller of masked_softmax and transpose_last.
+        # The long-short layers run no masked_softmax or transpose_last; exact attention does.
         exact = full_attention_head(x, params.heads[0])
         loss = t.add(lm.sequence_loss(model, batch, Rng(7)), t.tensor_sum(t.mul(extra, extra)))
         return t.add(loss, t.tensor_sum(exact))

@@ -30,7 +30,6 @@ from lsattn import (
     multi_head,
 )
 from lsattn import attention, lm
-from lsattn import tensor as tensor_ops
 from lsattn.tensor import add, mul, tensor_sum
 
 CONFIGS = {
@@ -145,10 +144,10 @@ def test_backward_peak_is_held_buffers_plus_bounded_temporaries():
     #   the token distributions, of x's unit-head-axis view, and of the
     #   window values before and after their cut into segments;
     # - the logits' gradient, formed in one (h, r, n) buffer;
-    # - one run of rows of x's gradient product, at most
-    #   `tensor._BLOCK_BYTES`.
-    # A full-size product per head or per window half, or a logits buffer
-    # in the graph, would each add 0.5 MB.
+    # - one run of rows of x's gradient product: at most
+    #   `tensor._BLOCK_BYTES`, half the product at this n.
+    # A full-size product per head, or a logits buffer in the graph, would
+    # each add 0.5 MB.
     params, x, forward = held_layer()
     leaves = [x] + [t for _, t in params.named_parameters()]
     gradients(forward(), leaves)
@@ -157,7 +156,7 @@ def test_backward_peak_is_held_buffers_plus_bounded_temporaries():
         "parameter gradients": sum(t.data.nbytes for t in leaves[1:]),
         "gradients in flight": 4 * ROWS,
         "logits gradient (h, r, n)": H * R * N * F8,
-        "one run of x's gradient product": tensor_ops._BLOCK_BYTES,
+        "one run of x's gradient product": ROWS // 2,
     }
     bound = HELD + sum(backward.values())
     gc.collect()
