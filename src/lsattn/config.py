@@ -53,7 +53,7 @@ class LSConfig:
         if self.mode == "causal":
             if self.seg_len < 1:
                 raise ConfigError("seg_len must be at least 1 in causal mode")
-            if 2 * self.window < self.seg_len:
+            if self.rank > 0 and 2 * self.window < self.seg_len:
                 raise ConfigError(
                     f"causal mode requires window >= seg_len/2, got w={self.window}, l={self.seg_len}"
                 )

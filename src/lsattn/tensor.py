@@ -9,7 +9,12 @@ the op's inputs. The closure reads the op's output gradient through a weak
 reference, so graphs hold no reference cycles: reference counting frees a
 step's buffers when its output and gradients are dropped, without waiting
 for the cyclic garbage collector. Gradients accumulate under one ownership
-rule (`_accum`). Values are always float64; masks are plain boolean numpy
+rule (`_accum`), and each backward job has one rule: the operands of a
+matrix product (`matmul`, `projection_softmax`) get their gradients from
+`_product_grads`, and the logits of a softmax (`masked_softmax`,
+`projection_softmax`, `attend`) from `_softmax_grad`. `sub` and
+`scale_by_array` are compositions of `add`, `scale` and `mul`, and have no
+rule of their own. Values are always float64; masks are plain boolean numpy
 arrays and never receive gradients. A tensor has no name; parameters are
 named by the `named_parameters()` of their containers.
 
@@ -268,7 +273,7 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
 
     owned says nothing else references g. A tensor whose grad is an array it
     owns adds later contributions in place. A g that aliases another node's
-    array (`add`, `sub`, `reshape`, `swap_axes` and `concat` hand on
+    array (`add`, `reshape`, `swap_axes` and `concat` hand on
     their output grad or views of it; `gradients` hands on the caller's seed)
     is kept but never written: the next contribution is added into a fresh
     array, or into itself when it is owned.
@@ -327,30 +332,24 @@ def _accum_rows(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
         t.grad += prior
 
 
-def _accum_product(t: Tensor, x: np.ndarray, y: np.ndarray, lead: tuple[int, ...]) -> None:
-    """Add np.matmul(x, y), reduced to t's shape, into t.grad; lead is the product's batch.
+def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Add the gradients of a @ b, whose output gradient is g, into a.grad and b.grad.
 
-    Where t keeps a leading axis at size 1 that the product spreads (an input
-    broadcast against a head axis), the product is formed one slice of that
-    axis at a time. A slice of t's own shape is added in by runs of rows
-    (`_accum_rows`), so at most one run is held besides t.grad; any other
-    slice is added in and freed before the next is formed.
+    An operand with a unit head axis, (..., 1, n, d), against g's h > 1 heads
+    on the third-last axis, with leading axes equal to g's, is spread: the
+    other operand then has the h heads too, and each head's part is added in
+    turn by runs of rows (`_accum_rows`), so at most one run is held besides
+    the gradient. Any other operand takes the full product, reduced by
+    `_unbroadcast`.
     """
-    shape = t.shape
-    units = [axis for axis in range(-len(shape), -2) if shape[axis] == 1 and lead[axis + 2] > 1]
-    if not units:
-        _accum(t, _unbroadcast(np.matmul(x, y), shape))
-        return
-    axis = units[0]
-    exact = len(units) == 1 and len(shape) == len(lead) + 2
-    for i in range(lead[axis + 2]):
-        xs, ys = (a if a.ndim < -axis or a.shape[axis] == 1
-                  else a[(Ellipsis, slice(i, i + 1)) + (slice(None),) * (-axis - 1)]
-                  for a in (x, y))
-        if exact:
-            _accum_rows(t, xs, ys)
+    for t, x, y in ((a, g, np.swapaxes(b.data, -1, -2)), (b, np.swapaxes(a.data, -1, -2), g)):
+        if not t.requires_grad:
+            continue
+        if t.ndim == g.ndim > 2 and t.shape[-3] == 1 < g.shape[-3] and t.shape[:-3] == g.shape[:-3]:
+            for i in range(g.shape[-3]):
+                _accum_rows(t, x[..., i : i + 1, :, :], y[..., i : i + 1, :, :])
         else:
-            _accum(t, _unbroadcast(np.matmul(xs, ys), shape))
+            _accum(t, _unbroadcast(np.matmul(x, y), t.shape))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -364,13 +363,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _flop_counter.matmul_macs += out_data.size * a.shape[-1]
     out = Tensor(out_data)
     if _tracking(a, b):
-        def route(g: np.ndarray) -> None:
-            lead = g.shape[:-2]
-            if a.requires_grad:
-                _accum_product(a, g, np.swapaxes(b.data, -1, -2), lead)
-            if b.requires_grad:
-                _accum_product(b, np.swapaxes(a.data, -1, -2), g, lead)
-        _attach(out, (a, b), route)
+        _attach(out, (a, b), lambda g: _product_grads(a, b, g))
     return out
 
 
@@ -427,10 +420,9 @@ def projection_softmax(x: Tensor, wp: Tensor, attendable: np.ndarray) -> Tensor:
     `masked_softmax(transpose_last(reshape(matmul(x, wp), ...)), attendable)`.
 
     Only P is kept for the backward pass; the logits are freed on return.
-    Backward forms the logits' gradient from P in one buffer and reads x and
-    wp for the two products; where x has a unit head axis, each head's part
-    of x's gradient is added by runs of rows. The runtime counter gets the
-    MACs of x @ wp.
+    Backward forms the logits' gradient from P in one buffer (`_softmax_grad`)
+    and hands it, with x and wp, to matmul's gradient rule (`_product_grads`).
+    The runtime counter gets the MACs of x @ wp.
     """
     segments, _, l = attendable.shape
     if x.ndim < 2 or wp.ndim < 2 or wp.shape[-2] != x.shape[-1] or x.shape[-2] != segments * l:
@@ -448,10 +440,7 @@ def projection_softmax(x: Tensor, wp: Tensor, attendable: np.ndarray) -> Tensor:
         def route(g: np.ndarray) -> None:
             # A view of the softmax gradient with one segment, else a copy.
             dlogits = np.swapaxes(_softmax_grad(g, p), -1, -2).reshape(batch + (n, r))
-            if x.requires_grad:
-                _accum_product(x, dlogits, np.swapaxes(wp.data, -1, -2), batch)
-            if wp.requires_grad:
-                _accum_product(wp, np.swapaxes(x.data, -1, -2), dlogits, batch)
+            _product_grads(x, wp, dlogits)
         _attach(out, (x, wp), route)
     return out
 
@@ -516,9 +505,10 @@ def attend(
     (..., groups * size, h, d) for a head axis h, so joining the heads of
     each row into one of width h * d is a view.
 
-    Only the weights P are kept for the backward pass, which uses
-    dS = P * (dP - rowsum(dP * P)), formed in place in one buffer, and reads
-    the windows from k and v again (`_windows`). The logits and P are held as
+    Only the weights P are kept for the backward pass, which forms dP in one
+    buffer, takes dS = P * (dP - rowsum(dP * P)) from the softmax gradient
+    rule that `masked_softmax` uses (`_softmax_grad`), and reads the windows
+    from k and v again (`_windows`). The logits and P are held as
     tensors, so `track_peak_bytes` sees the logits while the softmax runs and
     P for as long as the backward pass may need it. The runtime counter gets
     the MACs of the score and value products of both slot kinds, 2 * d per
@@ -564,13 +554,13 @@ def attend(
         def route(g: np.ndarray) -> None:
             p = weights.data
             g_grouped = g.reshape(batch + (groups, size, d))
-            ds = np.empty(p.shape)
+            dp = np.empty(p.shape)
             np.matmul(g_grouped, np.swapaxes(_windows(v.data, w, offset), -1, -2),
-                      out=ds[..., : 2 * w])
+                      out=dp[..., : 2 * w])
             np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
-                      out=ds[..., 2 * w :])
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
-            ds *= p
+                      out=dp[..., 2 * w :])
+            ds = _softmax_grad(dp, p)
+            del dp
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:
@@ -680,15 +670,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-    if _tracking(a, b):
-        def route(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _pass_on(a, g)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(-g, b.shape))
-        _attach(out, (a, b), route)
-    return out
+    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -715,13 +697,7 @@ def scale(a: Tensor, factor: float) -> Tensor:
 
 def scale_by_array(a: Tensor, arr: np.ndarray) -> Tensor:
     """Elementwise product with a constant array (e.g. a dropout mask)."""
-    arr = np.asarray(arr, dtype=np.float64)
-    out = Tensor(a.data * arr)
-    if _tracking(a):
-        def route(g: np.ndarray) -> None:
-            _accum(a, _unbroadcast(g * arr, a.shape))
-        _attach(out, (a,), route)
-    return out
+    return mul(a, Tensor(arr))
 
 
 def relu(a: Tensor) -> Tensor:

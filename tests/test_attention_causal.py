@@ -159,6 +159,7 @@ class TestCausalAggregate:
         (12, 2, 1, 2, False),
         (9, 4, 3, 4, True),
         (5, 4, 2, 2, True),
+        (9, 2, 0, 8, True),
     ])
     def test_matches_stepwise_oracle(self, n, w, r, l, dual):
         cfg = causal_cfg(n=n, w=w, r=r, l=l, dual=dual)

@@ -149,13 +149,21 @@ def test_layer_norm_with_stacked_head_gain_and_bias():
     assert finite_diff_check(f, [x, g, c]) < 1e-7
 
 
-def test_matmul_unit_axis_against_head_axis():
-    # x (batch, 1, n, d) against stacked weights (h, d, k): x's gradient sums
-    # the heads' contributions, the weights' gradient sums the batch.
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((2, 1, 4, 3), (3, 3, 2)),
+    ((1, 2, 4, 3), (3, 2, 3, 2)),
+    ((4, 3), (3, 3, 2)),
+    ((2, 1, 4, 3), (1, 3, 3, 2)),
+], ids=["unit-head-axis", "unit-axis-at-4", "matrix-x", "unit-axes-on-both"])
+def test_matmul_unit_axis_against_head_axis(x_shape, w_shape):
+    # Each operand's gradient sums the axes it was broadcast over. Only an
+    # operand whose unit axis at -3 meets the heads, with the product's other
+    # leading axes, is added head by head (x in the first and last cases);
+    # every other broadcast takes the full product, reduced.
     rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(2, 1, 4, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
-    weights = Tensor(rng.normal(size=(2, 3, 4, 2)))
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    weights = Tensor(rng.normal(size=np.matmul(x.data, w.data).shape))
     f = lambda: tensor_sum(mul(matmul(x, w), weights))
     assert finite_diff_check(f, [x, w]) < 1e-7
 
@@ -168,24 +176,38 @@ def test_swap_axes_gradient():
     assert finite_diff_check(f, [x]) < 1e-9
 
 
-@pytest.mark.parametrize("matmul_first", [False, True])
-def test_shared_gradient_array_is_never_written(matmul_first):
+@pytest.mark.parametrize("matmul_first,stacked", [
+    (False, False), (True, False), (False, True), (True, True),
+], ids=["False", "True", "False-stacked", "True-stacked"])
+def test_shared_gradient_array_is_never_written(matmul_first, stacked):
     # add hands one array to both of its inputs as their gradient; a's other
     # contribution, from a matmul, must never be summed into that array.
+    # Stacked, a's unit head axis is spread over w's two heads, and each
+    # head's part is added by runs of rows onto the gradient a already holds.
     rng = np.random.default_rng(8)
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 4)))
-    probe = Tensor(rng.normal(size=(3, 4)))
+    lead, heads = ((1,), (2,)) if stacked else ((), ())
+    a = Tensor(rng.normal(size=lead + (3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=lead + (3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=heads + (4, 4)))
+    probe = Tensor(rng.normal(size=lead + (3, 4)))
+    probe_heads = Tensor(rng.normal(size=heads + (3, 4)))
 
     def f():
+        if stacked:
+            # Summed apart: the add term keeps a's shape, so add shares its grad.
+            terms = (tensor_sum(mul(matmul(a, w), probe_heads)), tensor_sum(mul(add(a, b), probe)))
+            return add(*(terms if matmul_first else terms[::-1]))
         pair = (matmul(a, w), add(a, b)) if matmul_first else (add(a, b), matmul(a, w))
         return tensor_sum(mul(add(*pair), probe))
 
     assert finite_diff_check(f, [a, b]) < 1e-7
     ga, gb = gradients(f(), [a, b])
     assert np.array_equal(gb, probe.data)
-    assert np.array_equal(ga, probe.data + probe.data @ w.data.T)
+    if stacked:
+        expected = probe.data + (probe_heads.data @ np.swapaxes(w.data, -1, -2)).sum(axis=0)
+        assert np.allclose(ga, expected, rtol=1e-14, atol=1e-14)
+    else:
+        assert np.array_equal(ga, probe.data + probe.data @ w.data.T)
     assert not np.shares_memory(ga, gb)
 
 

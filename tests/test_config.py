@@ -20,6 +20,8 @@ def test_both_branches_empty_rejected():
 def test_degenerate_single_branch_configs_are_legal():
     LSConfig(seq_len=8, model_dim=4, heads=1, window=0, rank=2)
     LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0)
+    # With no projection segments, the causal window need not cover half of one.
+    LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=0, seg_len=8, mode="causal")
 
 
 def test_causal_window_must_cover_half_segment():
