@@ -149,7 +149,7 @@ def forward_logits(
             x, block, lambda h, hp: causal_aggregate_head(h, hp, cfg.attention), dropout
         )
     x = layer_norm(x, model.ln_final.gain, model.ln_final.bias)
-    return add(matmul(x, model.head_weight), model.head_bias)
+    return matmul(x, model.head_weight, model.head_bias)
 
 
 def sequence_loss(model: ModelParams, batch: np.ndarray, dropout_rng: Rng | None = None) -> Tensor:
@@ -244,6 +244,7 @@ def train(cfg: ModelConfig, corpus: np.ndarray | bytes) -> tuple[ModelParams, Tr
                 f"lr={lr}, seed={cfg.seed}"
             )
         grads = gradients(loss, params)
+        del loss  # frees the graph before the validation forward runs
         for p, g in zip(params, grads):
             p.data -= lr * g
         with no_grad():

@@ -339,21 +339,35 @@ def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     on the third-last axis, with leading axes equal to g's, is spread: the
     other operand then has the h heads too, and each head's part is added in
     turn by runs of rows (`_accum_rows`), so at most one run is held besides
-    the gradient. Any other operand takes the full product, reduced by
-    `_unbroadcast`.
+    the gradient. An operand of two or more elements that lacks g's leading
+    axes (a 2-D weight against a batched input) adds one product per leading
+    index into one owned buffer, in index order: bit for bit the stacked
+    product that `_unbroadcast` would sum. Any other operand takes the full
+    product, reduced by `_unbroadcast`.
     """
     for t, x, y in ((a, g, np.swapaxes(b.data, -1, -2)), (b, np.swapaxes(a.data, -1, -2), g)):
         if not t.requires_grad:
             continue
+        lead = g.shape[: g.ndim - t.ndim]
         if t.ndim == g.ndim > 2 and t.shape[-3] == 1 < g.shape[-3] and t.shape[:-3] == g.shape[:-3]:
             for i in range(g.shape[-3]):
                 _accum_rows(t, x[..., i : i + 1, :, :], y[..., i : i + 1, :, :])
+        elif lead and t.size > 1 and t.shape[:-2] == g.shape[len(lead) : -2]:
+            first, *rest = np.ndindex(lead)
+            part = np.matmul(x[first], y[first])
+            for i in rest:
+                part += np.matmul(x[i], y[i])
+            _accum(t, part)
         else:
             _accum(t, _unbroadcast(np.matmul(x, y), t.shape))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes.
+
+    A bias is added in place into the fresh product: bit for bit
+    `add(matmul(a, b), bias)`, with no pre-bias product in the graph.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -361,9 +375,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = np.matmul(a.data, b.data)
     if _flop_counter is not None:
         _flop_counter.matmul_macs += out_data.size * a.shape[-1]
+    operands = (a, b) if bias is None else (a, b, bias)
+    if bias is not None:
+        out_data += bias.data
     out = Tensor(out_data)
-    if _tracking(a, b):
-        _attach(out, (a, b), lambda g: _product_grads(a, b, g))
+    if _tracking(*operands):
+        def route(g: np.ndarray) -> None:
+            _product_grads(a, b, g)
+            if bias is not None and bias.requires_grad:
+                _pass_on(bias, g)
+        _attach(out, operands, route)
     return out
 
 
@@ -703,10 +724,8 @@ def scale_by_array(a: Tensor, arr: np.ndarray) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     if _tracking(a):
-        positive = a.data > 0
-        def route(g: np.ndarray) -> None:
-            _accum(a, g * positive)
-        _attach(out, (a,), route)
+        kept = out.data  # out > 0 exactly where a > 0, so no mask of a is kept
+        _attach(out, (a,), lambda g: _accum(a, g * (kept > 0)))
     return out
 
 
@@ -773,21 +792,26 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood (nats) of integer targets over the last axis."""
+    """Mean negative log-likelihood (nats) of integer targets over the last axis.
+
+    Forward's exp(x - max) and backward's gradient each take one logits-sized
+    buffer, worked in place; backward keeps only the row log-sum-exps.
+    """
     t = np.asarray(targets, dtype=np.intp)
     if t.shape != logits.shape[:-1]:
         raise ShapeError(f"targets shape {t.shape} does not match logits {logits.shape}")
     x = logits.data
     m = x.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-    picked = np.take_along_axis(x, t[..., None], axis=-1)
-    nll = lse - picked
-    out = Tensor(nll.mean())
+    shifted = x - m
+    lse = m + np.log(np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True))
+    out = Tensor((lse - np.take_along_axis(x, t[..., None], axis=-1)).mean())
     if _tracking(logits):
         def route(g: np.ndarray) -> None:
-            p = np.exp(x - lse)
+            p = x - lse
+            np.exp(p, out=p)
             np.put_along_axis(p, t[..., None], np.take_along_axis(p, t[..., None], -1) - 1.0, -1)
-            _accum(logits, p * (float(g) / t.size))
+            p *= float(g) / t.size
+            _accum(logits, p)
         _attach(out, (logits,), route)
     return out
 

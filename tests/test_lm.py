@@ -1,11 +1,14 @@
-"""Byte-level language model: structure, metrics, determinism, causality."""
+"""Byte-level language model: structure, metrics, determinism, causality, memory."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from lsattn import LSConfig, Rng, lm, no_grad, track_peak_bytes
+from lsattn import LSConfig, Rng, gradients, lm, no_grad, track_peak_bytes
 from lsattn.config import desk_causal_config
 from lsattn.errors import ConfigError, DivergenceError, ShapeError
 from lsattn.lm import (
@@ -229,3 +232,136 @@ class TestCausalityEndToEnd:
             with no_grad():
                 out = forward_logits(model, bumped).data
             assert np.array_equal(base[0, :t], out[0, :t])
+
+
+# The perfbench `lm-train` step for the memory tests below: batch 8, n = 64,
+# d = 32, 2 layers, 2 heads of width 16, w = 2, r = 4, l = 4, dual LN, FFN 64.
+B, N, D, H, DK, W, R, L, F, V, LAYERS = 8, 64, 32, 2, 16, 2, 4, 4, 64, 256, 2
+F8 = 8
+ROWS = B * N * D * F8  # one (B, n, d) array, or one (B, h, n, d_k) array
+SLOTS = (N // L) * R
+STEP_ATTENTION = LSConfig(seq_len=N, model_dim=D, heads=H, window=W, rank=R, seg_len=L,
+                          mode="causal", dual_ln=True)
+# What one training step's graph holds after the forward pass, from the
+# shapes. The token ids are made before the step and are not counted.
+READ_BY_BACKWARD = {
+    "embedding sum, each block's middle and output (layer norm inputs)": (1 + 2 * LAYERS) * ROWS,
+    "block and final layer norm outputs": (2 * LAYERS + 1) * ROWS,
+    "q, k, v and the normed window k, v": 5 * LAYERS * ROWS,
+    "projected k, v before and after their norm": 4 * LAYERS * B * H * SLOTS * DK * F8,
+    "projection weights (B, h, segments, r, l)": LAYERS * B * H * N * R * F8,
+    "attention weights": LAYERS * B * H * N * (2 * W + SLOTS) * F8,
+    "attend output": LAYERS * ROWS,
+    "relu outputs": LAYERS * B * N * F * F8,
+    "logits": B * N * V * F8,
+    "norm row means and 1/sigma": 2 * F8 * ((2 * LAYERS + 1) * B * N
+                                           + LAYERS * 2 * B * H * (N + SLOTS)),
+    "log-sum-exp of each logits row": B * N * F8,
+}
+# Held, but read by no backward: each residual add's branch operand (the wo
+# and FFN-out products), the relu inputs and the embedding gather.
+HELD_UNREAD = {
+    "residual branch operands": 2 * LAYERS * ROWS,
+    "relu inputs": LAYERS * B * N * F * F8,
+    "embedding gather": ROWS,
+}
+HELD = sum(READ_BY_BACKWARD.values()) + sum(HELD_UNREAD.values())
+
+
+def lm_step():
+    """The step's model, its parameters and a training forward on fixed token ids."""
+    cfg = ModelConfig(attention=STEP_ATTENTION, layers=LAYERS, ffn_dim=F, batch_size=B)
+    model = build_model(cfg, Rng(901))
+    for p in model.parameter_list():
+        p.data += Rng(902).normal(p.shape, 0.02)
+    batch = Rng(903).integers(0, V, size=(B, N + 1))
+    return model, model.parameter_list(), lambda: lm.sequence_loss(model, batch)
+
+
+def graph_nodes(root):
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
+class TestStepMemory:
+    def test_training_graph_keeps_only_what_backward_reads(self):
+        # The bytes the graph holds after the training forward are the
+        # buffers listed above, to within 2% (Python objects): no product
+        # before its bias, no relu mask, no exponentials of the logits.
+        _, params, forward = lm_step()
+        gradients(forward(), params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = forward()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert HELD <= held <= 1.02 * HELD, (held, HELD)
+        assert loss.shape == ()
+
+    def test_step_peak_is_held_buffers_plus_attend_backward(self):
+        # The tracemalloc peak of a training forward plus `gradients` stays
+        # within 1% of the held buffers plus what backward adds at its
+        # fullest, in the last block's `attend` backward:
+        # - every parameter's gradient;
+        # - two gradients in flight: the residual stream's and attend's output's;
+        # - dP and dS, each the size of the attention weights;
+        # - numpy's ufunc buffer (8,192 elements) for dP minus its row sums.
+        # A stacked head-weight product or a second logits-sized buffer in
+        # the cross-entropy backward would each add 0.5 MB or more.
+        _, params, forward = lm_step()
+        gradients(forward(), params)
+        backward = {
+            "parameter gradients": sum(p.data.nbytes for p in params),
+            "gradients in flight": 2 * ROWS,
+            "dP and dS": 2 * READ_BY_BACKWARD["attention weights"] // LAYERS,
+            "ufunc buffer": 8192 * F8,
+        }
+        bound = HELD + sum(backward.values())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = gradients(forward(), params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * bound, (peak, bound)
+        assert len(grads) == len(params)
+
+    def test_training_step_graph_nodes(self):
+        # 97 tensors: a bias enters its product, so no add follows a matmul.
+        _, _, forward = lm_step()
+        assert len(graph_nodes(forward())) == 97
+
+    def test_train_drops_each_graph_before_the_next_forward(self, monkeypatch):
+        # By reference counting alone, every training loss is freed once its
+        # gradients are taken: neither the validation forward nor the next
+        # step's training forward starts with an earlier graph alive.
+        losses, alive_at_entry = [], []
+        sequence_loss = lm.sequence_loss
+
+        def recording(*args):
+            alive_at_entry.append(sum(ref() is not None for ref in losses))
+            loss = sequence_loss(*args)
+            if loss.requires_grad:
+                losses.append(weakref.ref(loss))
+            return loss
+
+        monkeypatch.setattr(lm, "sequence_loss", recording)
+        corpus = Rng(14).integers(0, 256, size=4000).astype(np.uint8)
+        gc.disable()
+        try:
+            train(toy_config(steps=3), corpus)
+        finally:
+            gc.enable()
+        assert len(losses) == 3
+        assert alive_at_entry[:6] == [0] * 6

@@ -17,8 +17,8 @@ from lsattn import Rng, Tensor, concat, gradients, init_matrix, layer_norm, mask
 from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
 from lsattn.tensor import (
-    _ALLOCATOR_PINNED, _pin_allocator, count_flops_runtime, projection_softmax, reshape,
-    transpose_last,
+    _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, count_flops_runtime,
+    cross_entropy_mean, projection_softmax, reshape, transpose_last,
 )
 
 
@@ -82,6 +82,62 @@ class TestMatmul:
         assert np.array_equal(first, second)
         assert np.array_equal(a.data, before_a)
         assert np.array_equal(b.data, before_b)
+
+    @given(
+        kind=st.sampled_from(["batched", "stacked", "weight"]), batch=st.sampled_from([(), (2,), (3, 2)]),
+        m=st.integers(1, 9), k=st.integers(1, 7), p=st.integers(1, 9), h=st.integers(2, 3),
+        bias_rows=st.booleans(), bias_grad=st.booleans(), seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_bias_operand_equals_add_bit_for_bit(
+        self, kind, batch, m, k, p, h, bias_rows, bias_grad, seed
+    ):
+        # batched: a and b share batch axes; stacked: a has a unit head axis
+        # against (h, k, p) weights and an (h, 1, p) bias; weight: a 2-D
+        # weight against a batched input. The bias is (p,), or (1, p) rows.
+        a_shape, b_shape = {
+            "batched": (batch + (m, k), batch + (k, p)),
+            "stacked": (batch + (1, m, k), (h, k, p)),
+            "weight": (batch + (m, k), (k, p)),
+        }[kind]
+        bias_shape = (h, 1, p) if kind == "stacked" else (1, p) if bias_rows else (p,)
+        rng = np.random.default_rng(seed)
+        data = [rng.normal(size=shape) for shape in (a_shape, b_shape, bias_shape)]
+        results = []
+        for fused in (True, False):
+            a, b = (Tensor(x, requires_grad=True) for x in data[:2])
+            bias = Tensor(data[2], requires_grad=bias_grad)
+            with count_flops_runtime() as counter:
+                out = matmul(a, b, bias) if fused else add(matmul(a, b), bias)
+            probe = np.random.default_rng(seed + 1).normal(size=out.shape)
+            results.append([out.data, *gradients(out, [a, b, bias], seed=probe), counter.total])
+        for got, ref in zip(*results):
+            assert np.array_equal(got, ref)
+
+    @given(
+        lead=st.sampled_from([(1,), (2,), (8,), (16,), (3, 2), (2, 8)]), stacked=st.booleans(),
+        left=st.booleans(), m=st.sampled_from([1, 3, 64]), k=st.sampled_from([1, 5, 32]),
+        p=st.sampled_from([1, 4, 40]), seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_weight_gradient_by_slices_equals_the_reduced_product(
+        self, lead, stacked, left, m, k, p, seed
+    ):
+        # A weight without the input's leading axes, 2-D or stacked (2, ., .)
+        # against a unit head axis, on either side of the product, gets one
+        # product per leading index added in order: bit for bit the stacked
+        # product summed over those axes, one-element weights included.
+        rng = np.random.default_rng(seed)
+        heads = (1,) if stacked else ()
+        x = Tensor(rng.normal(size=lead + heads + ((k, p) if left else (m, k))))
+        w = Tensor(rng.normal(size=(2,) * stacked + ((m, k) if left else (k, p))),
+                   requires_grad=True)
+        out = matmul(w, x) if left else matmul(x, w)
+        probe = rng.normal(size=out.shape)
+        (got,) = gradients(out, [w], seed=probe)
+        x_t = np.swapaxes(x.data, -1, -2)
+        stacked_product = np.matmul(probe, x_t) if left else np.matmul(x_t, probe)
+        assert np.array_equal(got, _unbroadcast(stacked_product, w.shape))
 
 
 class TestMaskedSoftmax:
@@ -204,6 +260,35 @@ class TestProjectionSoftmax:
         with pytest.raises(ShapeError):
             projection_softmax(Tensor(np.ones((6, 3))), Tensor(np.ones((3, 2))),
                                np.ones((2, 1, 4), dtype=bool))
+
+
+def composed_cross_entropy(x: np.ndarray, t: np.ndarray, g: float):
+    """Mean NLL and its logits gradient, as separate numpy expressions."""
+    m = x.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    nll = lse - np.take_along_axis(x, t[..., None], axis=-1)
+    p = np.exp(x - lse)
+    np.put_along_axis(p, t[..., None], np.take_along_axis(p, t[..., None], -1) - 1.0, -1)
+    return nll.mean(), p * (g / t.size)
+
+
+class TestCrossEntropy:
+    @given(
+        batch=st.sampled_from([(1,), (5,), (2, 3), (8, 64)]), vocab=st.integers(1, 300),
+        spread=st.sampled_from([0.1, 3.0, 300.0]), g=st.sampled_from([1.0, -0.25, 3.5]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_value_and_gradient_equal_the_composed_formula(self, batch, vocab, spread, g, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=spread, size=batch + (vocab,))
+        t = rng.integers(0, vocab, size=batch)
+        logits = Tensor(x, requires_grad=True)
+        loss = cross_entropy_mean(logits, t)
+        (grad,) = gradients(loss, [logits], seed=np.array(g))
+        value, expected = composed_cross_entropy(x, t, g)
+        assert loss.data == value
+        assert np.array_equal(grad, expected)
 
 
 class TestLayerNorm:
