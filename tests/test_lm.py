@@ -20,6 +20,7 @@ from lsattn.lm import (
     param_count,
     train,
 )
+from test_multi_head import graph_nodes
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -269,23 +270,11 @@ HELD = sum(READ_BY_BACKWARD.values()) + sum(HELD_UNREAD.values())
 
 
 def lm_step():
-    """The step's model, its parameters and a training forward on fixed token ids."""
+    """The step's parameters and a training forward on fixed token ids."""
     cfg = ModelConfig(attention=STEP_ATTENTION, layers=LAYERS, ffn_dim=F, batch_size=B)
     model = build_model(cfg, Rng(901))
-    for p in model.parameter_list():
-        p.data += Rng(902).normal(p.shape, 0.02)
     batch = Rng(903).integers(0, V, size=(B, N + 1))
-    return model, model.parameter_list(), lambda: lm.sequence_loss(model, batch)
-
-
-def graph_nodes(root):
-    seen, todo = {id(root): root}, [root]
-    while todo:
-        for parent in todo.pop()._parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                todo.append(parent)
-    return list(seen.values())
+    return model.parameter_list(), lambda: lm.sequence_loss(model, batch)
 
 
 class TestStepMemory:
@@ -293,7 +282,7 @@ class TestStepMemory:
         # The bytes the graph holds after the training forward are the
         # buffers listed above, to within 2% (Python objects): no product
         # before its bias, no relu mask, no exponentials of the logits.
-        _, params, forward = lm_step()
+        params, forward = lm_step()
         gradients(forward(), params)
         gc.collect()
         tracemalloc.start()
@@ -317,7 +306,7 @@ class TestStepMemory:
         # - numpy's ufunc buffer (8,192 elements) for dP minus its row sums.
         # A stacked head-weight product or a second logits-sized buffer in
         # the cross-entropy backward would each add 0.5 MB or more.
-        _, params, forward = lm_step()
+        params, forward = lm_step()
         gradients(forward(), params)
         backward = {
             "parameter gradients": sum(p.data.nbytes for p in params),
@@ -339,7 +328,7 @@ class TestStepMemory:
 
     def test_training_step_graph_nodes(self):
         # 97 tensors: a bias enters its product, so no add follows a matmul.
-        _, _, forward = lm_step()
+        _, forward = lm_step()
         assert len(graph_nodes(forward())) == 97
 
     def test_train_drops_each_graph_before_the_next_forward(self, monkeypatch):
