@@ -277,80 +277,82 @@ def lm_step():
     return model.parameter_list(), lambda: lm.sequence_loss(model, batch)
 
 
-class TestStepMemory:
-    def test_training_graph_keeps_only_what_backward_reads(self):
-        # The bytes the graph holds after the training forward are the
-        # buffers listed above, to within 2% (Python objects): no product
-        # before its bias, no relu mask, no exponentials of the logits.
-        params, forward = lm_step()
-        gradients(forward(), params)
+def test_training_graph_keeps_only_what_backward_reads():
+    # The bytes the graph holds after the training forward are the
+    # buffers listed above, to within 2% (Python objects): no product
+    # before its bias, no relu mask, no exponentials of the logits.
+    params, forward = lm_step()
+    gradients(forward(), params)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = forward()
         gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            loss = forward()
-            gc.collect()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert HELD <= held <= 1.02 * HELD, (held, HELD)
-        assert loss.shape == ()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert HELD <= held <= 1.02 * HELD, (held, HELD)
+    assert loss.shape == ()
 
-    def test_step_peak_is_held_buffers_plus_attend_backward(self):
-        # The tracemalloc peak of a training forward plus `gradients` stays
-        # within 1% of the held buffers plus what backward adds at its
-        # fullest, in the last block's `attend` backward:
-        # - every parameter's gradient;
-        # - two gradients in flight: the residual stream's and attend's output's;
-        # - dP and dS, each the size of the attention weights;
-        # - numpy's ufunc buffer (8,192 elements) for dP minus its row sums.
-        # A stacked head-weight product or a second logits-sized buffer in
-        # the cross-entropy backward would each add 0.5 MB or more.
-        params, forward = lm_step()
-        gradients(forward(), params)
-        backward = {
-            "parameter gradients": sum(p.data.nbytes for p in params),
-            "gradients in flight": 2 * ROWS,
-            "dP and dS": 2 * READ_BY_BACKWARD["attention weights"] // LAYERS,
-            "ufunc buffer": 8192 * F8,
-        }
-        bound = HELD + sum(backward.values())
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            grads = gradients(forward(), params)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.01 * bound, (peak, bound)
-        assert len(grads) == len(params)
 
-    def test_training_step_graph_nodes(self):
-        # 97 tensors: a bias enters its product, so no add follows a matmul.
-        _, forward = lm_step()
-        assert len(graph_nodes(forward())) == 97
+def test_step_peak_is_held_buffers_plus_attend_backward():
+    # The tracemalloc peak of a training forward plus `gradients` stays
+    # within 1% of the held buffers plus what backward adds at its
+    # fullest, in the last block's `attend` backward:
+    # - every parameter's gradient;
+    # - two gradients in flight: the residual stream's and attend's output's;
+    # - dP and dS, each the size of the attention weights;
+    # - numpy's ufunc buffer (8,192 elements) for dP minus its row sums.
+    # A stacked head-weight product or a second logits-sized buffer in
+    # the cross-entropy backward would each add 0.5 MB or more.
+    params, forward = lm_step()
+    gradients(forward(), params)
+    backward = {
+        "parameter gradients": sum(p.data.nbytes for p in params),
+        "gradients in flight": 2 * ROWS,
+        "dP and dS": 2 * READ_BY_BACKWARD["attention weights"] // LAYERS,
+        "ufunc buffer": 8192 * F8,
+    }
+    bound = HELD + sum(backward.values())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = gradients(forward(), params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * bound, (peak, bound)
+    assert len(grads) == len(params)
 
-    def test_train_drops_each_graph_before_the_next_forward(self, monkeypatch):
-        # By reference counting alone, every training loss is freed once its
-        # gradients are taken: neither the validation forward nor the next
-        # step's training forward starts with an earlier graph alive.
-        losses, alive_at_entry = [], []
-        sequence_loss = lm.sequence_loss
 
-        def recording(*args):
-            alive_at_entry.append(sum(ref() is not None for ref in losses))
-            loss = sequence_loss(*args)
-            if loss.requires_grad:
-                losses.append(weakref.ref(loss))
-            return loss
+def test_training_step_graph_nodes():
+    # 97 tensors: each bias enters its product, so no bias add is in the graph.
+    _, forward = lm_step()
+    assert len(graph_nodes(forward())) == 97
 
-        monkeypatch.setattr(lm, "sequence_loss", recording)
-        corpus = Rng(14).integers(0, 256, size=4000).astype(np.uint8)
-        gc.disable()
-        try:
-            train(toy_config(steps=3), corpus)
-        finally:
-            gc.enable()
-        assert len(losses) == 3
-        assert alive_at_entry[:6] == [0] * 6
+
+def test_train_drops_each_graph_before_the_next_forward(monkeypatch):
+    # By reference counting alone, every training loss is freed once its
+    # gradients are taken: neither the validation forward nor the next
+    # step's training forward starts with an earlier graph alive.
+    losses, alive_at_entry = [], []
+    sequence_loss = lm.sequence_loss
+
+    def recording(*args):
+        alive_at_entry.append(sum(ref() is not None for ref in losses))
+        loss = sequence_loss(*args)
+        if loss.requires_grad:
+            losses.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(lm, "sequence_loss", recording)
+    corpus = Rng(14).integers(0, 256, size=4000).astype(np.uint8)
+    gc.disable()
+    try:
+        train(toy_config(steps=3), corpus)
+    finally:
+        gc.enable()
+    assert len(losses) == 3
+    assert len(alive_at_entry) > 6 and not any(alive_at_entry)
