@@ -320,7 +320,7 @@ def norm_ratio_probe(
     with no_grad():
         for seed in seeds:
             rng = Rng(seed)
-            p = init_multi_head_params(rng, cfg, trainable=False).stacked
+            p = init_multi_head_params(rng, cfg).stacked
             x = Tensor(np.stack([rng.child(1000 + h).normal((cfg.seq_len, cfg.model_dim))
                                  for h in range(cfg.heads)]))
             if projection == "identity":

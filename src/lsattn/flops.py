@@ -162,8 +162,7 @@ class ReferenceEncoder:
             window=2, rank=0,
         )
         layers = [
-            init_block_params(rng.child(i), ls_cfg, arch.ffn_dim, trainable=False)
-            for i in range(arch.layers)
+            init_block_params(rng.child(i), ls_cfg, arch.ffn_dim) for i in range(arch.layers)
         ]
         return cls(arch=arch, layers=layers)
 

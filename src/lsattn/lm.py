@@ -107,10 +107,10 @@ def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     ]
     return ModelParams(
         config=cfg,
-        token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d, requires_grad=True),
-        position_embedding=init_matrix(rng.child(1), cfg.seq_len, d, requires_grad=True),
+        token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d),
+        position_embedding=init_matrix(rng.child(1), cfg.seq_len, d),
         blocks=blocks,
-        ln_final=_ln_params(d, True),
+        ln_final=_ln_params(d),
         head_weight=Tensor(np.zeros((d, cfg.vocab_size)), requires_grad=True),
         head_bias=Tensor(np.zeros(cfg.vocab_size), requires_grad=True),
     )
@@ -221,8 +221,6 @@ def train(cfg: ModelConfig, corpus: np.ndarray | bytes) -> tuple[ModelParams, Tr
         raise ConfigError(f"corpus must hold at least {10 * n} bytes")
     split = data.size - max(int(data.size * cfg.val_fraction), n + 1)
     train_data, val_data = data[:split], data[split:]
-    if train_data.size < n + 2:
-        raise ConfigError("training split too small for one window")
 
     rng = Rng(cfg.seed)
     model = build_model(cfg, rng.child(0))

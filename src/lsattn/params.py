@@ -92,24 +92,24 @@ class BlockParams:
         yield f"{prefix}ffn_out_bias", self.ffn_out_bias
 
 
-def _ln_params(dim: int, trainable: bool) -> LnParams:
+def _ln_params(dim: int) -> LnParams:
     return LnParams(
-        gain=Tensor(np.ones(dim), requires_grad=trainable),
-        bias=Tensor(np.zeros(dim), requires_grad=trainable),
+        gain=Tensor(np.ones(dim), requires_grad=True),
+        bias=Tensor(np.zeros(dim), requires_grad=True),
     )
 
 
-def init_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> HeadParams:
-    """Fresh head parameters: fan-in scaled projections (wp (d, rank) first), identity norms."""
+def init_head_params(rng: Rng, cfg: LSConfig) -> HeadParams:
+    """Trainable leaves: fan-in scaled projections (wp (d, rank) first), identity norms."""
     d, dk = cfg.model_dim, cfg.head_dim
-    wp = init_matrix(rng, d, cfg.rank, requires_grad=trainable)
+    wp = init_matrix(rng, d, cfg.rank)
     return HeadParams(
-        wq=init_matrix(rng, d, dk, requires_grad=trainable),
-        wk=init_matrix(rng, d, dk, requires_grad=trainable),
-        wv=init_matrix(rng, d, dk, requires_grad=trainable),
+        wq=init_matrix(rng, d, dk),
+        wk=init_matrix(rng, d, dk),
+        wv=init_matrix(rng, d, dk),
         wp=wp,
-        ln_local=_ln_params(dk, trainable),
-        ln_global=_ln_params(dk, trainable),
+        ln_local=_ln_params(dk),
+        ln_global=_ln_params(dk),
     )
 
 
@@ -135,33 +135,36 @@ def _view(base: Tensor, index: int | tuple[int, ...]) -> Tensor:
     return view
 
 
-def init_multi_head_params(rng: Rng, cfg: LSConfig, trainable: bool = True) -> MultiHeadParams:
-    """Head i drawn as by `init_head_params(rng.child(i))`, stored stacked; wo from rng.child(h)."""
-    drawn = [init_head_params(rng.child(i), cfg, trainable) for i in range(cfg.heads)]
+def init_multi_head_params(rng: Rng, cfg: LSConfig) -> MultiHeadParams:
+    """Head i drawn as by `init_head_params(rng.child(i))`, stored stacked; wo from rng.child(h).
+
+    Every leaf, and every per-head view of one, requires gradients.
+    """
+    drawn = [init_head_params(rng.child(i), cfg) for i in range(cfg.heads)]
 
     def leaf(parts: list[Tensor], norm: bool) -> Tensor:
         data = np.stack([t.data for t in parts])
-        return Tensor(data[:, None] if norm else data, requires_grad=trainable)
+        return Tensor(data[:, None] if norm else data, requires_grad=True)
 
     stacked = _join_heads(drawn, leaf)
     heads = [_join_heads([stacked], lambda parts, norm: _view(parts[0], (i, 0) if norm else i))
              for i in range(cfg.heads)]
-    wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim, requires_grad=trainable)
+    wo = init_matrix(rng.child(cfg.heads), cfg.model_dim, cfg.model_dim)
     return MultiHeadParams(stacked=stacked, heads=heads, wo=wo)
 
 
-def init_block_params(rng: Rng, cfg: LSConfig, ffn_dim: int, trainable: bool = True) -> BlockParams:
+def init_block_params(rng: Rng, cfg: LSConfig, ffn_dim: int) -> BlockParams:
     """Fresh block parameters: heads from rng, FFN matrices from its children 100 and 101.
 
-    Norms start at identity and FFN biases at zero.
+    Norms start at identity and FFN biases at zero. Every tensor requires gradients.
     """
     d = cfg.model_dim
     return BlockParams(
-        ln_attn=_ln_params(d, trainable),
-        attn=init_multi_head_params(rng, cfg, trainable=trainable),
-        ln_ffn=_ln_params(d, trainable),
-        ffn_in=init_matrix(rng.child(100), d, ffn_dim, requires_grad=trainable),
-        ffn_in_bias=Tensor(np.zeros(ffn_dim), requires_grad=trainable),
-        ffn_out=init_matrix(rng.child(101), ffn_dim, d, requires_grad=trainable),
-        ffn_out_bias=Tensor(np.zeros(d), requires_grad=trainable),
+        ln_attn=_ln_params(d),
+        attn=init_multi_head_params(rng, cfg),
+        ln_ffn=_ln_params(d),
+        ffn_in=init_matrix(rng.child(100), d, ffn_dim),
+        ffn_in_bias=Tensor(np.zeros(ffn_dim), requires_grad=True),
+        ffn_out=init_matrix(rng.child(101), ffn_dim, d),
+        ffn_out_bias=Tensor(np.zeros(d), requires_grad=True),
     )

@@ -843,8 +843,8 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def init_matrix(rng: Rng, rows: int, cols: int, requires_grad: bool = False) -> Tensor:
-    """Zero-mean uniform init with variance 1/rows (fan-in scaling)."""
+def init_matrix(rng: Rng, rows: int, cols: int) -> Tensor:
+    """A trainable leaf: zero-mean uniform init with variance 1/rows (fan-in scaling)."""
     limit = np.sqrt(3.0 / rows)
     data = rng.uniform((rows, cols), -limit, limit)
-    return Tensor(data, requires_grad=requires_grad)
+    return Tensor(data, requires_grad=True)

@@ -23,7 +23,7 @@ def layer_norm_reference(a, eps=1e-5):
 
 
 def make_head(cfg, seed=0, x_seed=100):
-    p = init_head_params(Rng(seed), cfg, trainable=False)
+    p = init_head_params(Rng(seed), cfg)
     x = Tensor(Rng(x_seed).normal((cfg.seq_len, cfg.model_dim)))
     return p, x
 

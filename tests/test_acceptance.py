@@ -106,7 +106,7 @@ def test_criterion_2_oracle_equivalence():
         d = int(rng.choice([4, 8, 16]))
         w = n if n % 2 == 0 else n + 1
         cfg = LSConfig(seq_len=n, model_dim=d, heads=1, window=w, rank=0)
-        p = init_head_params(Rng(1000 + case), cfg, trainable=False)
+        p = init_head_params(Rng(1000 + case), cfg)
         x = Tensor(Rng(2000 + case).normal((n, d)))
         gap = np.abs(
             aggregate_head(x, p, cfg).data - full_attention_head(x, p).data
@@ -141,7 +141,7 @@ def test_criterion_3_stochasticity():
             w = 0 if (r > 0 and rng.integers(0, 4) == 0) else w
             cfg = LSConfig(seq_len=int(rng.integers(2, 21)), model_dim=d, heads=heads,
                            window=w, rank=r, dual_ln=bool(rng.integers(0, 2)))
-        p = init_head_params(Rng(int(rng.integers(0, 10_000))), cfg, trainable=False)
+        p = init_head_params(Rng(int(rng.integers(0, 10_000))), cfg)
         x = Tensor(Rng(int(rng.integers(0, 10_000))).normal((cfg.seq_len, d)))
         if cfg.mode == "causal":
             _, info = causal_aggregate_head(x, p, cfg, return_weights=True)
@@ -170,7 +170,7 @@ def test_criterion_4_causality_exhaustive():
         n = min(n, 32)
         cfg = LSConfig(seq_len=n, model_dim=8, heads=1, window=4, rank=1,
                        seg_len=4, mode="causal", dual_ln=bool(seed % 2))
-        p = init_head_params(Rng(seed), cfg, trainable=False)
+        p = init_head_params(Rng(seed), cfg)
         x = Tensor(Rng(100 + seed).normal((n, 8)))
         base_agg = causal_aggregate_head(x, p, cfg).data.copy()
         base_full = causal_full_attention_oracle(x, p).data.copy()

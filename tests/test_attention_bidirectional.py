@@ -74,7 +74,7 @@ class TestMultiHead:
     def test_single_head_identity_output_projection(self):
         cfg = LSConfig(seq_len=4, model_dim=4, heads=1, window=0, rank=2)
         rng = Rng(2)
-        mh = init_multi_head_params(rng, cfg, trainable=False)
+        mh = init_multi_head_params(rng, cfg)
         mh.wo.data[:] = np.eye(4)
         x = Tensor(Rng(7).normal((4, 4)))
         out = multi_head(x, mh, full_attention_head)
@@ -84,7 +84,7 @@ class TestMultiHead:
     def test_identical_heads_produce_identical_halves(self):
         cfg = LSConfig(seq_len=4, model_dim=4, heads=2, window=0, rank=1)
         rng = Rng(3)
-        mh = init_multi_head_params(rng, cfg, trainable=False)
+        mh = init_multi_head_params(rng, cfg)
         for name in ("wq", "wk", "wv"):
             getattr(mh.heads[1], name).data[:] = getattr(mh.heads[0], name).data
         mh.wo.data[:] = np.eye(4)
@@ -95,7 +95,7 @@ class TestMultiHead:
     def test_matches_concat_matmul_reference(self):
         cfg = LSConfig(seq_len=5, model_dim=6, heads=2, window=0, rank=1)
         rng = Rng(4)
-        mh = init_multi_head_params(rng, cfg, trainable=False)
+        mh = init_multi_head_params(rng, cfg)
         x = Tensor(Rng(9).normal((5, 6)))
         out = multi_head(x, mh, full_attention_head)
         heads = [
@@ -108,7 +108,7 @@ class TestMultiHead:
     def test_head_evaluation_order_is_irrelevant(self):
         cfg = LSConfig(seq_len=6, model_dim=8, heads=4, window=2, rank=2)
         rng = Rng(5)
-        mh = init_multi_head_params(rng, cfg, trainable=False)
+        mh = init_multi_head_params(rng, cfg)
         x = Tensor(Rng(10).normal((6, 8)))
         in_order = [aggregate_head(x, h, cfg).data for h in mh.heads]
         reversed_eval = [aggregate_head(x, h, cfg).data for h in reversed(mh.heads)]
@@ -231,6 +231,21 @@ class TestDynamicProjection:
         assert np.abs(pkv_perm.p.data - pkv.p.data[perm]).max() < 1e-12
         assert np.abs(pkv_perm.kbar.data - pkv.kbar.data).max() < 1e-12
         assert np.abs(pkv_perm.vbar.data - pkv.vbar.data).max() < 1e-12
+
+
+class TestInputChecks:
+    CFG = LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=2)
+
+    @pytest.mark.parametrize("shape,cfg,match", [
+        ((4,), CFG, "attention input must be"),
+        ((8, 6), CFG, "input width 6"),
+        ((7, 4), CFG, "input length 7"),
+        ((8, 4), replace(CFG, heads=2), "head parameters do not match"),
+    ], ids=["one-dim", "width", "rows", "other-config"])
+    def test_bad_input_rejected(self, shape, cfg, match):
+        p, _ = make_head(self.CFG, seed=23)
+        with pytest.raises(ShapeError, match=match):
+            aggregate_head(Tensor(np.ones(shape)), p, cfg)
 
 
 class TestLongRange:

@@ -2,7 +2,7 @@
 
 import inspect
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,12 @@ from lsattn import (
     matmul,
     multi_head,
 )
-from lsattn import lm
+from lsattn import checks, lm
 from lsattn import tensor as tensor_ops
-from lsattn.attention import block_forward
+from lsattn.attention import block_forward, norm_ratio_probe
+from lsattn.bench import run_scaling
 from lsattn.errors import ShapeError
+from lsattn.flops import ArchSpec, measured_flops
 from lsattn.params import init_block_params
 from lsattn.tensor import add, layer_norm, mul, swap_axes, take, tensor_sum
 
@@ -362,3 +364,55 @@ def test_wrapped_backward_closures_give_identical_gradients(monkeypatch):
     assert set(seen) == set(TRACED_OPS)
     assert sorted(ran) == sorted(seen)
     assert all(np.array_equal(a, b) for a, b in zip(plain, wrapped))
+
+
+def _tensors(params):
+    """Every Tensor a parameter container holds, per-head views included."""
+    if isinstance(params, Tensor):
+        yield params
+    elif isinstance(params, list):
+        for item in params:
+            yield from _tensors(item)
+    elif is_dataclass(params):
+        for f in fields(params):
+            yield from _tensors(getattr(params, f.name))
+
+
+def test_parameters_are_trainable_and_forward_only_paths_build_no_graph(monkeypatch):
+    cfg = LSConfig(seq_len=16, model_dim=8, heads=2, window=4, rank=2, seg_len=4,
+                   mode="causal", dual_ln=True)
+    built = [init_head_params(Rng(0), cfg), init_multi_head_params(Rng(1), cfg),
+             init_block_params(Rng(2), cfg, ffn_dim=16),
+             lm.build_model(lm.ModelConfig(attention=cfg, layers=2, ffn_dim=16), Rng(3))]
+    every = [t for params in built for t in _tensors(params)]
+    assert any(t.view_of is not None for t in every)
+    assert all(t.requires_grad for t in every)
+
+    attached = []
+    attach = tensor_ops._attach
+    monkeypatch.setattr(tensor_ops, "_attach", lambda *args: (attached.append(1), attach(*args)))
+
+    def closures(run) -> int:
+        before = len(attached)
+        run()
+        return len(attached) - before
+
+    arch = ArchSpec(layers=1, model_dim=8, heads=2, ffn_dim=16, seq_len=16,
+                    variant="long-short", window=4, rank=2, dual_ln=True)
+    assert closures(lambda: measured_flops(arch)) == 0
+    assert closures(lambda: run_scaling(arch, [16], reps=5, seed=0)) == 0
+    assert closures(lambda: norm_ratio_probe(replace(cfg, mode="bidirectional"), range(10))) == 0
+
+    per_check = {}
+    for name in ("_softmax_contract", "_oracle_equivalence", "_stochasticity", "_causality",
+                 "_gradients", "_flop_parity", "_norm_ratios"):
+        def counted(seed, check=getattr(checks, name)):
+            before = len(attached)
+            result = check(seed)
+            per_check[result.name] = len(attached) - before
+            return result
+        monkeypatch.setattr(checks, name, counted)
+    results = checks.run_all_checks(1)
+    assert [r.name for r in results] == list(per_check)
+    assert per_check.pop("gradient-check") > 0  # the counter sees recorded ops
+    assert per_check == dict.fromkeys(per_check, 0)

@@ -355,6 +355,17 @@ class TestIoErrors:
         code, _, _ = run_cli(capsys, *argv, "--out", str(fresh))
         assert code == 2 and not fresh.exists()
 
+    def test_train_out_directory_exits_2_and_creates_nothing(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.bin"
+        corpus.write_bytes(b"abcd" * 500)
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, "train", "--corpus", str(corpus), "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert f"cannot write {out_dir}: Is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.bin", "results"]
+        assert not any(out_dir.iterdir())
+
     def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
         out_path = tmp_path / "missing" / "report.csv"
         code, _, err = run_cli(capsys, "flops", "--preset", "lra-listops",

@@ -32,6 +32,16 @@ def test_causal_window_must_cover_half_segment():
              seg_len=8, mode="causal")
 
 
+def test_negative_rank_rejected():
+    with pytest.raises(ConfigError, match="rank must be non-negative"):
+        LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=-1)
+
+
+def test_causal_seg_len_must_be_positive():
+    with pytest.raises(ConfigError, match="seg_len must be at least 1"):
+        LSConfig(seq_len=8, model_dim=4, heads=1, window=2, rank=1, seg_len=0, mode="causal")
+
+
 def test_width_divisibility():
     with pytest.raises(ConfigError, match="divisible"):
         LSConfig(seq_len=8, model_dim=6, heads=4, window=2, rank=1)

@@ -137,6 +137,19 @@ class TestPresetFile:
         with pytest.raises(ConfigError, match=r"odd.preset:1: bad bool 'maybe' for dual_ln"):
             load_preset_file(path)
 
+    def test_unknown_key_reported_with_location(self, tmp_path):
+        path = tmp_path / "extra.preset"
+        path.write_text("layers = 2\ncolour = blue\n")
+        with pytest.raises(ConfigError, match=r"extra.preset:2: unknown key 'colour'"):
+            load_preset_file(path)
+
+    def test_unknown_variant_rejected(self, tmp_path):
+        path = tmp_path / "odd.preset"
+        path.write_text("layers = 2\nmodel_dim = 8\nheads = 2\nffn_dim = 16\nseq_len = 32\n"
+                        "variant = sparse\n")
+        with pytest.raises(ConfigError, match="variant must be one of .* got 'sparse'"):
+            load_preset_file(path)
+
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "partial.preset"
         path.write_text("layers = 2\n")

@@ -78,7 +78,7 @@ class TestModelStructure:
 class TestModelConfigRules:
     @pytest.mark.parametrize("override", [
         {"steps": -1}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
-        {"learning_rate": 0.0}, {"learning_rate": -0.5},
+        {"learning_rate": 0.0}, {"learning_rate": -0.5}, {"dropout": -0.1}, {"dropout": 1.0},
     ])
     def test_schedule_rules(self, override):
         with pytest.raises(ConfigError, match=next(iter(override))):
@@ -211,6 +211,26 @@ class TestTraining:
         cfg = toy_config()
         with pytest.raises(ConfigError):
             train(cfg, np.zeros(100, dtype=np.uint8))
+
+    # seq_len 1 is the shortest a causal config admits.
+    @pytest.mark.parametrize("seq_len", [1, 64])
+    def test_ten_windows_are_enough(self, seq_len):
+        cfg = toy_config(attention=desk_causal_config(seq_len=seq_len), steps=1)
+        corpus = Rng(11).integers(0, 256, size=10 * seq_len).astype(np.uint8)
+        _, report = train(cfg, corpus)
+        assert len(report.steps) == 1 and math.isfinite(report.final_val_bpc)
+        with pytest.raises(ConfigError, match=f"at least {10 * seq_len} bytes"):
+            train(cfg, corpus[:-1])
+
+    def test_bytes_corpus_matches_uint8_array(self):
+        corpus = Rng(12).integers(0, 256, size=700).astype(np.uint8)
+        cfg = toy_config(steps=2)
+        model, from_array = train(cfg, corpus)
+        _, from_bytes = train(cfg, corpus.tobytes())
+        assert from_bytes.train_losses == from_array.train_losses
+        assert from_bytes.val_bpcs == from_array.val_bpcs
+        assert from_bytes.final_val_bpc == from_array.final_val_bpc
+        assert evaluate_bpc(model, corpus.tobytes()) == evaluate_bpc(model, corpus)
 
     def test_token_ids_validated(self):
         cfg = toy_config()

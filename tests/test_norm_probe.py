@@ -39,7 +39,7 @@ def test_projected_rows_are_shorter_on_average():
     local_means, projected_means = [], []
     for seed in SEEDS:
         rng = Rng(seed)
-        p = init_head_params(rng, PROBE_CFG, trainable=False)
+        p = init_head_params(rng, PROBE_CFG)
         x = Tensor(rng.child(99).normal((PROBE_CFG.seq_len, PROBE_CFG.model_dim)))
         k = matmul(x, p.wk).data
         kbar = dynamic_projection(x, p, PROBE_CFG).kbar.data
