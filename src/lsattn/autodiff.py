@@ -1,11 +1,13 @@
 """Reverse-mode differentiation over recorded tensor graphs.
 
-The graph is implicit: every tensor produced while gradients are enabled
-keeps references to its parents and a closure that routes its own gradient
-to them. The closure reads that gradient through a weak reference to its
-tensor, so a graph holds no reference cycles and is freed by reference
-counting once its output is dropped. `gradients` replays those closures in
-reverse topological order, and may replay one graph any number of times.
+The graph is implicit and holds no data: every tensor produced while
+gradients are enabled has a node (`tensor.Node`) that keeps its parents'
+nodes and a closure that routes its own gradient to them. The closure keeps
+only the tensors or arrays whose data its backward reads, and reads the
+gradient through a weak reference to its node, so a graph holds no reference
+cycles and is freed by reference counting once its output is dropped.
+`gradients` walks the nodes and replays those closures in reverse
+topological order, and may replay one graph any number of times.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Node, Tensor
 
 __all__ = ["gradients", "finite_diff_check"]
 
@@ -23,10 +25,10 @@ __all__ = ["gradients", "finite_diff_check"]
 FD_STEP = 1e-5
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: Node) -> list[Node]:
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -61,12 +63,13 @@ def gradients(
         seed_arr = np.asarray(seed, dtype=np.float64)
         if seed_arr.shape != output.shape:
             raise ShapeError(f"seed shape {seed_arr.shape} does not match output {output.shape}")
-    order = _topo_order(output)
-    kept = [*params, *(p.view_of[0] for p in params if p.view_of is not None)]
+    root = output._node
+    order = _topo_order(root)
+    kept = [t._node for t in (*params, *(p.view_of[0] for p in params if p.view_of is not None))]
     for node in (*order, *kept):
         node.grad = None
-    output.grad, output._grad_owned = seed_arr, False
-    keep = {id(t) for t in kept}
+    root.grad, root._grad_owned = seed_arr, False
+    keep = {id(node) for node in kept}
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward()

@@ -3,20 +3,23 @@
 Every operation is a pure function: it never writes its inputs, and its
 output is a new tensor, which may view an input's buffer (`reshape`,
 `swap_axes`, `slice_axis`) or a buffer laid out for the next op (`attend`).
-When gradients are enabled and an input requires them, the op attaches a
-backward closure. Backward reads only what that closure keeps and the data of
-the op's inputs. The closure reads the op's output gradient through a weak
-reference, so graphs hold no reference cycles: reference counting frees a
-step's buffers when its output and gradients are dropped, without waiting
-for the cyclic garbage collector. Gradients accumulate under one ownership
-rule (`_accum`), and each backward job has one rule: the operands of a
-matrix product (`matmul`, `projection_softmax`) get their gradients from
-`_product_grads`, and the logits of a softmax (`masked_softmax`,
-`projection_softmax`, `attend`) from `_softmax_grad`. `sub` and
-`scale_by_array` are compositions of `add`, `scale` and `mul`, and have no
-rule of their own. Values are always float64; masks are plain boolean numpy
-arrays and never receive gradients. A tensor has no name; parameters are
-named by the `named_parameters()` of their containers.
+A tensor is its data plus a `Node`, which holds the graph side and no data:
+gradient, shape, parents' nodes and backward closure. When gradients are
+enabled and an input requires them, the op attaches a closure that keeps
+only the tensors or arrays whose data it reads and the nodes it routes
+gradients to, so an input that no backward reads is freed once its caller
+drops it. The closure reads the op's output gradient through a weak
+reference to the output's node, so graphs hold no reference cycles:
+reference counting frees a step's buffers when its output and gradients are
+dropped, without waiting for the cyclic garbage collector. Gradients
+accumulate under one ownership rule (`_accum`), and each backward job has
+one rule: the operands of a matrix product (`matmul`, `projection_softmax`)
+get their gradients from `_product_grads`, and the logits of a softmax
+(`masked_softmax`, `projection_softmax`, `attend`) from `_softmax_grad`.
+`sub` and `scale_by_array` are compositions of `add`, `scale` and `mul`, and
+have no rule of their own. Values are always float64; masks are plain
+boolean numpy arrays and never receive gradients. A tensor has no name;
+parameters are named by the `named_parameters()` of their containers.
 
 Where every caller used one value, the op fixes it: `layer_norm` adds
 LAYER_NORM_EPS (1e-5) to the variance, `take` gathers rows, `tensor_sum`
@@ -198,7 +201,7 @@ def track_peak_bytes():
     the buffer it views. Plain numpy buffers are not counted: attend's padded
     window copies, backward temporaries and gradient arrays. Of the tracemalloc
     peak of one benchmark step it sees 0.712 on bidir-long (44.11 of 61.94 MB)
-    and 0.807 on lm-train (7.86 of 9.75 MB).
+    and 0.789 on lm-train (6.68 of 8.47 MB).
     """
     global _alloc_tracker
     prev = _alloc_tracker
@@ -210,24 +213,41 @@ def track_peak_bytes():
         _alloc_tracker = prev
 
 
+class Node:
+    """A tensor's place in the graph, without its data: what `autodiff.gradients` walks."""
+
+    __slots__ = ("grad", "_grad_owned", "requires_grad", "shape", "_parents", "_backward",
+                 "__weakref__")
+
+    def __init__(self, shape: tuple[int, ...], requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self._grad_owned = False
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self._parents: tuple[Node, ...] = ()
+        self._backward: Callable[[], None] | None = None
+
+
+def _on_node(name: str) -> property:
+    return property(lambda t: getattr(t._node, name), lambda t, v: setattr(t._node, name, v))
+
+
 class Tensor:
     """A dense row-major array of float64 values, optionally differentiable.
 
+    grad, requires_grad, _parents and _backward are those of its node.
     view_of is None, or (base, index) for a leaf whose data is base.data[index]:
     `autodiff.gradients` then adds base's gradient at index to the leaf's own.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "view_of", "_parents", "_backward",
-                 "_grad_owned", "__weakref__")
+    __slots__ = ("data", "view_of", "_node", "__weakref__")
+    grad, requires_grad = _on_node("grad"), _on_node("requires_grad")
+    _parents, _backward = _on_node("_parents"), _on_node("_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self._grad_owned = False
-        self.requires_grad = requires_grad
         self.view_of: tuple[Tensor, int | tuple[int, ...]] | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._node = Node(self.data.shape, requires_grad)
         if _alloc_tracker is not None:
             weakref.finalize(self, _alloc_tracker._release, _alloc_tracker._acquire(self.data))
 
@@ -254,25 +274,26 @@ class Tensor:
 
 
 def _tracking(*tensors: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in tensors)
+    return _grad_enabled and any(t._node.requires_grad for t in tensors)
 
 
 def _attach(out: Tensor, parents: tuple[Tensor, ...], route: Callable[[np.ndarray], None]) -> None:
-    """Record out's parents and a backward closure that hands out.grad to route.
+    """Record the nodes of out's parents and a backward closure that hands out's grad to route.
 
-    route never holds out, and the closure reads it through a weak reference,
-    so out is in no reference cycle.
+    route never holds out or its node, and the closure reads the node through
+    a weak reference, so out is in no reference cycle.
     """
-    out.requires_grad = True
-    out._parents = parents
-    ref = weakref.ref(out)
-    out._backward = lambda: route(ref().grad)
+    node = out._node
+    node.requires_grad = True
+    node._parents = tuple(p._node for p in parents)
+    ref = weakref.ref(node)
+    node._backward = lambda: route(ref().grad)
 
 
-def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
+def _accum(t: Node, g: np.ndarray, owned: bool = True) -> None:
     """Add one gradient contribution g, of t's shape, into t.grad.
 
-    owned says nothing else references g. A tensor whose grad is an array it
+    owned says nothing else references g. A node whose grad is an array it
     owns adds later contributions in place. A g that aliases another node's
     array (`add`, `reshape`, `swap_axes` and `concat` hand on
     their output grad or views of it; `gradients` hands on the caller's seed)
@@ -290,8 +311,8 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = True) -> None:
         t.grad, t._grad_owned = t.grad + g, True
 
 
-def _pass_on(t: Tensor, g: np.ndarray) -> None:
-    """Route an op's output grad g to input t: summed where t was broadcast, else shared."""
+def _pass_on(t: Node, g: np.ndarray) -> None:
+    """Route an op's output grad g to input node t: summed where t was broadcast, else shared."""
     part = _unbroadcast(g, t.shape)
     _accum(t, part, owned=part is not g)
 
@@ -320,17 +341,17 @@ def _accum_rows(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
     whole; OpenBLAS changes kernel for products of one column or of about a
     thousand elements, far below half of `_BLOCK_BYTES`.
     """
-    runs = _runs(t.shape[-2], t.data[..., :1, :].nbytes)
-    if t.grad is not None and t._grad_owned:
+    runs, node = _runs(t.shape[-2], t.data[..., :1, :].nbytes), t._node
+    if node.grad is not None and node._grad_owned:
         for rows in runs:
-            t.grad[..., rows, :] += np.matmul(x[..., rows, :], y)
+            node.grad[..., rows, :] += np.matmul(x[..., rows, :], y)
         return
-    prior = t.grad
-    t.grad, t._grad_owned = np.empty(t.shape), True
+    prior = node.grad
+    node.grad, node._grad_owned = np.empty(t.shape), True
     for rows in runs:
-        np.matmul(x[..., rows, :], y, out=t.grad[..., rows, :])
+        np.matmul(x[..., rows, :], y, out=node.grad[..., rows, :])
     if prior is not None:
-        t.grad += prior
+        node.grad += prior
 
 
 def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
@@ -357,9 +378,9 @@ def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
             part = np.matmul(x[first], y[first])
             for i in rest:
                 part += np.matmul(x[i], y[i])
-            _accum(t, part)
+            _accum(t._node, part)
         else:
-            _accum(t, _unbroadcast(np.matmul(x, y), t.shape))
+            _accum(t._node, _unbroadcast(np.matmul(x, y), t.shape))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -380,10 +401,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         out_data += bias.data
     out = Tensor(out_data)
     if _tracking(*operands):
+        shift = None if bias is None else bias._node
         def route(g: np.ndarray) -> None:
             _product_grads(a, b, g)
-            if bias is not None and bias.requires_grad:
-                _pass_on(bias, g)
+            if shift is not None and shift.requires_grad:
+                _pass_on(shift, g)
         _attach(out, operands, route)
     return out
 
@@ -406,11 +428,18 @@ def _softmax(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Gradient of a last-axis softmax's logits, P * (dP - rowsum(dP * P)), in one fresh buffer."""
-    t = g * p
-    s = t.sum(axis=-1, keepdims=True)
-    np.subtract(g, s, out=t)
+def _softmax_grad(g: np.ndarray, p: np.ndarray, owned: bool = False) -> np.ndarray:
+    """Gradient of a last-axis softmax's logits, P * (dP - rowsum(dP * P)).
+
+    It is formed in g's buffer when the caller owns g, else in a fresh one.
+    The row sums are taken by runs of the leading axis (`_runs`), one run's dP * P
+    at a time.
+    """
+    s = np.empty(p.shape[:-1] + (1,))
+    g2, p2, s2 = np.atleast_2d(g, p, s)
+    for rows in _runs(len(p2), p2[:1].nbytes):
+        s2[rows] = (g2[rows] * p2[rows]).sum(axis=-1, keepdims=True)
+    t = np.subtract(g, s, out=g if owned else None)
     t *= p
     return t
 
@@ -424,9 +453,8 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     p = _softmax(logits.data, mask)
     out = Tensor(p)
     if _tracking(logits):
-        def route(g: np.ndarray) -> None:
-            _accum(logits, _softmax_grad(g, p))
-        _attach(out, (logits,), route)
+        node = logits._node
+        _attach(out, (logits,), lambda g: _accum(node, _softmax_grad(g, p)))
     return out
 
 
@@ -527,13 +555,13 @@ def attend(
     each row into one of width h * d is a view.
 
     Only the weights P are kept for the backward pass, which forms dP in one
-    buffer, takes dS = P * (dP - rowsum(dP * P)) from the softmax gradient
-    rule that `masked_softmax` uses (`_softmax_grad`), and reads the windows
-    from k and v again (`_windows`). The logits and P are held as
-    tensors, so `track_peak_bytes` sees the logits while the softmax runs and
-    P for as long as the backward pass may need it. The runtime counter gets
-    the MACs of the score and value products of both slot kinds, 2 * d per
-    weight.
+    buffer, turns it into dS = P * (dP - rowsum(dP * P)) in place with the
+    softmax gradient rule that `masked_softmax` uses (`_softmax_grad`), and
+    reads the windows from k and v again (`_windows`). The logits and P are
+    held as tensors, so `track_peak_bytes` sees the logits while the softmax
+    runs and P for as long as the backward pass may need it. The runtime
+    counter gets the MACs of the score and value products of both slot
+    kinds, 2 * d per weight.
     """
     groups, size, span = attendable.shape
     batch, d, slots = q.shape[:-2], q.shape[-1], kbar.shape[-2]
@@ -580,24 +608,24 @@ def attend(
                       out=dp[..., : 2 * w])
             np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
                       out=dp[..., 2 * w :])
-            ds = _softmax_grad(dp, p)
+            ds = _softmax_grad(dp, p, owned=True)
             del dp
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:
                 dq = np.matmul(ds[..., : 2 * w], _windows(k.data, w, offset)).reshape(rows + (d,))
                 dq += np.matmul(ds_far, kbar.data)
-                _accum(q, dq)
+                _accum(q._node, dq)
             if window and k.requires_grad:
-                _accum(k, _window_grad(ds, q_grouped, w, offset))
+                _accum(k._node, _window_grad(ds, q_grouped, w, offset))
             if slots and kbar.requires_grad:
-                _accum(kbar, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
+                _accum(kbar._node, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
             del ds, ds_far
             if window and v.requires_grad:
-                _accum(v, _window_grad(p, g_grouped, w, offset))
+                _accum(v._node, _window_grad(p, g_grouped, w, offset))
             if slots and vbar.requires_grad:
                 p_far = p[..., 2 * w :].reshape(rows + (slots,))
-                _accum(vbar, np.matmul(np.swapaxes(p_far, -1, -2), g))
+                _accum(vbar._node, np.matmul(np.swapaxes(p_far, -1, -2), g))
         _attach(out, (q, *window, *projected), route)
     return out, p
 
@@ -633,13 +661,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _flop_counter.layer_norm_flops += 4 * x.size
     out = Tensor(out_data)
     if _tracking(x, gain, bias):
+        shift = bias._node
         def route(g: np.ndarray) -> None:
             xhat = x.data - mean
             xhat *= inv
             if gain.requires_grad:
-                _accum(gain, _unbroadcast(g * xhat, gain.shape))
-            if bias.requires_grad:
-                _pass_on(bias, g)
+                _accum(gain._node, _unbroadcast(g * xhat, gain.shape))
+            if shift.requires_grad:
+                _pass_on(shift, g)
             if x.requires_grad:
                 dx = g * gain.data
                 m1 = dx.sum(axis=-1, keepdims=True) / d
@@ -648,7 +677,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 xhat *= m2
                 dx -= xhat
                 dx *= inv
-                _accum(x, _unbroadcast(dx, x.shape))
+                _accum(x._node, _unbroadcast(dx, x.shape))
         _attach(out, (x, gain, bias), route)
     return out
 
@@ -666,15 +695,15 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             raise ShapeError(f"concat shapes disagree off axis {axis}: {[t.shape for t in tensors]}")
     out = Tensor(np.concatenate([t.data for t in tensors], axis=ax))
     if _tracking(*tensors):
-        sizes = [t.shape[ax] for t in tensors]
+        nodes = [t._node for t in tensors]
         def route(g: np.ndarray) -> None:
             offset = 0
-            for t, size in zip(tensors, sizes):
+            for t in nodes:
                 if t.requires_grad:
                     index = [slice(None)] * g.ndim
-                    index[ax] = slice(offset, offset + size)
+                    index[ax] = slice(offset, offset + t.shape[ax])
                     _accum(t, g[tuple(index)], owned=False)
-                offset += size
+                offset += t.shape[ax]
         _attach(out, tuple(tensors), route)
     return out
 
@@ -682,8 +711,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     if _tracking(a, b):
+        nodes = (a._node, b._node)
         def route(g: np.ndarray) -> None:
-            for t in (a, b):
+            for t in nodes:
                 if t.requires_grad:
                     _pass_on(t, g)
         _attach(out, (a, b), route)
@@ -699,9 +729,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if _tracking(a, b):
         def route(g: np.ndarray) -> None:
             if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.shape))
+                _accum(a._node, _unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.shape))
+                _accum(b._node, _unbroadcast(g * a.data, b.shape))
         _attach(out, (a, b), route)
     return out
 
@@ -710,9 +740,8 @@ def scale(a: Tensor, factor: float) -> Tensor:
     f = float(factor)
     out = Tensor(a.data * f)
     if _tracking(a):
-        def route(g: np.ndarray) -> None:
-            _accum(a, g * f)
-        _attach(out, (a,), route)
+        node = a._node
+        _attach(out, (a,), lambda g: _accum(node, g * f))
     return out
 
 
@@ -724,8 +753,8 @@ def scale_by_array(a: Tensor, arr: np.ndarray) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     if _tracking(a):
-        kept = out.data  # out > 0 exactly where a > 0, so no mask of a is kept
-        _attach(out, (a,), lambda g: _accum(a, g * (kept > 0)))
+        kept, node = out.data, a._node  # out > 0 exactly where a > 0: a is not read
+        _attach(out, (a,), lambda g: _accum(node, g * (kept > 0)))
     return out
 
 
@@ -733,9 +762,8 @@ def swap_axes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     """Swap two axes; a view, which a following reshape copies unless the buffer matches."""
     out = Tensor(np.swapaxes(a.data, axis1, axis2))
     if _tracking(a):
-        def route(g: np.ndarray) -> None:
-            _accum(a, np.swapaxes(g, axis1, axis2), owned=False)
-        _attach(out, (a,), route)
+        node = a._node
+        _attach(out, (a,), lambda g: _accum(node, np.swapaxes(g, axis1, axis2), owned=False))
     return out
 
 
@@ -747,10 +775,8 @@ def transpose_last(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     if _tracking(a):
-        orig = a.shape
-        def route(g: np.ndarray) -> None:
-            _accum(a, g.reshape(orig), owned=False)
-        _attach(out, (a,), route)
+        node = a._node
+        _attach(out, (a,), lambda g: _accum(node, g.reshape(node.shape), owned=False))
     return out
 
 
@@ -759,10 +785,11 @@ def take(a: Tensor, indices: np.ndarray) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     out = Tensor(np.take(a.data, idx, axis=0))
     if _tracking(a):
+        node = a._node
         def route(g: np.ndarray) -> None:
-            acc = np.zeros_like(a.data)
+            acc = np.zeros(node.shape)
             np.add.at(acc, idx, g)
-            _accum(a, acc)
+            _accum(node, acc)
         _attach(out, (a,), route)
     return out
 
@@ -773,10 +800,11 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     index = (slice(None),) * ax + (slice(start, stop),)
     out = Tensor(a.data[index])
     if _tracking(a):
+        node = a._node
         def route(g: np.ndarray) -> None:
-            acc = np.zeros_like(a.data)
+            acc = np.zeros(node.shape)
             acc[index] = g
-            _accum(a, acc)
+            _accum(node, acc)
         _attach(out, (a,), route)
     return out
 
@@ -785,9 +813,8 @@ def tensor_sum(a: Tensor) -> Tensor:
     """Sum of all elements, a 0-d tensor."""
     out = Tensor(a.data.sum())
     if _tracking(a):
-        def route(g: np.ndarray) -> None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-        _attach(out, (a,), route)
+        node = a._node
+        _attach(out, (a,), lambda g: _accum(node, np.broadcast_to(g, node.shape).copy()))
     return out
 
 
@@ -800,18 +827,17 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     t = np.asarray(targets, dtype=np.intp)
     if t.shape != logits.shape[:-1]:
         raise ShapeError(f"targets shape {t.shape} does not match logits {logits.shape}")
-    x = logits.data
-    m = x.max(axis=-1, keepdims=True)
-    shifted = x - m
+    m = logits.data.max(axis=-1, keepdims=True)
+    shifted = logits.data - m
     lse = m + np.log(np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True))
-    out = Tensor((lse - np.take_along_axis(x, t[..., None], axis=-1)).mean())
+    out = Tensor((lse - np.take_along_axis(logits.data, t[..., None], axis=-1)).mean())
     if _tracking(logits):
         def route(g: np.ndarray) -> None:
-            p = x - lse
+            p = logits.data - lse
             np.exp(p, out=p)
             np.put_along_axis(p, t[..., None], np.take_along_axis(p, t[..., None], -1) - 1.0, -1)
             p *= float(g) / t.size
-            _accum(logits, p)
+            _accum(logits._node, p)
         _attach(out, (logits,), route)
     return out
 

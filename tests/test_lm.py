@@ -279,13 +279,10 @@ READ_BY_BACKWARD = {
                                            + LAYERS * 2 * B * H * (N + SLOTS)),
     "log-sum-exp of each logits row": B * N * F8,
 }
-# Held, but read by no backward: each residual add's branch operand (the wo
-# and FFN-out products), the relu inputs and the embedding gather.
-HELD_UNREAD = {
-    "residual branch operands": 2 * LAYERS * ROWS,
-    "relu inputs": LAYERS * B * N * F * F8,
-    "embedding gather": ROWS,
-}
+# Held, but read by no backward: nothing. Each residual add's branch operand
+# (the wo and FFN-out products), the relu inputs and the embedding gather
+# are freed once the op that consumes them is recorded.
+HELD_UNREAD: dict[str, int] = {}
 HELD = sum(READ_BY_BACKWARD.values()) + sum(HELD_UNREAD.values())
 
 
@@ -300,7 +297,8 @@ def lm_step():
 def test_training_graph_keeps_only_what_backward_reads():
     # The bytes the graph holds after the training forward are the
     # buffers listed above, to within 2% (Python objects): no product
-    # before its bias, no relu mask, no exponentials of the logits.
+    # before its bias, no relu mask, no exponentials of the logits, and no
+    # buffer that no backward reads.
     params, forward = lm_step()
     gradients(forward(), params)
     gc.collect()
@@ -319,20 +317,26 @@ def test_training_graph_keeps_only_what_backward_reads():
 def test_step_peak_is_held_buffers_plus_attend_backward():
     # The tracemalloc peak of a training forward plus `gradients` stays
     # within 1% of the held buffers plus what backward adds at its
-    # fullest, in the last block's `attend` backward:
+    # fullest, in the first block's `attend` backward, while k's gradient
+    # is formed:
     # - every parameter's gradient;
     # - two gradients in flight: the residual stream's and attend's output's;
-    # - dP and dS, each the size of the attention weights;
-    # - numpy's ufunc buffer (8,192 elements) for dP minus its row sums.
-    # A stacked head-weight product or a second logits-sized buffer in
-    # the cross-entropy backward would each add 0.5 MB or more.
+    # - dS, formed in dP's buffer, the size of one block's attention weights;
+    # - q's gradient, and k's window-gradient blocks (one more group of rows);
+    # - one run of k's gradient product, the temporary of the same size
+    #   that numpy makes to add it into the strided blocks, and numpy's
+    #   contiguous copy of dS's second window half.
+    # A stacked head-weight product, a second logits-sized buffer in the
+    # cross-entropy backward, or dS beside dP would each add 0.5 MB or more.
     params, forward = lm_step()
     gradients(forward(), params)
+    groups = N // W
     backward = {
         "parameter gradients": sum(p.data.nbytes for p in params),
         "gradients in flight": 2 * ROWS,
-        "dP and dS": 2 * READ_BY_BACKWARD["attention weights"] // LAYERS,
-        "ufunc buffer": 8192 * F8,
+        "dS in dP's buffer": READ_BY_BACKWARD["attention weights"] // LAYERS,
+        "q's gradient and k's blocks": ROWS + ROWS * (groups + 1) // groups,
+        "one run of k's product, its add temporary, dS's copy": 2 * ROWS + B * H * N * W * F8,
     }
     bound = HELD + sum(backward.values())
     gc.collect()

@@ -291,25 +291,29 @@ def layer_graph(cfg):
     return nodes, params, {id(t) for t in nodes}
 
 
+def node_ids(*tensors):
+    return {id(t._node) for t in tensors}
+
+
 def test_layer_graph_has_no_parameter_only_ops():
     # The stacked leaves feed the layer directly: no op rebuilds or reshapes
     # parameters on every forward, and no op pads the window keys and values.
     cfg = LSConfig(seq_len=64, model_dim=8, heads=2, window=8, rank=4, dual_ln=True)
-    nodes, params, node_ids = layer_graph(cfg)
-    leaves = {id(params.wo)} | {id(stacked_leaf_of(params, name))
-                                for name, _ in params.heads[0].named_parameters()}
+    nodes, params, walked = layer_graph(cfg)
+    leaves = node_ids(params.wo, *(stacked_leaf_of(params, name)
+                                   for name, _ in params.heads[0].named_parameters()))
     assert len(nodes) == 29
-    assert leaves <= node_ids
+    assert leaves <= walked
     assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
 
 
 def test_projection_only_layer_graph_leaves_out_the_window_branch():
     # At w = 0 the window keys, values and their norm are not in the graph.
     cfg = LSConfig(seq_len=9, model_dim=8, heads=2, window=0, rank=3, dual_ln=True)
-    nodes, params, node_ids = layer_graph(cfg)
-    local = {id(params.stacked.ln_local.gain), id(params.stacked.ln_local.bias)}
+    nodes, params, walked = layer_graph(cfg)
+    local = node_ids(params.stacked.ln_local.gain, params.stacked.ln_local.bias)
     assert len(nodes) == 25
-    assert id(params.stacked.ln_global.gain) in node_ids and not local & node_ids
+    assert node_ids(params.stacked.ln_global.gain) <= walked and not local & walked
 
 
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
@@ -318,11 +322,11 @@ def test_window_only_layer_graph_leaves_out_the_projected_branch(mode):
     # graph: no node reachable from the output is zero-size.
     cfg = LSConfig(seq_len=12, model_dim=8, heads=2, window=4, rank=0, seg_len=4, mode=mode,
                    dual_ln=True)
-    nodes, params, node_ids = layer_graph(cfg)
-    glob = {id(params.stacked.ln_global.gain), id(params.stacked.ln_global.bias)}
+    nodes, params, walked = layer_graph(cfg)
+    glob = node_ids(params.stacked.ln_global.gain, params.stacked.ln_global.bias)
     assert len(nodes) == 17
-    assert all(t.size for t in nodes), [t.shape for t in nodes if not t.size]
-    assert id(params.stacked.ln_local.gain) in node_ids and not glob & node_ids
+    assert all(np.prod(t.shape) for t in nodes), [t.shape for t in nodes if not np.prod(t.shape)]
+    assert node_ids(params.stacked.ln_local.gain) <= walked and not glob & walked
 
 
 @contextmanager

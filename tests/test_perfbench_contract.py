@@ -27,6 +27,12 @@ from tracing import StepClock, Tracer  # noqa: E402
 from workloads import make_workload  # noqa: E402
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# Graph nodes of one step, and the most its tracemalloc peak may read (bytes):
+# for lm-train 2% above the 8,468,920 measured once graph nodes held no data
+# (and under 9.0 MB), for bidir-long 0.1% above the 61,935,284 it read while
+# graph nodes still held their tensors' data.
+STEP_MEMORY = {"lm-train": (97, min(1.02 * 8_468_920, 9.0e6)),
+               "bidir-long": (29, 1.001 * 61_935_284)}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
@@ -51,6 +57,9 @@ def test_one_unit_passes_every_check(name):
     for key in ("tracemalloc_peak_bytes", "peak_bytes", "matmul_macs", "layer_norm_flops",
                 "graph_nodes"):
         assert memory[key] > 0, key
+    nodes, peak_bound = STEP_MEMORY[name]
+    assert memory["graph_nodes"] == nodes
+    assert memory["tracemalloc_peak_bytes"] <= peak_bound, memory["tracemalloc_peak_bytes"]
 
     checks = workload.checks()
     assert checks

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
 from lsattn.tensor import (
     _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, count_flops_runtime,
-    cross_entropy_mean, projection_softmax, reshape, transpose_last,
+    cross_entropy_mean, mul, projection_softmax, relu, reshape, scale, slice_axis, swap_axes, take,
+    tensor_sum, transpose_last,
 )
 
 
@@ -366,6 +368,60 @@ class TestConcatRows:
     def test_trailing_dim_mismatch(self):
         with pytest.raises(ShapeError):
             concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+
+
+# Ops whose backward reads no input data, on a (4, 3) input a and, for the
+# two-input ops, a second (4, 3) input b.
+UNREAD_INPUT_OPS = {
+    "add": lambda a, b: add(a, b),
+    "relu": lambda a, b: relu(a),
+    "reshape": lambda a, b: reshape(a, (3, 4)),
+    "swap_axes": lambda a, b: swap_axes(a, 0, 1),
+    "concat": lambda a, b: concat([a, b], axis=0),
+    "scale": lambda a, b: scale(a, -2.5),
+    "take": lambda a, b: take(a, np.array([2, 0, 2])),
+    "slice_axis": lambda a, b: slice_axis(a, 1, 1, 3),
+    "tensor_sum": lambda a, b: tensor_sum(a),
+}
+
+
+def two_op_outputs():
+    """A leaf w and two op outputs on it, each in a buffer of its own."""
+    w = Tensor(Rng(1).normal((4, 3)), requires_grad=True)
+    return w, [scale(w, 1.5), mul(w, w)]
+
+
+class TestGraphHoldsOnlyWhatBackwardReads:
+    @pytest.mark.parametrize("name", sorted(UNREAD_INPUT_OPS))
+    def test_unread_input_is_freed_with_its_caller(self, name):
+        # Once the caller drops the inputs, their buffers die while the
+        # graph is alive (the op's output feeds a scale, which reads no data
+        # either), and the gradients equal those of a run that kept them.
+        def run(keep: bool):
+            w, inputs = two_op_outputs()
+            refs = [weakref.ref(t.data) for t in inputs]
+            loss = scale(UNREAD_INPUT_OPS[name](*inputs), 1.0)
+            if not keep:
+                del inputs
+            alive = [ref() is not None for ref in refs]
+            return alive, gradients(loss, [w], Rng(2).normal(loss.shape))[0]
+
+        alive, grad = run(keep=False)
+        kept_alive, kept_grad = run(keep=True)
+        assert alive == [False, False] and kept_alive == [True, True]
+        assert grad.tobytes() == kept_grad.tobytes()
+        assert np.abs(grad).max() > 0
+
+    def test_matmul_operands_live_until_the_graph_is_dropped(self):
+        w, (a, b) = two_op_outputs()
+        refs = [weakref.ref(a.data), weakref.ref(b.data)]
+        loss = tensor_sum(matmul(a, transpose_last(b)))
+        del a, b
+        first = gradients(loss, [w])[0]
+        assert all(ref() is not None for ref in refs)
+        assert gradients(loss, [w])[0].tobytes() == first.tobytes()
+        del loss
+        assert all(ref() is None for ref in refs)
 
 
 class TestInitMatrix:
