@@ -1,13 +1,12 @@
 """Reverse-mode differentiation over recorded tensor graphs.
 
 The graph is implicit and holds no data: every tensor produced while
-gradients are enabled has a node (`tensor.Node`) that keeps its parents'
-nodes and a closure that routes its own gradient to them. The closure keeps
-only the tensors or arrays whose data its backward reads, and reads the
-gradient through a weak reference to its node, so a graph holds no reference
-cycles and is freed by reference counting once its output is dropped.
-`gradients` walks the nodes and replays those closures in reverse
-topological order, and may replay one graph any number of times.
+gradients are enabled has a node (`tensor.Node`) with its parents' nodes and
+a closure that routes its own gradient to them, keeping only the data it
+reads. The closure reads that gradient through a weak reference to its node,
+so a graph holds no reference cycles and is freed by reference counting once
+its output is dropped. `gradients` walks the nodes, replays the closures in
+reverse topological order, and may replay one graph any number of times.
 """
 
 from __future__ import annotations

@@ -573,6 +573,8 @@ def attend(
             f"attend shapes disagree: q {q.shape}, k/v {k.shape}/{v.shape}, projected "
             f"{kbar.shape}/{vbar.shape}, mask {attendable.shape}, offset {offset}"
         )
+    if not w:  # k and v are not read at w = 0, only their shape, which is q's
+        k = v = q
     window = (k, v) if w else ()
     projected = (kbar, vbar) if slots else ()
     rows = batch + (groups * size,)

@@ -18,7 +18,7 @@ from lsattn import Rng, Tensor, concat, gradients, init_matrix, layer_norm, mask
 from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
 from lsattn.tensor import (
-    _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, count_flops_runtime,
+    _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, attend, count_flops_runtime,
     cross_entropy_mean, mul, projection_softmax, relu, reshape, scale, slice_axis, swap_axes, take,
     tensor_sum, transpose_last,
 )
@@ -411,6 +411,18 @@ class TestGraphHoldsOnlyWhatBackwardReads:
         assert alive == [False, False] and kept_alive == [True, True]
         assert grad.tobytes() == kept_grad.tobytes()
         assert np.abs(grad).max() > 0
+
+    def test_attend_without_window_slots_keeps_no_window_rows(self):
+        # At w = 0 the window keys and values are neither read nor graph
+        # parents, so the graph does not keep them.
+        _, (k, v) = two_op_outputs()
+        refs = [weakref.ref(k.data), weakref.ref(v.data)]
+        q, kbar = (Tensor(Rng(seed).normal(shape), requires_grad=True)
+                   for seed, shape in ((3, (4, 3)), (4, (2, 3))))
+        out, _ = attend(q, k, v, kbar, kbar, np.ones((1, 4, 2), dtype=bool), 0)
+        del k, v
+        assert all(ref() is None for ref in refs)
+        assert all(np.abs(g).max() > 0 for g in gradients(tensor_sum(mul(out, out)), [q, kbar]))
 
     def test_matmul_operands_live_until_the_graph_is_dropped(self):
         w, (a, b) = two_op_outputs()
