@@ -5,8 +5,9 @@ gradients are enabled has a node (`tensor.Node`) with its parents' nodes and
 a closure that routes its own gradient to them, keeping only the data it
 reads. The closure reads that gradient through a weak reference to its node,
 so a graph holds no reference cycles and is freed by reference counting once
-its output is dropped. `gradients` walks the nodes, replays the closures in
-reverse topological order, and may replay one graph any number of times.
+its output is dropped. `gradients` walks the nodes and runs the closures in
+reverse topological order, consuming the graph: it drops each closure once it
+has run, and with it every buffer that only that closure read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ def gradients(
     plus the base's gradient at its index, so it may be used directly, through
     the base, or both. Interior gradients are dropped as soon as they have
     been routed to the node's parents, so only the requested parameters and
-    the bases they view keep a .grad. The seed array is never written.
+    the bases they view keep a .grad. The seed array is never written. The
+    graph is consumed: each backward closure is dropped once it has run or
+    been skipped, and a second call on the same graph raises RuntimeError.
     """
     if seed is None:
         seed_arr = np.ones(output.shape, dtype=np.float64)
@@ -64,6 +67,8 @@ def gradients(
             raise ShapeError(f"seed shape {seed_arr.shape} does not match output {output.shape}")
     root = output._node
     order = _topo_order(root)
+    if any(node._parents and node._backward is None for node in order):
+        raise RuntimeError("graph already consumed by gradients; run the forward again")
     kept = [t._node for t in (*params, *(p.view_of[0] for p in params if p.view_of is not None))]
     for node in (*order, *kept):
         node.grad = None
@@ -74,6 +79,7 @@ def gradients(
             node._backward()
             if id(node) not in keep:
                 node.grad = None
+        node._backward = None
     return [_total_grad(p) for p in params]
 
 

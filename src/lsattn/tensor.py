@@ -9,9 +9,10 @@ enabled and an input requires them, the op attaches a closure that keeps
 only the tensors or arrays whose data it reads and the nodes it routes
 gradients to, so an input that no backward reads is freed once its caller
 drops it. The closure reads the op's output gradient through a weak
-reference to the output's node, so graphs hold no reference cycles:
-reference counting frees a step's buffers when its output and gradients are
-dropped, without waiting for the cyclic garbage collector. Gradients
+reference to the output's node, so graphs hold no reference cycles, and
+`autodiff.gradients` drops each closure once it has run: reference counting
+frees a buffer as soon as its last reader has run, or with the output of a
+graph never walked, without waiting for the cyclic garbage collector. Gradients
 accumulate under one ownership rule (`_accum`), and each backward job has
 one rule: the operands of a matrix product (`matmul`, `projection_softmax`)
 get their gradients from `_product_grads`, and the logits of a softmax
@@ -200,8 +201,8 @@ def track_peak_bytes():
     A view (reshape, swap_axes, slice_axis, attend's output) adds no bytes to
     the buffer it views. Plain numpy buffers are not counted: attend's padded
     window copies, backward temporaries and gradient arrays. Of the tracemalloc
-    peak of one benchmark step it sees 0.712 on bidir-long (44.11 of 61.94 MB)
-    and 0.789 on lm-train (6.68 of 8.47 MB).
+    peak of one benchmark step it sees 0.826 on bidir-long (44.11 of 53.37 MB)
+    and 0.831 on lm-train (6.68 of 8.05 MB).
     """
     global _alloc_tracker
     prev = _alloc_tracker
@@ -432,13 +433,18 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray, owned: bool = False) -> np.ndarr
     """Gradient of a last-axis softmax's logits, P * (dP - rowsum(dP * P)).
 
     It is formed in g's buffer when the caller owns g, else in a fresh one.
-    The row sums are taken by runs of the leading axis (`_runs`), one run's dP * P
-    at a time.
+    The row sums are taken by runs (`_runs`) of the outermost axis whose index
+    holds at most `_BLOCK_BYTES` of P, or one row, at each index of the axes
+    before it: one run's dP * P at a time, with no copy of g or p.
     """
     s = np.empty(p.shape[:-1] + (1,))
     g2, p2, s2 = np.atleast_2d(g, p, s)
-    for rows in _runs(len(p2), p2[:1].nbytes):
-        s2[rows] = (g2[rows] * p2[rows]).sum(axis=-1, keepdims=True)
+    sizes = [math.prod(p2.shape[i + 1 :]) * p2.itemsize for i in range(p2.ndim - 1)]
+    cut = next((i for i, size in enumerate(sizes) if size <= _BLOCK_BYTES), p2.ndim - 2)
+    for index in np.ndindex(p2.shape[:cut]):
+        for rows in _runs(p2.shape[cut], sizes[cut]):
+            at = index + (rows,)
+            s2[at] = (g2[at] * p2[at]).sum(axis=-1, keepdims=True)
     t = np.subtract(g, s, out=g if owned else None)
     t *= p
     return t
@@ -555,13 +561,14 @@ def attend(
     each row into one of width h * d is a view.
 
     Only the weights P are kept for the backward pass, which forms dP in one
-    buffer, turns it into dS = P * (dP - rowsum(dP * P)) in place with the
-    softmax gradient rule that `masked_softmax` uses (`_softmax_grad`), and
-    reads the windows from k and v again (`_windows`). The logits and P are
-    held as tensors, so `track_peak_bytes` sees the logits while the softmax
-    runs and P for as long as the backward pass may need it. The runtime
-    counter gets the MACs of the score and value products of both slot
-    kinds, 2 * d per weight.
+    buffer and v's and vbar's gradients, turns dP into dS = P * (dP -
+    rowsum(dP * P)) in place with the softmax gradient rule that
+    `masked_softmax` uses (`_softmax_grad`), drops P, and only then forms q's
+    and k's gradients; it reads the windows from k and v again (`_windows`).
+    The logits and P are held as tensors, so `track_peak_bytes` sees the
+    logits while the softmax runs and P until the backward pass drops it.
+    The runtime counter gets the MACs of the score and value products of
+    both slot kinds, 2 * d per weight.
     """
     groups, size, span = attendable.shape
     batch, d, slots = q.shape[:-2], q.shape[-1], kbar.shape[-2]
@@ -603,15 +610,21 @@ def attend(
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, *window, *projected):
         def route(g: np.ndarray) -> None:
+            nonlocal weights
             p = weights.data
+            p_far = p[..., 2 * w :].reshape(rows + (slots,))
             g_grouped = g.reshape(batch + (groups, size, d))
             dp = np.empty(p.shape)
             np.matmul(g_grouped, np.swapaxes(_windows(v.data, w, offset), -1, -2),
                       out=dp[..., : 2 * w])
             np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
                       out=dp[..., 2 * w :])
+            if window and v.requires_grad:
+                _accum(v._node, _window_grad(p, g_grouped, w, offset))
+            if slots and vbar.requires_grad:
+                _accum(vbar._node, np.matmul(np.swapaxes(p_far, -1, -2), g))
             ds = _softmax_grad(dp, p, owned=True)
-            del dp
+            del dp, p, p_far, weights  # P's last readers; the closure runs at most once
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:
@@ -622,12 +635,6 @@ def attend(
                 _accum(k._node, _window_grad(ds, q_grouped, w, offset))
             if slots and kbar.requires_grad:
                 _accum(kbar._node, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
-            del ds, ds_far
-            if window and v.requires_grad:
-                _accum(v._node, _window_grad(p, g_grouped, w, offset))
-            if slots and vbar.requires_grad:
-                p_far = p[..., 2 * w :].reshape(rows + (slots,))
-                _accum(vbar._node, np.matmul(np.swapaxes(p_far, -1, -2), g))
         _attach(out, (q, *window, *projected), route)
     return out, p
 

@@ -48,13 +48,13 @@ def test_product_rule_scalar():
 
 def test_softmax_jacobian_at_uniform():
     # J = diag(p) - p p^T with p = 1/3: diagonal 2/9, off-diagonal -1/9.
+    # `gradients` consumes the graph, so each row gets its own p.
     logits = Tensor([0.0, 0.0, 0.0], requires_grad=True)
-    p = masked_softmax(logits)
     rows = []
     for i in range(3):
         seed = np.zeros(3)
         seed[i] = 1.0
-        rows.append(gradients(p, [logits], seed=seed)[0])
+        rows.append(gradients(masked_softmax(logits), [logits], seed=seed)[0])
     jac = np.stack(rows)
     expected = np.full((3, 3), -1.0 / 9.0)
     np.fill_diagonal(expected, 2.0 / 9.0)

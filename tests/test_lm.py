@@ -314,31 +314,25 @@ def test_training_graph_keeps_only_what_backward_reads():
     assert loss.shape == ()
 
 
-def test_step_peak_is_held_buffers_plus_attend_backward():
-    # The tracemalloc peak of a training forward plus `gradients` stays
-    # within 1% of the held buffers plus what backward adds at its
-    # fullest, in the first block's `attend` backward, while k's gradient
-    # is formed:
-    # - every parameter's gradient;
-    # - two gradients in flight: the residual stream's and attend's output's;
-    # - dS, formed in dP's buffer, the size of one block's attention weights;
-    # - q's gradient, and k's window-gradient blocks (one more group of rows);
-    # - one run of k's gradient product, the temporary of the same size
-    #   that numpy makes to add it into the strided blocks, and numpy's
-    #   contiguous copy of dS's second window half.
-    # A stacked head-weight product, a second logits-sized buffer in the
-    # cross-entropy backward, or dS beside dP would each add 0.5 MB or more.
+def test_step_peak_is_held_buffers_plus_cross_entropy_backward():
+    # The tracemalloc peak of a training forward plus `gradients` falls in
+    # the cross-entropy backward, at the start of the walk, where every
+    # buffer of the graph is still held but no gradient exists yet. On top
+    # of the held buffers, within their 2% of Python objects (the test
+    # above), it adds:
+    # - the logits' gradient, one (B, n, V) buffer worked in place;
+    # - numpy's 8192-element buffer for subtracting the broadcast row
+    #   log-sum-exps.
+    # Later backwards stay below it, as `gradients` frees each closure's
+    # buffers once it has run. A graph kept whole until the walk ends puts
+    # the peak in the first block's `attend` backward, 0.37 MB above this.
     params, forward = lm_step()
     gradients(forward(), params)
-    groups = N // W
     backward = {
-        "parameter gradients": sum(p.data.nbytes for p in params),
-        "gradients in flight": 2 * ROWS,
-        "dS in dP's buffer": READ_BY_BACKWARD["attention weights"] // LAYERS,
-        "q's gradient and k's blocks": ROWS + ROWS * (groups + 1) // groups,
-        "one run of k's product, its add temporary, dS's copy": 2 * ROWS + B * H * N * W * F8,
+        "logits gradient": B * N * V * F8,
+        "numpy's broadcast buffer": np.getbufsize() * F8,
     }
-    bound = HELD + sum(backward.values())
+    bound = 1.02 * HELD + sum(backward.values())
     gc.collect()
     tracemalloc.start()
     try:
@@ -347,7 +341,7 @@ def test_step_peak_is_held_buffers_plus_attend_backward():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.01 * bound, (peak, bound)
+    assert peak <= bound, (peak, bound)
     assert len(grads) == len(params)
 
 

@@ -29,7 +29,7 @@ from lsattn import (
     matmul,
     multi_head,
 )
-from lsattn import attention, lm
+from lsattn import attention, lm, tensor
 from lsattn.tensor import add, mul, tensor_sum
 
 CONFIGS = {
@@ -136,29 +136,35 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
 
 def test_backward_peak_is_held_buffers_plus_bounded_temporaries():
     # The tracemalloc peak of forward plus `gradients` stays within 1% of
-    # the held buffers plus what backward adds at its fullest, in the
-    # projection's backward:
-    # - the seed of ones (n, d) that `gradients` makes, and every
-    #   parameter's gradient;
-    # - four gradients in flight, each of one (h, n, d_k) array: those of
-    #   the token distributions, of x's unit-head-axis view, and of the
-    #   window values before and after their cut into segments;
-    # - the logits' gradient, formed in one (h, r, n) buffer;
-    # - one run of rows of x's gradient product: at most
-    #   `tensor._BLOCK_BYTES`, half the product at this n.
-    # A full-size product per head, or a logits buffer in the graph, would
-    # each add 0.5 MB.
+    # the held buffers plus what backward adds at its fullest, in attend's
+    # backward while k's window gradient is formed. `gradients` has freed
+    # what wo's backward alone read, attend's output, and attend has dropped
+    # P once dS was formed in dP's buffer. Backward then holds:
+    # - the seed of ones (n, d) that `gradients` makes, and wo's gradient;
+    # - the gradient in flight, of attend's output;
+    # - dS, the size of P;
+    # - v's window-gradient blocks (one more group of rows than v) and
+    #   vbar's gradient, formed from P before it was dropped;
+    # - q's gradient, k's window-gradient blocks and one run of k's
+    #   product: at most `tensor._BLOCK_BYTES`, half the product at this n.
+    # P kept beside dS would add 0.79 MB; a graph kept whole until the walk
+    # ends puts the peak 1.1 MB above this bound.
     params, x, forward = held_layer()
     leaves = [x] + [t for _, t in params.named_parameters()]
     gradients(forward(), leaves)
-    backward = {
-        "seed": ROWS,
-        "parameter gradients": sum(t.data.nbytes for t in leaves[1:]),
-        "gradients in flight": 4 * ROWS,
-        "logits gradient (h, r, n)": H * R * N * F8,
-        "one run of x's gradient product": ROWS // 2,
+    blocks = ROWS * (N // W + 1) // (N // W)
+    freed = {
+        "attend output": READ_BY_BACKWARD["attend output"],
+        "attention weights": READ_BY_BACKWARD["attention weights"],
     }
-    bound = HELD + sum(backward.values())
+    backward = {
+        "seed and wo's gradient": ROWS + params.wo.data.nbytes,
+        "gradient in flight": ROWS,
+        "dS in dP's buffer": READ_BY_BACKWARD["attention weights"],
+        "v's blocks and vbar's gradient": blocks + H * R * (D // H) * F8,
+        "q's gradient, k's blocks, one run": ROWS + blocks + ROWS // 2,
+    }
+    bound = HELD - sum(freed.values()) + sum(backward.values())
     gc.collect()
     tracemalloc.start()
     try:
@@ -360,6 +366,46 @@ def test_step_graph_is_freed_without_the_collector(mode):
         alive = sum(r() is not None for r in refs)
     assert len(refs) > 20
     assert alive == 0
+
+
+def test_gradients_frees_every_op_output_before_it_returns(monkeypatch):
+    # `gradients` consumes the graph of a stacked-head dual-LN layer: once
+    # it returns, every op output's buffer is dead while the caller still
+    # holds the layer output, and the leaves and that output are intact.
+    # attend's P dies before k's window gradient is formed (the second
+    # `_window_grad` call; the first, v's, reads P).
+    cfg, fn = CONFIGS["bidirectional"]
+    params = init_multi_head_params(Rng(5), cfg)
+    x = Tensor(Rng(6).normal((2, cfg.seq_len, cfg.model_dim)), requires_grad=True)
+    leaves = [x] + [t for _, t in params.named_parameters()]
+    op_outputs, weights, p_alive = [], [], []
+    attach, attend, window_grad = tensor._attach, attention.attend, tensor._window_grad
+
+    def recording_attach(out, parents, route):
+        op_outputs.append(weakref.ref(out.data))
+        attach(out, parents, route)
+
+    def recording_attend(*args):
+        result = attend(*args)
+        weights.append(weakref.ref(result[1]))
+        return result
+
+    def recording_window_grad(*args):
+        p_alive.append(weights[0]() is not None)
+        return window_grad(*args)
+
+    monkeypatch.setattr(tensor, "_attach", recording_attach)
+    monkeypatch.setattr(attention, "attend", recording_attend)
+    monkeypatch.setattr(tensor, "_window_grad", recording_window_grad)
+    with collector_off():
+        out = multi_head(x, params, lambda t, p: fn(t, p, cfg))
+        kept = [out.data.copy()] + [t.data.copy() for t in leaves]
+        gradients(out, leaves, Rng(7).normal(out.shape))
+        alive = [ref() for ref in op_outputs if ref() is not None]
+    assert len(op_outputs) > 20
+    assert len(alive) == 1 and alive[0] is out.data
+    assert all(np.array_equal(a, t.data) for a, t in zip(kept, [out] + leaves))
+    assert p_alive == [True, False]
 
 
 def test_lm_step_graph_is_freed_without_the_collector():

@@ -28,11 +28,10 @@ from workloads import make_workload  # noqa: E402
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 # Graph nodes of one step, and the most its tracemalloc peak may read (bytes):
-# for lm-train 2% above the 8,468,920 measured once graph nodes held no data
-# (and under 9.0 MB), for bidir-long 0.1% above the 61,935,284 it read while
-# graph nodes still held their tensors' data.
-STEP_MEMORY = {"lm-train": (97, min(1.02 * 8_468_920, 9.0e6)),
-               "bidir-long": (29, 1.001 * 61_935_284)}
+# 2% above the 8,045,636 of lm-train and 0.1% above the 53,367,204 of
+# bidir-long, measured once `gradients` consumed the graph it walks.
+STEP_MEMORY = {"lm-train": (97, 1.02 * 8_045_636),
+               "bidir-long": (29, 1.001 * 53_367_204)}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -183,6 +184,31 @@ class TestMaskedSoftmax:
         logits[1] = 1e6
         bumped = masked_softmax(Tensor(logits), mask).data
         assert np.array_equal(base, bumped)
+
+    @pytest.mark.parametrize("g_layout", ["contiguous", "swapped"])
+    def test_gradient_row_sums_hold_one_run(self, g_layout):
+        # dP of attend's stacked heads at n = 8192 (bidir-long), where a run
+        # of the leading axis alone would be a whole head's dP * P, 3.1 MB.
+        # Formed in dP's buffer, as attend does, the rule holds at most the
+        # row sums and one run of `_BLOCK_BYTES` across all leading axes: no
+        # copy of g, also of the transposed g that `projection_softmax`
+        # passes. The bits equal the one-shot formula.
+        rng = np.random.default_rng(12)
+        p = masked_softmax(Tensor(rng.normal(size=(2, 1024, 8, 48)))).data
+        g = rng.normal(size=p.shape)
+        if g_layout == "swapped":
+            g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+        expected = (g - (g * p).sum(axis=-1, keepdims=True)) * p
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = tensor_ops._softmax_grad(g, p, owned=True)
+            transient = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert got is g
+        assert got.tobytes() == expected.tobytes()
+        assert transient <= 2 * tensor_ops._BLOCK_BYTES, transient
 
 
 def projection_mask(seq_len: int, segments: int, l: int) -> np.ndarray:
@@ -424,16 +450,21 @@ class TestGraphHoldsOnlyWhatBackwardReads:
         assert all(ref() is None for ref in refs)
         assert all(np.abs(g).max() > 0 for g in gradients(tensor_sum(mul(out, out)), [q, kbar]))
 
-    def test_matmul_operands_live_until_the_graph_is_dropped(self):
+    def test_matmul_operands_die_when_gradients_returns(self):
+        # The operands live while the graph may still run, and `gradients`
+        # consumes it: they die once it returns, with the loss still alive,
+        # and a second call on that graph, or on one built on it, raises
+        # rather than return zeros.
         w, (a, b) = two_op_outputs()
         refs = [weakref.ref(a.data), weakref.ref(b.data)]
         loss = tensor_sum(matmul(a, transpose_last(b)))
         del a, b
-        first = gradients(loss, [w])[0]
         assert all(ref() is not None for ref in refs)
-        assert gradients(loss, [w])[0].tobytes() == first.tobytes()
-        del loss
+        assert np.abs(gradients(loss, [w])[0]).max() > 0
         assert all(ref() is None for ref in refs)
+        for again in (loss, scale(loss, 2.0)):
+            with pytest.raises(RuntimeError, match="consumed"):
+                gradients(again, [w])
 
 
 class TestInitMatrix:
