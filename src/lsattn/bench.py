@@ -115,7 +115,9 @@ def run_norm_probe(
 ) -> list[list[str]]:
     """CSV rows (layer, seed, key_ratio, value_ratio, dual_ln), plain and dual LN.
 
-    cfg.dual_ln is ignored: every layer and seed is probed both ways.
+    cfg.dual_ln is ignored: every layer and seed is probed both ways. Each
+    layer is an independent single layer at seeds offset by 100003 * layer,
+    not a layer of a stack.
     """
     if layers < 1:
         raise ConfigError(f"norm probe needs at least 1 layer, got {layers}")

@@ -15,8 +15,9 @@ frees a buffer as soon as its last reader has run, or with the output of a
 graph never walked, without waiting for the cyclic garbage collector. Gradients
 accumulate under one ownership rule (`_accum`), and each backward job has
 one rule: the operands of a matrix product (`matmul`, `projection_softmax`)
-get their gradients from `_product_grads`, and the logits of a softmax
-(`masked_softmax`, `projection_softmax`, `attend`) from `_softmax_grad`.
+get their gradients from `_product_grads`, one product each, and the logits
+of a softmax (`masked_softmax`, `projection_softmax`, `attend`) from
+`_softmax_grad`, whose row sums are one einsum.
 `sub` and `scale_by_array` are compositions of `add`, `scale` and `mul`, and
 have no rule of their own. Values are always float64; masks are plain
 boolean numpy arrays and never receive gradients. A tensor has no name;
@@ -74,8 +75,8 @@ __all__ = [
 # Added to the variance inside layer_norm's square root.
 LAYER_NORM_EPS = 1e-5
 
-# Bytes of product held at once when backward adds a product into a
-# gradient by runs of rows (`_accum_rows`, `_window_grad`).
+# Bytes of product held at once when `_window_grad` adds the windows'
+# second halves into the row gradient by runs of groups.
 _BLOCK_BYTES = 1 << 18
 
 _grad_enabled = True
@@ -328,60 +329,49 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _runs(n: int, row_bytes: int) -> list[slice]:
-    """range(n) cut into near-equal runs of at most `_BLOCK_BYTES` at row_bytes per index."""
-    count = max(1, -(-n * row_bytes // _BLOCK_BYTES))
+    """range(n) cut into the fewest near-equal runs of at most `_BLOCK_BYTES` at row_bytes per index.
+
+    A run holds one index where one index alone holds more.
+    """
+    count = max(1, -(-n // max(1, _BLOCK_BYTES // max(1, row_bytes))))
     bounds = [n * i // count for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _accum_rows(t: Tensor, x: np.ndarray, y: np.ndarray) -> None:
-    """Add np.matmul(x, y), of t's shape, into t.grad by runs of rows (`_runs`).
+def _summed_product(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """np.matmul(x, y) summed over the batch axes where `shape` is 1 or missing, in one product.
 
-    One run's product is held at a time. Each element sums as in the
-    one-shot product where BLAS runs the same kernel on a run as on the
-    whole; OpenBLAS changes kernel for products of one column or of about a
-    thousand elements, far below half of `_BLOCK_BYTES`.
+    Each such axis of more than one index is folded into the inner dimension:
+    moved to just before x's last axis and y's second-last, and merged with
+    it. Both x and y span every axis folded, since the operand of `shape` was
+    broadcast along it, so nothing is broadcast or summed apart.
     """
-    runs, node = _runs(t.shape[-2], t.data[..., :1, :].nbytes), t._node
-    if node.grad is not None and node._grad_owned:
-        for rows in runs:
-            node.grad[..., rows, :] += np.matmul(x[..., rows, :], y)
-        return
-    prior = node.grad
-    node.grad, node._grad_owned = np.empty(t.shape), True
-    for rows in runs:
-        np.matmul(x[..., rows, :], y, out=node.grad[..., rows, :])
-    if prior is not None:
-        node.grad += prior
+    batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    nb, lead = len(batch), len(batch) + 2 - len(shape)
+    summed = [i for i, n in enumerate(batch) if n > 1 and (i < lead or shape[i - lead] == 1)]
+    if summed:
+        kept, size = [i for i in range(nb) if i not in summed], math.prod(batch[i] for i in summed)
+        x, y = (t.reshape((1,) * (nb + 2 - t.ndim) + t.shape) for t in (x, y))
+        x = x.transpose(kept + [nb] + summed + [nb + 1]).reshape(
+            [x.shape[i] for i in kept] + [x.shape[nb], size * x.shape[nb + 1]])
+        y = y.transpose(kept + summed + [nb, nb + 1]).reshape(
+            [y.shape[i] for i in kept] + [size * y.shape[nb], y.shape[nb + 1]])
+    return np.matmul(x, y).reshape(shape)
 
 
 def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     """Add the gradients of a @ b, whose output gradient is g, into a.grad and b.grad.
 
-    An operand with a unit head axis, (..., 1, n, d), against g's h > 1 heads
-    on the third-last axis, with leading axes equal to g's, is spread: the
-    other operand then has the h heads too, and each head's part is added in
-    turn by runs of rows (`_accum_rows`), so at most one run is held besides
-    the gradient. An operand of two or more elements that lacks g's leading
-    axes (a 2-D weight against a batched input) adds one product per leading
-    index into one owned buffer, in the order `_unbroadcast` sums them; numpy
-    sums a one-element operand's products pairwise, so that one is left to it.
-    Any other operand takes the full product, reduced by `_unbroadcast`.
+    Each operand's gradient is one product (`_summed_product`): g @ b^T for
+    a and a^T @ g for b, with every batch axis the operand was broadcast
+    along folded into the inner dimension. For x (B, 1, n, d) against
+    stacked weights (h, d, e) that is g as (B, n, h*e) times w^T as (h*e, d);
+    for a 2-D weight against (B, n, d) it is x as (B*n, d), transposed, times
+    g as (B*n, e).
     """
     for t, x, y in ((a, g, np.swapaxes(b.data, -1, -2)), (b, np.swapaxes(a.data, -1, -2), g)):
-        if not t.requires_grad:
-            continue
-        if t.ndim == g.ndim > 2 and t.shape[-3] == 1 < g.shape[-3] and t.shape[:-3] == g.shape[:-3]:
-            for i in range(g.shape[-3]):
-                _accum_rows(t, x[..., i : i + 1, :, :], y[..., i : i + 1, :, :])
-        elif g.ndim > t.ndim and t.size > 1 and t.shape[:-2] == g.shape[g.ndim - t.ndim : -2]:
-            first, *rest = np.ndindex(g.shape[: g.ndim - t.ndim])
-            part = np.matmul(x[first], y[first])
-            for i in rest:
-                part += np.matmul(x[i], y[i])
-            _accum(t._node, part)
-        else:
-            _accum(t._node, _unbroadcast(np.matmul(x, y), t.shape))
+        if t.requires_grad:
+            _accum(t._node, _summed_product(x, y, t.shape))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -433,18 +423,10 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray, owned: bool = False) -> np.ndarr
     """Gradient of a last-axis softmax's logits, P * (dP - rowsum(dP * P)).
 
     It is formed in g's buffer when the caller owns g, else in a fresh one.
-    The row sums are taken by runs (`_runs`) of the outermost axis whose index
-    holds at most `_BLOCK_BYTES` of P, or one row, at each index of the axes
-    before it: one run's dP * P at a time, with no copy of g or p.
+    The row sums come from one einsum, which forms no dP * P and copies
+    neither g nor p.
     """
-    s = np.empty(p.shape[:-1] + (1,))
-    g2, p2, s2 = np.atleast_2d(g, p, s)
-    sizes = [math.prod(p2.shape[i + 1 :]) * p2.itemsize for i in range(p2.ndim - 1)]
-    cut = next((i for i, size in enumerate(sizes) if size <= _BLOCK_BYTES), p2.ndim - 2)
-    for index in np.ndindex(p2.shape[:cut]):
-        for rows in _runs(p2.shape[cut], sizes[cut]):
-            at = index + (rows,)
-            s2[at] = (g2[at] * p2[at]).sum(axis=-1, keepdims=True)
+    s = np.einsum("...i,...i->...", g, p)[..., None]
     t = np.subtract(g, s, out=g if owned else None)
     t *= p
     return t

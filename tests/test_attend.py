@@ -116,6 +116,17 @@ class TestAttendGradients:
             results.append(gradients(out, leaves, seed=probe))
         assert all(np.array_equal(a, b) for a, b in zip(*results))
 
+    @pytest.mark.parametrize("n, row_bytes", [(1024, 3072), (1000, 256), (7, 1 << 20), (0, 8)])
+    def test_window_gradient_runs_fit_the_block(self, n, row_bytes):
+        # The fewest near-equal runs whose largest holds at most
+        # `_BLOCK_BYTES`, or one row when a row is larger. At (1024, 3072),
+        # attend's dP rows at n = 8192, runs of 86 rows would hold 264,192.
+        runs = tensor_ops._runs(n, row_bytes)
+        per_run = max(1, tensor_ops._BLOCK_BYTES // row_bytes)
+        assert [i for run in runs for i in range(run.start, run.stop)] == list(range(n))
+        assert max(run.stop - run.start for run in runs) <= per_run
+        assert len(runs) == max(1, math.ceil(n / per_run))
+
     def test_peak_bytes_see_logits_and_weights(self):
         (q, kb, vb, kbar, vbar), attendable, offset = operands(CONFIGS["bidirectional"], seed=8)
         with track_peak_bytes() as tracker:

@@ -5,7 +5,17 @@ two JSON objects; equal digests mean bit-identical outputs:
 
     PYTHONPATH=src python tools/parity_digest.py > digest.json
 
-It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
+With `--save FILE.npz` it also writes the values behind the digests, one
+entry per key (text as a string array). A change that is not bit-identical
+then reads how far each moved key went:
+
+    PYTHONPATH=src python tools/parity_digest.py --save new.npz > digest.json
+    PYTHONPATH=src python tools/parity_digest.py --compare old.npz new.npz
+
+`--compare` prints each key whose value differs, with the normwise relative
+difference ||new - old|| / ||old|| (Frobenius norms) for numbers, or
+"text differs", then the count of equal keys. An array digest covers its
+shape, dtype and bytes. Covered:
 
 - the perfbench `bidir-long` layer (seed 901): output and every gradient;
 - the perfbench `lm-train` config: a 50-step `lm.train` at seed 901, its
@@ -13,11 +23,10 @@ It takes no flags. An array digest covers its shape, dtype and bytes. Covered:
 - five stacked-head `multi_head` layers, each on a batch of 2, with one
   branch empty or padding rows (window-only dual LN in both modes,
   projection-only, a padded causal layer with a padding-only projection
-  segment, and a padded bidirectional layer with both branches, long
-  enough that backward adds x's gradient in several runs of rows): output,
-  the gradients of x and of every `named_parameters()` entry, the runtime
-  FLOPs of that forward, and `count_flops`/`measured_flops` of the matching
-  one-layer `ArchSpec`;
+  segment, and a padded bidirectional layer with both branches, at 1,024
+  padded rows): output, the gradients of x and of every `named_parameters()`
+  entry, the runtime FLOPs of that forward, and
+  `count_flops`/`measured_flops` of the matching one-layer `ArchSpec`;
 - `count_flops` of every preset, and both workloads' closed-form and runtime
   flop-parity totals;
 - stdout and exit code of 18 `lsattn` commands, run in this process, with the
@@ -35,6 +44,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -69,30 +79,29 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def bidir_long() -> dict[str, str]:
+def bidir_long() -> dict:
     workload = make_workload("bidir-long", SEED)
     workload.build()
     out, grads = workload.step()
     names = ["x"] + [name for name, _ in workload.params.named_parameters()]
-    result = {"bidir-long.output": digest(out)}
-    result.update({f"bidir-long.grad.{name}": digest(g) for name, g in zip(names, grads)})
-    result["bidir-long.flop_parity"] = text_digest(repr(workload.flop_counts()))
+    result = {"bidir-long.output": out}
+    result.update({f"bidir-long.grad.{name}": g for name, g in zip(names, grads)})
+    result["bidir-long.flop_parity"] = repr(workload.flop_counts())
     return result
 
 
-def lm_train() -> dict[str, str]:
+def lm_train() -> dict:
     workload = make_workload("lm-train", SEED)
     workload.build()
     model, report = lm.train(workload.cfg, workload.corpus)
     workload.model = model  # flop_counts runs one forward of the trained model
     result = {
-        "lm-train.train_losses": digest(report.train_losses),
-        "lm-train.val_bpcs": digest(report.val_bpcs),
-        "lm-train.final_val_bpc": digest(report.final_val_bpc),
-        "lm-train.flop_parity": text_digest(repr(workload.flop_counts())),
+        "lm-train.train_losses": report.train_losses,
+        "lm-train.val_bpcs": report.val_bpcs,
+        "lm-train.final_val_bpc": report.final_val_bpc,
+        "lm-train.flop_parity": repr(workload.flop_counts()),
     }
-    result.update({f"lm-train.param.{name}": digest(t.data)
-                   for name, t in model.named_parameters()})
+    result.update({f"lm-train.param.{name}": t.data for name, t in model.named_parameters()})
     return result
 
 
@@ -107,13 +116,13 @@ EDGE_LAYERS = {
     # n=5, w=4, l=2: tokens 6-7 form a padding-only projection segment.
     "causal-padded-dual": LSConfig(seq_len=5, model_dim=8, heads=2, window=4, rank=2,
                                    seg_len=2, mode="causal", dual_ln=True),
-    # n=1021 pads to 1024 rows; x's gradient (2, 1, 1024, 32) spans two runs.
+    # n=1021 pads to 1024 rows, so both branches see padding rows.
     "padded-dual": LSConfig(seq_len=1021, model_dim=32, heads=2, window=8, rank=16,
                             dual_ln=True),
 }
 
 
-def edge_layers() -> dict[str, str]:
+def edge_layers() -> dict:
     result = {}
     for name, cfg in EDGE_LAYERS.items():
         rng = Rng(SEED)
@@ -131,15 +140,15 @@ def edge_layers() -> dict[str, str]:
             layers=1, model_dim=cfg.model_dim, heads=cfg.heads, ffn_dim=cfg.model_dim,
             seq_len=cfg.seq_len, variant=variant, window=cfg.window, rank=cfg.rank,
             seg_len=cfg.seg_len, mode=cfg.mode, dual_ln=cfg.dual_ln)
-        result[f"{name}.output"] = digest(out.data)
-        result.update({f"{name}.grad.{param}": digest(g) for (param, _), g in zip(named, grads)})
-        result[f"{name}.flops"] = text_digest(repr((
-            counter.total, flops.count_flops(arch), flops.measured_flops(arch))))
+        result[f"{name}.output"] = out.data
+        result.update({f"{name}.grad.{param}": g for (param, _), g in zip(named, grads)})
+        result[f"{name}.flops"] = repr((
+            counter.total, flops.count_flops(arch), flops.measured_flops(arch)))
     return result
 
 
-def flop_counts() -> dict[str, str]:
-    return {f"count_flops.{name}": text_digest(repr(flops.count_flops(arch)))
+def flop_counts() -> dict:
+    return {f"count_flops.{name}": repr(flops.count_flops(arch))
             for name, arch in sorted(flops.PRESETS.items())}
 
 
@@ -174,7 +183,7 @@ def cli_commands(corpus: str) -> list[list[str]]:
     ]
 
 
-def cli_outputs() -> dict[str, str]:
+def cli_outputs() -> dict:
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus.bin"
@@ -184,14 +193,47 @@ def cli_outputs() -> dict[str, str]:
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv)
             key = " ".join(argv).replace(str(corpus), "CORPUS")
-            result[f"cli.{key}"] = text_digest(f"exit {code}\n{blank_wall_ms(stdout.getvalue())}")
+            result[f"cli.{key}"] = f"exit {code}\n{blank_wall_ms(stdout.getvalue())}"
     return result
 
 
+def compare(old_path: str, new_path: str) -> None:
+    with np.load(old_path) as old_file, np.load(new_path) as new_file:
+        old, new = dict(old_file), dict(new_file)
+    equal = 0
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            print(f"{key}: only in {old_path if key in old else new_path}")
+        elif old[key].dtype.kind == "U" or new[key].dtype.kind == "U":
+            if np.array_equal(old[key], new[key]):
+                equal += 1
+            else:
+                print(f"{key}: text differs")
+        elif old[key].shape != new[key].shape:
+            print(f"{key}: shape {old[key].shape} -> {new[key].shape}")
+        elif np.array_equal(old[key], new[key]):
+            equal += 1
+        else:
+            scale = np.linalg.norm(old[key]) or 1.0
+            print(f"{key}: {np.linalg.norm(new[key] - old[key]) / scale:.3e}")
+    print(f"{equal} of {len(old.keys() | new.keys())} keys equal")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="digests of the outputs parity is judged on")
+    parser.add_argument("--save", metavar="FILE.npz", help="also write the values to FILE.npz")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD.npz", "NEW.npz"),
+                        help="print the keys whose saved values differ, and by how much")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
     print(f"lsattn from {lsattn.__file__}", file=sys.stderr)
-    result = {**bidir_long(), **lm_train(), **edge_layers(), **flop_counts(), **cli_outputs()}
+    values = {**bidir_long(), **lm_train(), **edge_layers(), **flop_counts(), **cli_outputs()}
+    result = {key: text_digest(v) if isinstance(v, str) else digest(v) for key, v in values.items()}
     print(json.dumps(result, indent=1, sort_keys=True))
+    if args.save:
+        np.savez(args.save, **{key: np.asarray(v) for key, v in values.items()})
 
 
 if __name__ == "__main__":
