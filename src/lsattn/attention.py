@@ -36,7 +36,6 @@ from .tensor import (
     masked_softmax,
     matmul,
     no_grad,
-    projection_softmax,
     relu,
     scale,
     slice_axis,
@@ -195,11 +194,11 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     other token. Only the first cfg.seq_len rows are valid tokens: rows past
     them (x's own padding rows, or the zero rows added here) receive exactly
     zero weight, and a segment with no valid token averages its zero rows
-    uniformly. `tensor.projection_softmax` computes the distributions in one
-    op: it applies wp before cutting the tokens into segments, so a stacked
-    wp broadcasts like wk and wv, and it keeps only the distributions, not
-    the logits, for the backward pass. Rank 0 runs the same steps on empty
-    arrays.
+    uniformly. The distributions are a masked softmax of x @ wp over each
+    segment's tokens: wp is applied before the tokens are cut into segments,
+    so a stacked wp broadcasts like wk and wv. The softmax's backward reads
+    only the distributions, so the logits, a temporary of one expression, die
+    when the softmax returns. Rank 0 runs the same steps on empty arrays.
 
     Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, wp is
     (..., d, cfg.rank), k and v are (..., n, head_dim), p is (..., n, rank)
@@ -219,7 +218,8 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
     k, v = matmul(x, p.wk), matmul(x, p.wv)
     batch = k.shape[:-2]
-    pt = projection_softmax(_pad_rows(x, n_pad), p.wp, mask)
+    pt = masked_softmax(transpose_last(
+        matmul(_pad_rows(x, n_pad), p.wp).reshape(*batch, segments, l, r)), mask)
     kbar = matmul(pt, _pad_rows(k, n_pad).reshape(*batch, segments, l, dk))
     vbar = matmul(pt, _pad_rows(v, n_pad).reshape(*batch, segments, l, dk))
     return ProjectedKV(pt=pt, kbar=kbar.reshape(*batch, segments * r, dk),
@@ -271,13 +271,15 @@ def _normalize_branches(
     """Window and projected keys/values as attention consumes them.
 
     With cfg.dual_ln the window branch goes through ln_local and the projected
-    branch through ln_global; otherwise all four pass through unchanged.
+    branch through ln_global; otherwise all four pass through unchanged. At
+    window 0 attention reads no window keys or values, so ln_local is not run.
     """
     if not cfg.dual_ln:
         return k, v, kbar, vbar
     local, glob = p.ln_local, p.ln_global
-    return (layer_norm(k, local.gain, local.bias), layer_norm(v, local.gain, local.bias),
-            layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias))
+    if cfg.window:
+        k, v = layer_norm(k, local.gain, local.bias), layer_norm(v, local.gain, local.bias)
+    return k, v, layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias)
 
 
 @dataclass
@@ -308,8 +310,8 @@ def norm_ratio_probe(
     """
     if len(seeds) < 10:
         raise ConfigError("norm probe needs at least 10 seeds")
-    if cfg.rank < 1:
-        raise ConfigError("norm probe needs rank >= 1")
+    if cfg.rank < 1 or cfg.window < 2:
+        raise ConfigError("norm probe needs rank >= 1 and window >= 2")
     if cfg.dual_ln and cfg.head_dim < 2:
         raise ConfigError("dual-LN norm probe needs head_dim >= 2 (one feature normalizes to 0)")
     if projection not in PROJECTIONS:

@@ -14,10 +14,10 @@ reference to the output's node, so graphs hold no reference cycles, and
 frees a buffer as soon as its last reader has run, or with the output of a
 graph never walked, without waiting for the cyclic garbage collector. Gradients
 accumulate under one ownership rule (`_accum`), and each backward job has
-one rule: the operands of a matrix product (`matmul`, `projection_softmax`)
-get their gradients from `_product_grads`, one product each, and the logits
-of a softmax (`masked_softmax`, `projection_softmax`, `attend`) from
-`_softmax_grad`, whose row sums are one einsum.
+one rule: the operands of a matrix product (`matmul`) get their gradients
+from `_product_grads`, one product each, and the logits of a softmax
+(`masked_softmax`, `attend`) from `_softmax_grad`, whose row sums are one
+einsum.
 `sub` and `scale_by_array` are compositions of `add`, `scale` and `mul`, and
 have no rule of their own. Values are always float64; masks are plain
 boolean numpy arrays and never receive gradients. A tensor has no name;
@@ -49,7 +49,6 @@ __all__ = [
     "Rng",
     "matmul",
     "masked_softmax",
-    "projection_softmax",
     "attend",
     "layer_norm",
     "concat",
@@ -443,42 +442,6 @@ def masked_softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     if _tracking(logits):
         node = logits._node
         _attach(out, (logits,), lambda g: _accum(node, _softmax_grad(g, p)))
-    return out
-
-
-def projection_softmax(x: Tensor, wp: Tensor, attendable: np.ndarray) -> Tensor:
-    """Token distributions of a dynamic projection: a masked softmax of x @ wp per segment.
-
-    x is (..., n, d) and wp (..., d, r); attendable is (segments, 1, l) with
-    n = segments * l, and marks the tokens each segment's softmax may weight.
-    The logits x @ wp are cut into segments of l consecutive rows, and each
-    of the r columns of a segment is normalized over its tokens. Returns
-    P (..., segments, r, l), bit for bit the output of
-    `masked_softmax(transpose_last(reshape(matmul(x, wp), ...)), attendable)`.
-
-    Only P is kept for the backward pass; the logits are freed on return.
-    Backward forms the logits' gradient from P in one buffer (`_softmax_grad`)
-    and hands it, with x and wp, to matmul's gradient rule (`_product_grads`).
-    The runtime counter gets the MACs of x @ wp.
-    """
-    segments, _, l = attendable.shape
-    if x.ndim < 2 or wp.ndim < 2 or wp.shape[-2] != x.shape[-1] or x.shape[-2] != segments * l:
-        raise ShapeError(f"projection_softmax shapes disagree: x {x.shape}, wp {wp.shape}, "
-                         f"mask {attendable.shape}")
-    n, d, r = x.shape[-2], x.shape[-1], wp.shape[-1]
-    logits = np.matmul(x.data, wp.data)
-    batch = logits.shape[:-2]
-    if _flop_counter is not None:
-        _flop_counter.matmul_macs += logits.size * d
-    p = _softmax(np.swapaxes(logits.reshape(batch + (segments, l, r)), -1, -2), attendable)
-    del logits
-    out = Tensor(p)
-    if _tracking(x, wp):
-        def route(g: np.ndarray) -> None:
-            # A view of the softmax gradient with one segment, else a copy.
-            dlogits = np.swapaxes(_softmax_grad(g, p), -1, -2).reshape(batch + (n, r))
-            _product_grads(x, wp, dlogits)
-        _attach(out, (x, wp), route)
     return out
 
 

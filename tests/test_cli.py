@@ -496,7 +496,7 @@ def _norms_argv(draw):
     argv += _flag(draw, "--n", (8, 16, 32), (-1, 0))
     argv += _flag(draw, "--d", (8, 16), (0, 1, 3))
     argv += _flag(draw, "--heads", (1, 2), (0, 3))
-    argv += _flag(draw, "--w", (0, 2, 4, 8), (-1, 3))
+    argv += _flag(draw, "--w", (2, 4, 8), (-1, 0, 3))
     argv += _flag(draw, "--r", (1, 4, 8, 16, 32), (-1, 0))
     argv += _flag(draw, "--layers", (1, 2), (-1, 0))
     argv += _flag(draw, "--seeds", (10, 12), (-1, 0, 9))

@@ -346,9 +346,16 @@ def test_step_peak_is_held_buffers_plus_cross_entropy_backward():
 
 
 def test_training_step_graph_nodes():
-    # 97 tensors: each bias enters its product, so no bias add is in the graph.
+    # 103 tensors: 40 leaves (the two embeddings; per block the layer's nine
+    # and wo, two norms' gains and biases and the FFN's two weights and
+    # biases; the final norm's gain and bias and the head's weight and bias)
+    # and 63 ops (take and the position add; per block the layer's 22 ops of
+    # `test_layer_graph_has_no_parameter_only_ops`, two layer norms, two
+    # residual adds, the FFN's two products and relu; the final norm, the
+    # head and the cross-entropy). Each bias enters its product, so no bias
+    # add is in the graph.
     _, forward = lm_step()
-    assert len(graph_nodes(forward())) == 97
+    assert len(graph_nodes(forward())) == 103
 
 
 def test_train_drops_each_graph_before_the_next_forward(monkeypatch):

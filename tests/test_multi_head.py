@@ -23,11 +23,13 @@ from lsattn import (
     aggregate_head,
     causal_aggregate_head,
     concat,
+    count_flops_runtime,
     finite_diff_check,
     gradients,
     init_multi_head_params,
     matmul,
     multi_head,
+    no_grad,
 )
 from lsattn import attention, lm, tensor
 from lsattn.tensor import add, mul, tensor_sum
@@ -101,19 +103,24 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
     # listed above, to within 2% (Python objects). The layer norms keep no
     # normalized copy of their input, the projection keeps no logits, no
     # merged copy of the heads is made, and wo reads attend's output buffer
-    # directly.
+    # directly. The recorders keep only what the test reads, attend's result
+    # and wo's input, which the graph holds anyway: a product the graph
+    # frees, such as the projection logits, must not be kept alive by them.
     params, x, forward = held_layer()
+    attend, matmul = attention.attend, attention.matmul
     seen = {}
 
-    def recording(name, fn):
-        def wrapper(*args):
-            result = fn(*args)
-            seen.setdefault(name, []).append((args, result))
-            return result
-        return wrapper
+    def recording_attend(*args):
+        seen["attend"] = attend(*args)
+        return seen["attend"]
 
-    monkeypatch.setattr(attention, "attend", recording("attend", attention.attend))
-    monkeypatch.setattr(attention, "matmul", recording("matmul", attention.matmul))
+    def recording_matmul(a, b, *rest):
+        if b is params.wo:
+            seen["merged"] = a
+        return matmul(a, b, *rest)
+
+    monkeypatch.setattr(attention, "attend", recording_attend)
+    monkeypatch.setattr(attention, "matmul", recording_matmul)
     forward()
     seen.clear()
     gc.collect()
@@ -128,9 +135,8 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
 
     assert HELD <= held <= 1.02 * HELD, (held, HELD)
 
-    (_, heads), = seen["attend"]
-    merged = next(args[0] for args, _ in seen["matmul"] if args[1] is params.wo)
-    assert np.shares_memory(merged.data, heads[0].data)
+    heads, _ = seen["attend"]
+    assert np.shares_memory(seen["merged"].data, heads.data)
     assert out.shape == (N, D)
 
 
@@ -304,22 +310,43 @@ def node_ids(*tensors):
 def test_layer_graph_has_no_parameter_only_ops():
     # The stacked leaves feed the layer directly: no op rebuilds or reshapes
     # parameters on every forward, and no op pads the window keys and values.
+    # 32 nodes: 10 leaves (x, wq, wk, wv, wp, wo, two norms' gains and
+    # biases) and 22 ops: x's head-axis reshape; q, k and v; the projection's
+    # ten (x @ wp, its cut into segments, transpose and softmax, k and v cut
+    # into segments, pt @ k, pt @ v and their two reshapes to rows); four
+    # layer norms; attend; and the head merge's swap, reshape and wo product.
     cfg = LSConfig(seq_len=64, model_dim=8, heads=2, window=8, rank=4, dual_ln=True)
     nodes, params, walked = layer_graph(cfg)
     leaves = node_ids(params.wo, *(stacked_leaf_of(params, name)
                                    for name, _ in params.heads[0].named_parameters()))
-    assert len(nodes) == 29
+    assert len(nodes) == 32
     assert leaves <= walked
     assert not any(t._parents and all(id(p) in leaves for p in t._parents) for t in nodes)
 
 
 def test_projection_only_layer_graph_leaves_out_the_window_branch():
     # At w = 0 the window keys, values and their norm are not in the graph.
+    # 28 nodes: the 32 of the layer above without ln_local's gain, bias and
+    # its two norms.
     cfg = LSConfig(seq_len=9, model_dim=8, heads=2, window=0, rank=3, dual_ln=True)
     nodes, params, walked = layer_graph(cfg)
     local = node_ids(params.stacked.ln_local.gain, params.stacked.ln_local.bias)
-    assert len(nodes) == 25
+    assert len(nodes) == 28
     assert node_ids(params.stacked.ln_global.gain) <= walked and not local & walked
+
+
+def test_projection_only_dual_ln_normalizes_only_the_projected_rows():
+    # At w = 0 attend reads no window keys or values, so ln_local does not
+    # run: the layer norms of one call are those of kbar and vbar, at 4
+    # FLOPs per element.
+    cfg = LSConfig(seq_len=9, model_dim=8, heads=2, window=0, rank=3, dual_ln=True)
+    p = init_multi_head_params(Rng(7), cfg).stacked
+    x = Tensor(Rng(8).normal((1, cfg.seq_len, cfg.model_dim)))
+    with no_grad():
+        pkv = attention.dynamic_projection(x, p, cfg)
+        with count_flops_runtime() as counter:
+            aggregate_head(x, p, cfg)
+    assert counter.layer_norm_flops == 4 * (pkv.kbar.size + pkv.vbar.size)
 
 
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])

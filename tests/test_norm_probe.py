@@ -63,3 +63,11 @@ def test_probe_computes_each_product_once():
 def test_probe_requires_enough_seeds():
     with pytest.raises(ConfigError):
         norm_ratio_probe(PROBE_CFG, range(5))
+
+
+@pytest.mark.parametrize("branch", [{"rank": 0}, {"window": 0}])
+def test_probe_requires_both_branches(branch):
+    # Attention reads no projected keys at rank 0 and no window keys at
+    # window 0, so there is no ratio to take.
+    with pytest.raises(ConfigError):
+        norm_ratio_probe(replace(PROBE_CFG, **branch), SEEDS)

@@ -29,9 +29,12 @@ from workloads import make_workload  # noqa: E402
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 # Graph nodes of one step, and the most its tracemalloc peak may read (bytes):
 # 2% above the 8,045,636 of lm-train and 0.1% above the 53,367,204 of
-# bidir-long, measured once `gradients` consumed the graph it walks.
-STEP_MEMORY = {"lm-train": (97, 1.02 * 8_045_636),
-               "bidir-long": (29, 1.001 * 53_367_204)}
+# bidir-long, measured once `gradients` consumed the graph it walks. The
+# nodes are those of `test_lm.py::test_training_step_graph_nodes` (103) and of
+# one dual-LN layer with both branches, 32 as counted in
+# `test_multi_head.py::test_layer_graph_has_no_parameter_only_ops`.
+STEP_MEMORY = {"lm-train": (103, 1.02 * 8_045_636),
+               "bidir-long": (32, 1.001 * 53_367_204)}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -20,7 +20,7 @@ from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
 from lsattn.tensor import (
     _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, attend, count_flops_runtime,
-    cross_entropy_mean, mul, projection_softmax, relu, reshape, scale, slice_axis, swap_axes, take,
+    cross_entropy_mean, mul, relu, reshape, scale, slice_axis, swap_axes, take,
     tensor_sum, transpose_last,
 )
 
@@ -199,10 +199,9 @@ class TestMaskedSoftmax:
         # dP of attend's stacked heads at n = 8192 (bidir-long), whose dP * P
         # would take 3.1 MB. Formed in dP's buffer, as attend does, the rule
         # holds the row sums (131,072 bytes) and numpy's 64 kB buffer for the
-        # broadcast subtraction: no product and no copy of g, also of the
-        # transposed g that `projection_softmax` passes. Dyadic P and
-        # small-integer g make every summation order exact, so the bits equal
-        # the composed formula.
+        # broadcast subtraction: no product and no copy of g, also when g is
+        # a transposed view. Dyadic P and small-integer g make every
+        # summation order exact, so the bits equal the composed formula.
         rng = np.random.default_rng(12)
         p = rng.integers(0, 64, size=(2, 1024, 8, 48)) / 64.0
         g = rng.integers(-8, 9, size=p.shape).astype(float)
@@ -219,65 +218,6 @@ class TestMaskedSoftmax:
         assert got is g
         assert got.tobytes() == expected.tobytes()
         assert transient <= 512 * 1024, transient
-
-
-def projection_mask(seq_len: int, segments: int, l: int) -> np.ndarray:
-    """(segments, 1, l): a segment's real tokens, or all of its tokens if it has none."""
-    valid = (np.arange(segments * l) < seq_len).reshape(segments, l)
-    return np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
-
-
-def projection_chain(x: Tensor, wp: Tensor, mask: np.ndarray) -> Tensor:
-    """The four ops that `projection_softmax` replaces."""
-    segments, _, l = mask.shape
-    logits = matmul(x, wp)
-    split = reshape(logits, logits.shape[:-2] + (segments, l, logits.shape[-1]))
-    return masked_softmax(transpose_last(split), mask)
-
-
-class TestProjectionSoftmax:
-    @given(
-        causal=st.booleans(), seq_len=st.integers(1, 12), l=st.integers(1, 4),
-        pad_segments=st.integers(0, 2), pad_rows=st.integers(0, 3), r=st.integers(1, 5),
-        d=st.integers(1, 6), heads=st.sampled_from([0, 1, 3]), batch=st.sampled_from([(), (2,)]),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_equals_the_composed_chain_bit_for_bit(
-        self, causal, seq_len, l, pad_segments, pad_rows, r, d, heads, batch, seed
-    ):
-        # Causal: segments of l tokens, pad_segments of them padding only.
-        # Bidirectional: one segment with pad_rows padding rows. heads 0 is
-        # one head's (d, r) wp; otherwise wp is stacked and x has a unit
-        # head axis.
-        if causal:
-            segments = -(-seq_len // l) + pad_segments
-        else:
-            segments, l = 1, seq_len + pad_rows
-        n = segments * l
-        mask = projection_mask(seq_len, segments, l)
-        rng = np.random.default_rng(seed)
-        x_data = rng.normal(size=batch + (1,) * (heads > 0) + (n, d))
-        x_data[..., seq_len:, :] = 0.0
-        wp_data = rng.normal(size=(heads,) * (heads > 0) + (d, r))
-        results = []
-        for op in (projection_softmax, projection_chain):
-            x, wp = Tensor(x_data, requires_grad=True), Tensor(wp_data, requires_grad=True)
-            with count_flops_runtime() as counter:
-                p = op(x, wp, mask)
-            probe = np.random.default_rng(seed + 1).normal(size=p.shape)
-            results.append([p.data, *gradients(p, [x, wp], seed=probe), counter.total])
-        (p, gx, gwp, flops), (p_ref, gx_ref, gwp_ref, flops_ref) = results
-        assert p.shape == batch + (heads,) * (heads > 0) + (segments, r, l)
-        assert np.array_equal(p, p_ref)
-        assert np.array_equal(gx, gx_ref)
-        assert np.array_equal(gwp, gwp_ref)
-        assert flops == flops_ref
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            projection_softmax(Tensor(np.ones((6, 3))), Tensor(np.ones((3, 2))),
-                               np.ones((2, 1, 4), dtype=bool))
 
 
 def composed_cross_entropy(x: np.ndarray, t: np.ndarray, g: float):

@@ -14,7 +14,9 @@ then reads how far each moved key went:
 
 `--compare` prints each key whose value differs, with the normwise relative
 difference ||new - old|| / ||old|| (Frobenius norms) for numbers, or
-"text differs", then the count of equal keys. An array digest covers its
+"text differs", then the count of equal keys. It exits 1 when any key moved
+or exists in only one file, and 0 when every key is equal, so a claim of
+bit-identity can be checked by exit status. An array digest covers its
 shape, dtype and bytes. Covered:
 
 - the perfbench `bidir-long` layer (seed 901): output and every gradient;
@@ -197,7 +199,8 @@ def cli_outputs() -> dict:
     return result
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> bool:
+    """Print the keys whose saved values differ; True when every key is equal."""
     with np.load(old_path) as old_file, np.load(new_path) as new_file:
         old, new = dict(old_file), dict(new_file)
     equal = 0
@@ -217,6 +220,7 @@ def compare(old_path: str, new_path: str) -> None:
             scale = np.linalg.norm(old[key]) or 1.0
             print(f"{key}: {np.linalg.norm(new[key] - old[key]) / scale:.3e}")
     print(f"{equal} of {len(old.keys() | new.keys())} keys equal")
+    return equal == len(old.keys() | new.keys())
 
 
 def main() -> None:
@@ -226,8 +230,7 @@ def main() -> None:
                         help="print the keys whose saved values differ, and by how much")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(0 if compare(*args.compare) else 1)
     print(f"lsattn from {lsattn.__file__}", file=sys.stderr)
     values = {**bidir_long(), **lm_train(), **edge_layers(), **flop_counts(), **cli_outputs()}
     result = {key: text_digest(v) if isinstance(v, str) else digest(v) for key, v in values.items()}
