@@ -198,7 +198,8 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     segment's tokens: wp is applied before the tokens are cut into segments,
     so a stacked wp broadcasts like wk and wv. The softmax's backward reads
     only the distributions, so the logits, a temporary of one expression, die
-    when the softmax returns. Rank 0 runs the same steps on empty arrays.
+    when the softmax returns. Rank 0 has no projected branch: it runs only
+    x @ wk and x @ wv and returns pt, kbar and vbar as empty arrays.
 
     Shapes: x is (..., n, d) with n cfg.seq_len or cfg.padded_len, wp is
     (..., d, cfg.rank), k and v are (..., n, head_dim), p is (..., n, rank)
@@ -218,6 +219,10 @@ def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:
     mask = np.where(valid.any(axis=-1, keepdims=True), valid, True)[:, None, :]
     k, v = matmul(x, p.wk), matmul(x, p.wv)
     batch = k.shape[:-2]
+    if not r:
+        return ProjectedKV(pt=Tensor(np.empty(batch + (segments, 0, l))),
+                           kbar=Tensor(np.empty(batch + (0, dk))),
+                           vbar=Tensor(np.empty(batch + (0, dk))), k=k, v=v)
     pt = masked_softmax(transpose_last(
         matmul(_pad_rows(x, n_pad), p.wp).reshape(*batch, segments, l, r)), mask)
     kbar = matmul(pt, _pad_rows(k, n_pad).reshape(*batch, segments, l, dk))
@@ -271,15 +276,18 @@ def _normalize_branches(
     """Window and projected keys/values as attention consumes them.
 
     With cfg.dual_ln the window branch goes through ln_local and the projected
-    branch through ln_global; otherwise all four pass through unchanged. At
-    window 0 attention reads no window keys or values, so ln_local is not run.
+    branch through ln_global; otherwise all four pass through unchanged. A
+    branch of width 0 (window 0 or rank 0) is not read by attention, so its
+    norm is not run.
     """
     if not cfg.dual_ln:
         return k, v, kbar, vbar
     local, glob = p.ln_local, p.ln_global
     if cfg.window:
         k, v = layer_norm(k, local.gain, local.bias), layer_norm(v, local.gain, local.bias)
-    return k, v, layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias)
+    if cfg.rank:
+        kbar, vbar = layer_norm(kbar, glob.gain, glob.bias), layer_norm(vbar, glob.gain, glob.bias)
+    return k, v, kbar, vbar
 
 
 @dataclass

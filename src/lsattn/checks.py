@@ -112,14 +112,14 @@ def _gradients(seed: int) -> CheckResult:
 
 
 def _flop_parity(seed: int) -> CheckResult:
-    archs = [
-        ArchSpec(layers=2, model_dim=8, heads=2, ffn_dim=16, seq_len=24,
-                 variant="full"),
-        ArchSpec(layers=2, model_dim=8, heads=2, ffn_dim=16, seq_len=24,
-                 variant="long-short", window=4, rank=2, dual_ln=True),
-        ArchSpec(layers=2, model_dim=8, heads=2, ffn_dim=16, seq_len=24,
-                 variant="long-short", window=4, rank=2, seg_len=4, mode="causal",
-                 dual_ln=True),
+    # Every variant in each mode it has, with dual LN wherever it applies.
+    ls = ArchSpec(layers=2, model_dim=8, heads=2, ffn_dim=16, seq_len=24,
+                  variant="long-short", window=4, rank=2, seg_len=4, dual_ln=True)
+    archs = [replace(ls, variant="full", dual_ln=False)] + [
+        replace(ls, variant=variant, mode=mode)
+        for variant in ("long-short", "window", "projection")
+        for mode in ("bidirectional", "causal")
+        if not (variant == "projection" and mode == "causal")
     ]
     for arch in archs:
         closed = count_flops(arch).total

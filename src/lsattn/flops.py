@@ -30,7 +30,10 @@ VARIANTS = ("full", "window", "projection", "long-short")
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Architecture and attention settings for one cost query."""
+    """Architecture and attention settings for one cost query.
+
+    dual_ln applies to every variant but `full`, which has no branch to normalize.
+    """
 
     layers: int
     model_dim: int
@@ -87,7 +90,7 @@ class ArchSpec:
             rank=rank,
             seg_len=self.seg_len,
             mode=self.mode,
-            dual_ln=self.dual_ln and self.variant == "long-short",
+            dual_ln=self.dual_ln,
         )
 
 
@@ -139,7 +142,7 @@ def count_flops(arch: ArchSpec) -> FlopReport:
         comp["dynamic_projection"] = h * n_att * d * r
         comp["projected_kv"] = 2 * h * n_att * r * dk
     if cfg.dual_ln:
-        comp["layer_norm"] += 4 * 2 * h * (n_att + slots) * dk
+        comp["layer_norm"] += 4 * 2 * h * ((n_att if w else 0) + slots) * dk
     return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
 

@@ -69,7 +69,10 @@ class TestFlopsCommand:
 
     @pytest.mark.parametrize("argv,total", [
         (["--preset", "lra-listops", "--variant", "long-short", "--dual-ln"], 197165056),
-        (["--preset", "charlm-small", "--variant", "window"], 212751876096),
+        # charlm-small carries dual_ln = true, and its window variant runs
+        # ln_local: 12 layers x 4 x 2 (k, v) x 12 heads x 2,048 rows x 64
+        # = 150,994,944 FLOPs over the window-only layers without dual LN.
+        (["--preset", "charlm-small", "--variant", "window"], 212902871040),
         (["--preset", "lra-listops", "--variant", "long-short", "--mode", "causal", "--w", "4"],
          None),
     ], ids=["dual-ln-only-when-given", "keeps-preset-window", "keeps-default-seg-len"])
@@ -79,6 +82,15 @@ class TestFlopsCommand:
             assert code == 2 and "seg_len" in err and out == ""
         else:
             assert code == 0 and f"total,{total}\n" in out
+
+    @pytest.mark.parametrize("dual,total", [([], 573440), (["--dual-ln"], 589824)],
+                             ids=["plain", "dual-ln"])
+    def test_window_variant_counts_its_dual_ln(self, capsys, dual, total):
+        # Dual LN normalizes the one branch a window-only layer runs: ln_local
+        # over k and v adds 4 x 2 x 2 heads x 64 rows x 16 = 16,384 FLOPs.
+        code, out, _ = run_cli(capsys, "flops", "--variant", "window", "--n", "64", "--d", "32",
+                               "--heads", "2", "--ffn", "64", "--w", "4", "--layers", "1", *dual)
+        assert code == 0 and f"total,{total}\n" in out
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.csv"

@@ -53,6 +53,26 @@ class TestDualRouteParity:
             )
             assert count_flops(arch).total == measured_flops(arch)
 
+    @pytest.mark.parametrize("variant,mode", [
+        ("window", "bidirectional"), ("window", "causal"), ("projection", "bidirectional"),
+        ("long-short", "bidirectional"), ("long-short", "causal"),
+    ])
+    def test_dual_ln_adds_exactly_the_executed_norms(self, variant, mode):
+        # Dual LN normalizes the keys and values of each branch the layer
+        # runs, at 4 FLOPs per element: the n_att window rows (when w > 0)
+        # and the projected slots (when r > 0), for each of h heads.
+        plain = ArchSpec(layers=2, model_dim=8, heads=2, ffn_dim=16, seq_len=17,
+                         variant=variant, window=4, rank=3, seg_len=4, mode=mode)
+        dual = replace(plain, dual_ln=True)
+        for arch in (plain, dual):
+            assert arch.attention_config().dual_ln == arch.dual_ln
+            assert measured_flops(arch) == count_flops(arch).total
+        cfg = dual.attention_config()
+        n_att, slots = cfg.padded_len, cfg.projected_slots
+        rows = {"window": n_att, "projection": slots, "long-short": n_att + slots}[variant]
+        added = count_flops(dual).per_layer - count_flops(plain).per_layer
+        assert added == 4 * 2 * dual.heads * dual.head_dim * rows
+
     def test_parity_with_padding(self):
         # Sequence lengths that are not multiples of the segment sizes. With
         # n=5, w=4, l=2 tokens 6-7 form a padding-only projection segment.

@@ -350,13 +350,31 @@ def test_projection_only_dual_ln_normalizes_only_the_projected_rows():
 
 
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
-def test_window_only_layer_graph_leaves_out_the_projected_branch(mode):
-    # At r = 0 the empty projection and its ln_global norms are not in the
-    # graph: no node reachable from the output is zero-size.
+def test_window_only_layer_graph_leaves_out_the_projected_branch(mode, monkeypatch):
+    # At r = 0 the projection and its ln_global norms do not run: the layer
+    # call runs no softmax over tokens and only ln_local's two norms, and no
+    # node reachable from the output is zero-size.
     cfg = LSConfig(seq_len=12, model_dim=8, heads=2, window=4, rank=0, seg_len=4, mode=mode,
                    dual_ln=True)
+    masked_softmax, layer_norm = attention.masked_softmax, attention.layer_norm
+    softmaxes, norm_gains = [], []
+
+    def recording_softmax(logits, mask):
+        softmaxes.append(logits.shape)
+        return masked_softmax(logits, mask)
+
+    def recording_layer_norm(x, gain, bias):
+        norm_gains.append(gain)
+        return layer_norm(x, gain, bias)
+
+    monkeypatch.setattr(attention, "masked_softmax", recording_softmax)
+    monkeypatch.setattr(attention, "layer_norm", recording_layer_norm)
     nodes, params, walked = layer_graph(cfg)
     glob = node_ids(params.stacked.ln_global.gain, params.stacked.ln_global.bias)
+    assert not softmaxes
+    assert [id(g) for g in norm_gains] == [id(params.stacked.ln_local.gain)] * 2
+    # 17 as when the empty projection ran: attend never recorded the
+    # zero-width projected operands, so no reachable node goes away.
     assert len(nodes) == 17
     assert all(np.prod(t.shape) for t in nodes), [t.shape for t in nodes if not np.prod(t.shape)]
     assert node_ids(params.stacked.ln_local.gain) <= walked and not glob & walked
