@@ -179,8 +179,8 @@ def block_forward(
     normed = layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
     x = add(x, dropout(multi_head(normed, block.attn, attn)))
     normed = layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
-    hidden = dropout(relu(matmul(normed, block.ffn_in, block.ffn_in_bias)))
-    return add(x, matmul(hidden, block.ffn_out, block.ffn_out_bias))
+    hidden = dropout(relu(add(matmul(normed, block.ffn_in), block.ffn_in_bias)))
+    return add(x, add(matmul(hidden, block.ffn_out), block.ffn_out_bias))
 
 
 def dynamic_projection(x: Tensor, p: HeadParams, cfg: LSConfig) -> ProjectedKV:

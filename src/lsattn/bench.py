@@ -1,10 +1,10 @@
 """Scaling sweeps and probe runners with CSV output.
 
 Wall times are medians of forward passes timed round-robin over the sequence
-lengths after one warmup run each; peak memory is tracked by the tensor
-allocation shim in a separate untimed pass, so the numbers never contaminate
-each other. BLAS runs with whatever threads the environment gives it (set
-OPENBLAS_NUM_THREADS=1 to pin it).
+lengths after one warmup run each; peak memory is read from tracemalloc
+(`track_peak_bytes`) in a separate untimed pass, so the numbers never
+contaminate each other. BLAS runs with whatever threads the environment gives
+it (set OPENBLAS_NUM_THREADS=1 to pin it).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def fmt(value: float | int) -> str:
 
 
 def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -> list[SweepRow]:
-    """Median forward wall time, peak buffer bytes, and modeled FLOPs per n.
+    """Median forward wall time, peak traced bytes, and modeled FLOPs per n.
 
     Each sequence length n runs `arch` with seq_len replaced by n. Each of `reps`
     rounds times one forward at every n in turn, so a change of host speed

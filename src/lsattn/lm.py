@@ -149,7 +149,7 @@ def forward_logits(
             x, block, lambda h, hp: causal_aggregate_head(h, hp, cfg.attention), dropout
         )
     x = layer_norm(x, model.ln_final.gain, model.ln_final.bias)
-    return matmul(x, model.head_weight, model.head_bias)
+    return add(matmul(x, model.head_weight), model.head_bias)
 
 
 def sequence_loss(model: ModelParams, batch: np.ndarray, dropout_rng: Rng | None = None) -> Tensor:
@@ -202,10 +202,10 @@ class TrainReport:
 
 
 def _as_bytes(corpus: np.ndarray | bytes | bytearray) -> np.ndarray:
+    """The corpus as an array without a copy; `sequence_loss` casts each batch to ids."""
     if isinstance(corpus, (bytes, bytearray)):
-        return np.frombuffer(bytes(corpus), dtype=np.uint8).astype(np.intp)
-    arr = np.asarray(corpus)
-    return arr.astype(np.intp)
+        return np.frombuffer(corpus, dtype=np.uint8)
+    return np.asarray(corpus)
 
 
 def _sample_batch(data: np.ndarray, n: int, batch: int, rng: Rng) -> np.ndarray:

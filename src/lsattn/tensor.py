@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import tracemalloc
 import weakref
 from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,7 +82,6 @@ _BLOCK_BYTES = 1 << 18
 
 _grad_enabled = True
 _flop_counter: "RuntimeFlopCounter | None" = None
-_alloc_tracker: "PeakBytesTracker | None" = None
 
 # mallopt parameters (glibc malloc.h) and the largest mmap threshold that
 # 64-bit glibc accepts.
@@ -133,42 +134,6 @@ class RuntimeFlopCounter:
         return self.matmul_macs + self.layer_norm_flops
 
 
-class PeakBytesTracker:
-    """Byte counter fed by the buffers under tensors created while it tracks.
-
-    Each buffer counts once, however many tensors view it, from the first
-    tensor on it until the last one dies.
-    """
-
-    def __init__(self) -> None:
-        self.current = 0
-        self.peak = 0
-        # id(buffer) -> [tensors on it, the buffer]; the reference keeps the id unique.
-        self._buffers: dict[int, list] = {}
-
-    def _acquire(self, data: np.ndarray) -> int:
-        buffer = data
-        while isinstance(buffer.base, np.ndarray):
-            buffer = buffer.base
-        key = id(buffer)
-        entry = self._buffers.get(key)
-        if entry is not None:
-            entry[0] += 1
-            return key
-        self._buffers[key] = [1, buffer]
-        self.current += buffer.nbytes
-        if self.current > self.peak:
-            self.peak = self.current
-        return key
-
-    def _release(self, key: int) -> None:
-        entry = self._buffers[key]
-        entry[0] -= 1
-        if entry[0] == 0:
-            del self._buffers[key]
-            self.current -= entry[1].nbytes
-
-
 @contextmanager
 def no_grad():
     """Disable gradient recording inside the block."""
@@ -196,22 +161,27 @@ def count_flops_runtime():
 
 @contextmanager
 def track_peak_bytes():
-    """Track peak bytes held by buffers under tensors created inside the block.
+    """Peak bytes that Python and numpy allocate inside the block, as tracemalloc reads them.
 
-    A view (reshape, swap_axes, slice_axis, attend's output) adds no bytes to
-    the buffer it views. Plain numpy buffers are not counted: attend's padded
-    window copies, backward temporaries and gradient arrays. Of the tracemalloc
-    peak of one benchmark step it sees 0.826 on bidir-long (44.11 of 53.37 MB)
-    and 0.831 on lm-train (6.68 of 8.05 MB).
+    The block yields an object whose `.peak` is set on exit: the traced peak
+    less the bytes traced as held on entry. Every buffer counts once, views
+    add nothing, and Python objects count too, so readings can differ by a
+    few hundred bytes between runs. Tracing starts for the block and stops
+    after it, unless a trace is already running: that trace keeps running,
+    and its own peak is reset on entry.
     """
-    global _alloc_tracker
-    prev = _alloc_tracker
-    tracker = PeakBytesTracker()
-    _alloc_tracker = tracker
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
+    result = SimpleNamespace(peak=0)
     try:
-        yield tracker
+        yield result
     finally:
-        _alloc_tracker = prev
+        result.peak = tracemalloc.get_traced_memory()[1] - held
+        if started:
+            tracemalloc.stop()
 
 
 class Node:
@@ -249,8 +219,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.view_of: tuple[Tensor, int | tuple[int, ...]] | None = None
         self._node = Node(self.data.shape, requires_grad)
-        if _alloc_tracker is not None:
-            weakref.finalize(self, _alloc_tracker._release, _alloc_tracker._acquire(self.data))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -373,30 +341,17 @@ def _product_grads(a: Tensor, b: Tensor, g: np.ndarray) -> None:
             _accum(t._node, _summed_product(x, y, t.shape))
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes.
-
-    A bias is added in place into the fresh product: bit for bit
-    `add(matmul(a, b), bias)`, with no pre-bias product in the graph.
-    """
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, broadcasting leading axes."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    out = Tensor(np.matmul(a.data, b.data))
     if _flop_counter is not None:
-        _flop_counter.matmul_macs += out_data.size * a.shape[-1]
-    operands = (a, b) if bias is None else (a, b, bias)
-    if bias is not None:
-        out_data += bias.data
-    out = Tensor(out_data)
-    if _tracking(*operands):
-        shift = None if bias is None else bias._node
-        def route(g: np.ndarray) -> None:
-            _product_grads(a, b, g)
-            if shift is not None and shift.requires_grad:
-                _pass_on(shift, g)
-        _attach(out, operands, route)
+        _flop_counter.matmul_macs += out.size * a.shape[-1]
+    if _tracking(a, b):
+        _attach(out, (a, b), lambda g: _product_grads(a, b, g))
     return out
 
 
@@ -510,8 +465,6 @@ def attend(
     rowsum(dP * P)) in place with the softmax gradient rule that
     `masked_softmax` uses (`_softmax_grad`), drops P, and only then forms q's
     and k's gradients; it reads the windows from k and v again (`_windows`).
-    The logits and P are held as tensors, so `track_peak_bytes` sees the
-    logits while the softmax runs and P until the backward pass drops it.
     The runtime counter gets the MACs of the score and value products of
     both slot kinds, 2 * d per weight.
     """
@@ -532,15 +485,14 @@ def attend(
     rows = batch + (groups * size,)
     inv_scale = 1.0 / math.sqrt(d)
     q_grouped = q.data.reshape(q.shape[:-2] + (groups, size, d))
-    logits = Tensor(np.empty(batch + (groups, size, span)))
+    logits = np.empty(batch + (groups, size, span))
     np.matmul(q_grouped, np.swapaxes(_windows(k.data, w, offset), -1, -2),
-              out=logits.data[..., : 2 * w])
+              out=logits[..., : 2 * w])
     np.matmul(q.data, np.swapaxes(kbar.data, -1, -2),
-              out=logits.data.reshape(rows + (span,))[..., 2 * w :])
-    logits.data *= inv_scale
-    weights = Tensor(_softmax(logits.data, attendable))
+              out=logits.reshape(rows + (span,))[..., 2 * w :])
+    logits *= inv_scale
+    p = _softmax(logits, attendable)
     del logits
-    p = weights.data
     p.setflags(write=False)
     p_far = p[..., 2 * w :].reshape(rows + (slots,))
     if batch:
@@ -555,9 +507,7 @@ def attend(
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, *window, *projected):
         def route(g: np.ndarray) -> None:
-            nonlocal weights
-            p = weights.data
-            p_far = p[..., 2 * w :].reshape(rows + (slots,))
+            nonlocal p, p_far
             g_grouped = g.reshape(batch + (groups, size, d))
             dp = np.empty(p.shape)
             np.matmul(g_grouped, np.swapaxes(_windows(v.data, w, offset), -1, -2),
@@ -569,7 +519,7 @@ def attend(
             if slots and vbar.requires_grad:
                 _accum(vbar._node, np.matmul(np.swapaxes(p_far, -1, -2), g))
             ds = _softmax_grad(dp, p, owned=True)
-            del dp, p, p_far, weights  # P's last readers; the closure runs at most once
+            del dp, p, p_far  # P's last readers; the closure runs at most once
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
             if q.requires_grad:

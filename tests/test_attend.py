@@ -127,15 +127,29 @@ class TestAttendGradients:
         assert max(run.stop - run.start for run in runs) <= per_run
         assert len(runs) == max(1, math.ceil(n / per_run))
 
-    def test_peak_bytes_see_logits_and_weights(self):
-        (q, kb, vb, kbar, vbar), attendable, offset = operands(CONFIGS["bidirectional"], seed=8)
+    def test_forward_peak_holds_a_padded_window_copy(self):
+        # At n = 1024, d = 64, w = 8 and r = 16 the arrays dwarf the Python
+        # objects, which take under 8 KiB. In bytes, with L = n (2w + r) 8
+        # for the logits or the weights P, O = n d 8 for the output and
+        # K = (n + w) d 8 for a zero-padded copy of the window rows, the
+        # forward holds in turn:
+        # - window scores: the logits and the padded copy of k, L + K;
+        # - softmax: the logits and P, the row maxima and numpy's 8192-element
+        #   buffer for subtracting them, 2L + 8n + 8 * 8192;
+        # - window values: P, the output and the padded copy of v, L + O + K;
+        # - projected values: P, the output and their product, L + 2O.
+        # With d above 2w + r the window values hold the most.
+        n, d, w, r = 1024, 64, 8, 16
+        cfg = LSConfig(seq_len=n, model_dim=d, heads=1, window=w, rank=r)
+        (q, kb, vb, kbar, vbar), attendable, offset = operands(cfg, seed=8)
         with track_peak_bytes() as tracker:
             out, weights = attend(q, kb, vb, kbar, vbar, attendable, offset)
-            held = tracker.current
-        # The logits and the weights meet in the softmax; the weights then
-        # stay with the output for the backward pass.
-        assert tracker.peak == weights.nbytes + max(weights.nbytes, out.data.nbytes)
-        assert held == out.data.nbytes + weights.nbytes
+        held, out_bytes, padded = weights.nbytes, out.data.nbytes, (n + w) * d * 8
+        assert held == n * (2 * w + r) * 8 and out_bytes == n * d * 8
+        phases = [held + padded, 2 * held + 8 * n + 8 * np.getbufsize(),
+                  held + out_bytes + padded, held + 2 * out_bytes]
+        assert max(phases) == phases[2]
+        assert phases[2] <= tracker.peak < phases[2] + 8192, (tracker.peak, phases)
 
     @pytest.mark.parametrize("names, bad", [
         (("k",), lambda t: t[:, :-1]),

@@ -1,6 +1,7 @@
 """Sweep harness: schema, determinism, memory tracking, probe CSV."""
 
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,9 @@ from lsattn.bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write
 from lsattn.config import LSConfig
 from lsattn.errors import ConfigError
 from lsattn.flops import PRESETS, ReferenceEncoder
-from lsattn.tensor import Tensor, reshape, swap_axes, track_peak_bytes
+from lsattn.tensor import (
+    Tensor, cross_entropy_mean, matmul, reshape, slice_axis, swap_axes, track_peak_bytes,
+)
 
 
 def arch(variant, **fields):
@@ -97,30 +100,59 @@ class TestNormProbeCsv:
         assert np.mean(plain) > 1.05
 
 
-class TestPeakBytesTracker:
-    def test_counts_allocation_and_release(self):
-        with track_peak_bytes() as tracker:
-            a = Tensor(np.zeros((100, 100)))
-            first = tracker.current
-            b = Tensor(np.zeros((100, 100)))
-            assert tracker.current == first + a.data.nbytes
-            del b
-            assert tracker.peak >= 2 * a.data.nbytes
-        assert first == a.data.nbytes
+class TestTrackPeakBytes:
+    # Readings include the Python objects made in the block, a few hundred
+    # bytes here; KIB bounds them.
+    KIB = 1024
 
-    def test_views_count_once(self):
-        # Views share their buffer's bytes; the bytes go when the last
-        # tensor on the buffer dies.
+    def test_freed_array_leaves_the_peak_not_the_held_bytes(self):
         with track_peak_bytes() as tracker:
-            a = Tensor(np.zeros((4, 6, 8)))
-            first = tracker.current
-            flat = reshape(a, (24, 8))
-            swapped = swap_axes(a, 0, 1)
-            assert tracker.current == first
-            b = Tensor(np.ones((3, 5)))
-            assert tracker.current == first + b.data.nbytes
-            del a, flat
-            assert tracker.current == first + b.data.nbytes
-            del swapped
-            assert tracker.current == b.data.nbytes
-            assert tracker.peak == first + b.data.nbytes
+            held = tracemalloc.get_traced_memory()[0]
+            a = np.ones((100, 100))
+            nbytes = a.nbytes
+            del a
+            freed = tracemalloc.get_traced_memory()[0] - held
+        with track_peak_bytes() as after:
+            pass
+        assert nbytes <= tracker.peak < nbytes + self.KIB
+        assert freed < self.KIB
+        assert after.peak < self.KIB
+
+    def test_views_add_no_bytes(self):
+        a = Tensor(np.zeros((40, 60, 8)))
+        with track_peak_bytes() as tracker:
+            views = [reshape(a, (2400, 8)), swap_axes(a, 0, 1), slice_axis(a, 1, 10, 50)]
+        assert all(np.shares_memory(v.data, a.data) for v in views)
+        assert tracker.peak < 4 * self.KIB < a.data.nbytes / 32
+
+    def test_peak_is_tracemalloc_reading_of_the_block(self):
+        # The logits are a tensor; cross_entropy_mean's exponentials are a
+        # plain array beside them, and count as much.
+        a, b = Tensor(np.ones((64, 96))), Tensor(np.ones((96, 128)))
+        targets = np.zeros(64, dtype=np.intp)
+        step = lambda: cross_entropy_mean(matmul(a, b), targets)
+        step()
+        with track_peak_bytes() as tracker:
+            step()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            traced = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert traced >= 2 * 64 * 128 * 8  # the logits and their exponentials
+        assert abs(tracker.peak - traced) < self.KIB, (tracker.peak, traced)
+
+    def test_running_trace_keeps_tracing(self):
+        tracemalloc.start()
+        try:
+            with track_peak_bytes() as tracker:
+                a = np.ones(1000)
+            assert tracemalloc.is_tracing()
+            before = tracemalloc.get_traced_memory()[0]
+            b = np.ones(1000)
+            assert tracemalloc.get_traced_memory()[0] - before >= b.nbytes
+        finally:
+            tracemalloc.stop()
+        assert a.nbytes <= tracker.peak < a.nbytes + self.KIB

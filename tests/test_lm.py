@@ -159,15 +159,20 @@ class TestEvaluateBpc:
         assert abs(evaluate_bpc(model, data) - expected) < 1e-12
 
     def test_memory_does_not_grow_with_the_split(self):
+        # From 1 to 64 chunks the traced peak grows by less than 1 B per
+        # added evaluated byte, so no copy of the whole slice is made: a copy
+        # as token ids (np.intp) alone would add 8 B per byte.
         cfg = toy_config(attention=desk_causal_config(seq_len=8), ffn_dim=8)
         model = build_model(cfg, Rng(14))
-        peaks = []
-        for chunks in (1, 4):
+        sizes, peaks = [], []
+        for chunks in (1, 64):
             data = Rng(15).integers(0, 256, size=chunks * lm.EVAL_CHUNK_ROWS * 8 + 1)
+            data = data.astype(np.uint8)
             with track_peak_bytes() as tracker:
-                evaluate_bpc(model, data.astype(np.uint8))
+                evaluate_bpc(model, data)
+            sizes.append(data.size)
             peaks.append(tracker.peak)
-        assert peaks[1] < 1.2 * peaks[0], peaks
+        assert peaks[1] - peaks[0] < sizes[1] - sizes[0], (peaks, sizes)
 
     def test_slice_too_short_rejected(self):
         cfg = toy_config()
@@ -280,8 +285,9 @@ READ_BY_BACKWARD = {
     "log-sum-exp of each logits row": B * N * F8,
 }
 # Held, but read by no backward: nothing. Each residual add's branch operand
-# (the wo and FFN-out products), the relu inputs and the embedding gather
-# are freed once the op that consumes them is recorded.
+# (the wo product and the FFN output), each product before its bias add, the
+# relu inputs and the embedding gather are freed once the op that consumes
+# them is recorded.
 HELD_UNREAD: dict[str, int] = {}
 HELD = sum(READ_BY_BACKWARD.values()) + sum(HELD_UNREAD.values())
 
@@ -346,16 +352,17 @@ def test_step_peak_is_held_buffers_plus_cross_entropy_backward():
 
 
 def test_training_step_graph_nodes():
-    # 103 tensors: 40 leaves (the two embeddings; per block the layer's nine
+    # 108 tensors: 40 leaves (the two embeddings; per block the layer's nine
     # and wo, two norms' gains and biases and the FFN's two weights and
     # biases; the final norm's gain and bias and the head's weight and bias)
-    # and 63 ops (take and the position add; per block the layer's 22 ops of
+    # and 68 ops (take and the position add; per block the layer's 22 ops of
     # `test_layer_graph_has_no_parameter_only_ops`, two layer norms, two
-    # residual adds, the FFN's two products and relu; the final norm, the
-    # head and the cross-entropy). Each bias enters its product, so no bias
-    # add is in the graph.
+    # residual adds, the FFN's two products, their two bias adds and relu;
+    # the final norm, the head's product and bias add, and the
+    # cross-entropy). The bias adds are one per FFN product, 2 blocks x 2,
+    # plus the head's: 5.
     _, forward = lm_step()
-    assert len(graph_nodes(forward())) == 103
+    assert len(graph_nodes(forward())) == 108
 
 
 def test_train_drops_each_graph_before_the_next_forward(monkeypatch):

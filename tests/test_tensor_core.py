@@ -19,7 +19,7 @@ from lsattn import Rng, Tensor, concat, gradients, init_matrix, layer_norm, mask
 from lsattn import tensor as tensor_ops
 from lsattn.errors import FullyMaskedRowError, ShapeError
 from lsattn.tensor import (
-    _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, attend, count_flops_runtime,
+    _ALLOCATOR_PINNED, _pin_allocator, _unbroadcast, add, attend,
     cross_entropy_mean, mul, relu, reshape, scale, slice_axis, swap_axes, take,
     tensor_sum, transpose_last,
 )
@@ -85,37 +85,6 @@ class TestMatmul:
         assert np.array_equal(first, second)
         assert np.array_equal(a.data, before_a)
         assert np.array_equal(b.data, before_b)
-
-    @given(
-        kind=st.sampled_from(["batched", "stacked", "weight"]), batch=st.sampled_from([(), (2,), (3, 2)]),
-        m=st.integers(1, 9), k=st.integers(1, 7), p=st.integers(1, 9), h=st.integers(2, 3),
-        bias_rows=st.booleans(), bias_grad=st.booleans(), seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_bias_operand_equals_add_bit_for_bit(
-        self, kind, batch, m, k, p, h, bias_rows, bias_grad, seed
-    ):
-        # batched: a and b share batch axes; stacked: a has a unit head axis
-        # against (h, k, p) weights and an (h, 1, p) bias; weight: a 2-D
-        # weight against a batched input. The bias is (p,), or (1, p) rows.
-        a_shape, b_shape = {
-            "batched": (batch + (m, k), batch + (k, p)),
-            "stacked": (batch + (1, m, k), (h, k, p)),
-            "weight": (batch + (m, k), (k, p)),
-        }[kind]
-        bias_shape = (h, 1, p) if kind == "stacked" else (1, p) if bias_rows else (p,)
-        rng = np.random.default_rng(seed)
-        data = [rng.normal(size=shape) for shape in (a_shape, b_shape, bias_shape)]
-        results = []
-        for fused in (True, False):
-            a, b = (Tensor(x, requires_grad=True) for x in data[:2])
-            bias = Tensor(data[2], requires_grad=bias_grad)
-            with count_flops_runtime() as counter:
-                out = matmul(a, b, bias) if fused else add(matmul(a, b), bias)
-            probe = np.random.default_rng(seed + 1).normal(size=out.shape)
-            results.append([out.data, *gradients(out, [a, b, bias], seed=probe), counter.total])
-        for got, ref in zip(*results):
-            assert np.array_equal(got, ref)
 
     @given(
         kind=st.sampled_from(["batched", "stacked", "weight", "crossed"]), left=st.booleans(),

@@ -32,8 +32,8 @@ shape, dtype and bytes. Covered:
 - `count_flops` of every preset, and both workloads' closed-form and runtime
   flop-parity totals;
 - stdout and exit code of 18 `lsattn` commands, run in this process, with the
-  `wall_ms` column blanked; `train` and `ablate` read a corpus written to a
-  temporary directory.
+  `wall_ms` and `peak_bytes` columns blanked, since both are measurements;
+  `train` and `ablate` read a corpus written to a temporary directory.
 
 perfbench is imported from this script's checkout and only read. BLAS runs
 on one thread, so matrix products sum in the same order on every run.
@@ -154,15 +154,20 @@ def flop_counts() -> dict:
             for name, arch in sorted(flops.PRESETS.items())}
 
 
-def blank_wall_ms(text: str) -> str:
+# CSV columns that hold measurements of the run, not outputs of the code.
+MEASURED_COLUMNS = ("wall_ms", "peak_bytes")
+
+
+def blank_measurements(text: str) -> str:
     lines = text.splitlines()
     header = lines[0].split(",") if lines else []
-    if "wall_ms" not in header:
+    cols = [header.index(name) for name in MEASURED_COLUMNS if name in header]
+    if not cols:
         return text
-    col = header.index("wall_ms")
     rows = [line.split(",") for line in lines[1:]]
     for row in rows:
-        row[col] = ""
+        for col in cols:
+            row[col] = ""
     return "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
 
 
@@ -195,7 +200,7 @@ def cli_outputs() -> dict:
             with contextlib.redirect_stdout(stdout):
                 code = cli.main(argv)
             key = " ".join(argv).replace(str(corpus), "CORPUS")
-            result[f"cli.{key}"] = f"exit {code}\n{blank_wall_ms(stdout.getvalue())}"
+            result[f"cli.{key}"] = f"exit {code}\n{blank_measurements(stdout.getvalue())}"
     return result
 
 
