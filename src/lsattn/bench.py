@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, TextIO
 from .attention import norm_ratio_probe
 from .config import LSConfig
 from .errors import ConfigError
-from .flops import ArchSpec, ReferenceEncoder, count_flops
+from .flops import ArchSpec, count_flops, reference_encoder
 from .tensor import Rng, Tensor, no_grad, track_peak_bytes
 
 __all__ = ["SweepRow", "run_scaling", "run_norm_probe", "write_csv"]
@@ -63,7 +63,7 @@ def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -
     if list(seq_lens) != sorted(set(seq_lens)):
         raise ConfigError("sequence lengths must be strictly increasing")
     rows = {}
-    runs = {}  # n -> (encoder, x, wall times) while n has not run out of memory
+    runs = {}  # n -> (encoder forward, x, wall times) while n has not run out of memory
     with no_grad():
         for n in seq_lens:
             arch_n = replace(arch, seq_len=n)
@@ -74,9 +74,9 @@ def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -
                                peak_bytes=0, status="oom")
             try:
                 rng = Rng(seed)
-                encoder = ReferenceEncoder.build(arch_n, rng)
+                encoder = reference_encoder(arch_n, rng)
                 x = Tensor(rng.child(999).normal((n, arch.model_dim)))
-                encoder.forward(x)  # warmup: caches and allocator steady state
+                encoder(x)  # warmup: caches and allocator steady state
                 runs[n] = (encoder, x, [])
             except MemoryError:
                 pass
@@ -84,14 +84,14 @@ def run_scaling(arch: ArchSpec, seq_lens: Sequence[int], reps: int, seed: int) -
             for n, (encoder, x, times) in list(runs.items()):
                 try:
                     started = time.perf_counter()
-                    encoder.forward(x)
+                    encoder(x)
                     times.append((time.perf_counter() - started) * 1e3)
                 except MemoryError:
                     del runs[n]
         for n, (encoder, x, times) in runs.items():
             try:
                 with track_peak_bytes() as tracker:
-                    encoder.forward(x)
+                    encoder(x)
             except MemoryError:
                 continue
             rows[n] = replace(rows[n], wall_ms=statistics.median(times),

@@ -11,19 +11,20 @@ ArchSpec, and callers change its fields with `dataclasses.replace`.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, get_type_hints
 
 from .attention import aggregate_head, block_forward, full_attention_head
 from .causal import causal_full_attention_oracle
 from .config import MODES, LSConfig
 from .errors import ConfigError
-from .params import BlockParams, init_block_params
+from .params import init_blocks
 from .tensor import Rng, Tensor, count_flops_runtime, no_grad
 
 __all__ = ["ArchSpec", "FlopReport", "count_flops", "measured_flops",
-           "PRESETS", "load_preset_file", "ReferenceEncoder"]
+           "PRESETS", "load_preset_file", "reference_encoder"]
 
 VARIANTS = ("full", "window", "projection", "long-short")
 
@@ -146,52 +147,38 @@ def count_flops(arch: ArchSpec) -> FlopReport:
     return FlopReport(components=comp, layers=arch.layers, docs=arch.docs)
 
 
-@dataclass
-class ReferenceEncoder:
-    """A bare stack of the LM's pre-LN blocks, for cost measurement and timing.
+def reference_encoder(arch: ArchSpec, rng: Rng) -> Callable[[Tensor], Tensor]:
+    """The forward of a bare stack of the LM's pre-LN blocks, drawn by `init_blocks`.
 
     No embeddings, classifier, final norm or dropout: exactly the per-layer
-    work the cost model describes.
+    work the cost model describes. `full` runs the exact oracle of its mode.
     """
+    cfg = arch.attention_config()
+    if cfg is None:
+        head_fn = causal_full_attention_oracle if arch.mode == "causal" else full_attention_head
+        cfg = LSConfig(seq_len=arch.seq_len, model_dim=arch.model_dim, heads=arch.heads,
+                       window=2, rank=0)
+    else:
+        head_fn = partial(aggregate_head, cfg=cfg)
+    blocks = init_blocks(rng, cfg, arch.ffn_dim, arch.layers)
 
-    arch: ArchSpec
-    layers: list[BlockParams] = field(default_factory=list)
-
-    @classmethod
-    def build(cls, arch: ArchSpec, rng: Rng) -> "ReferenceEncoder":
-        cfg_probe = arch.attention_config()
-        ls_cfg = cfg_probe if cfg_probe is not None else LSConfig(
-            seq_len=arch.seq_len, model_dim=arch.model_dim, heads=arch.heads,
-            window=2, rank=0,
-        )
-        layers = [
-            init_block_params(rng.child(i), ls_cfg, arch.ffn_dim) for i in range(arch.layers)
-        ]
-        return cls(arch=arch, layers=layers)
-
-    def _head_fn(self):
-        arch = self.arch
-        if arch.variant == "full":
-            return causal_full_attention_oracle if arch.mode == "causal" else full_attention_head
-        cfg = arch.attention_config()
-        return lambda x, hp: aggregate_head(x, hp, cfg)
-
-    def forward(self, x: Tensor) -> Tensor:
-        head_fn = self._head_fn()
-        for block in self.layers:
+    def forward(x: Tensor) -> Tensor:
+        for block in blocks:
             x = block_forward(x, block, head_fn)
         return x
+
+    return forward
 
 
 def measured_flops(arch: ArchSpec, seed: int = 0) -> int:
     """FLOPs reported by the runtime counter for one actual forward pass."""
     rng = Rng(seed)
-    encoder = ReferenceEncoder.build(arch, rng)
+    encoder = reference_encoder(arch, rng)
     x = Tensor(rng.child(999).normal((arch.seq_len, arch.model_dim)))
     with no_grad():
         with count_flops_runtime() as counter:
             for _ in range(arch.docs):
-                encoder.forward(x)
+                encoder(x)
     return counter.total
 
 

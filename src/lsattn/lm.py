@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .autodiff import gradients
 from .causal import causal_aggregate_head
 from .config import LSConfig
 from .errors import ConfigError, DivergenceError, ShapeError
-from .params import BlockParams, LnParams, _ln_params, init_block_params
+from .params import BlockParams, LnParams, Params, _ln_params, init_blocks
 from .tensor import (
     Rng,
     Tensor,
@@ -76,24 +76,14 @@ class ModelConfig:
 
 
 @dataclass
-class ModelParams:
+class ModelParams(Params):
     config: ModelConfig
     token_embedding: Tensor
     position_embedding: Tensor
-    blocks: list[BlockParams]
+    blocks: list[BlockParams] = field(metadata={"item": "block"})
     ln_final: LnParams
     head_weight: Tensor
     head_bias: Tensor
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "token_embedding", self.token_embedding
-        yield "position_embedding", self.position_embedding
-        for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(prefix=f"block{i}.")
-        yield "ln_final.gain", self.ln_final.gain
-        yield "ln_final.bias", self.ln_final.bias
-        yield "head_weight", self.head_weight
-        yield "head_bias", self.head_bias
 
     def parameter_list(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
@@ -102,14 +92,11 @@ class ModelParams:
 def build_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
     """Fresh parameters; the output head starts at zero so initial logits are uniform."""
     d = cfg.attention.model_dim
-    blocks = [
-        init_block_params(rng.child(10 + i), cfg.attention, cfg.ffn_dim) for i in range(cfg.layers)
-    ]
     return ModelParams(
         config=cfg,
         token_embedding=init_matrix(rng.child(0), cfg.vocab_size, d),
         position_embedding=init_matrix(rng.child(1), cfg.seq_len, d),
-        blocks=blocks,
+        blocks=init_blocks(rng, cfg.attention, cfg.ffn_dim, cfg.layers),
         ln_final=_ln_params(d),
         head_weight=Tensor(np.zeros((d, cfg.vocab_size)), requires_grad=True),
         head_bias=Tensor(np.zeros(cfg.vocab_size), requires_grad=True),

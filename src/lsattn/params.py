@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -10,18 +10,40 @@ import numpy as np
 from .config import LSConfig
 from .tensor import Rng, Tensor, init_matrix
 
-__all__ = ["LnParams", "HeadParams", "MultiHeadParams", "BlockParams", "init_head_params",
-           "init_multi_head_params", "init_block_params"]
+__all__ = ["Params", "LnParams", "HeadParams", "MultiHeadParams", "BlockParams",
+           "init_head_params", "init_multi_head_params", "init_block_params", "init_blocks"]
+
+
+class Params:
+    """A dataclass of parameters, listed by `named_parameters` in field order.
+
+    A tensor field is listed under its name unless it has no elements (wp at
+    rank 0); a `Params` field recurses as `name.`; a list field names its
+    items by its `item` metadata (`h{i}.`, `block{i}.`). A field whose
+    `views` metadata names the field holding its views is left out.
+    """
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                if value.size:
+                    yield prefix + f.name, value
+            elif isinstance(value, Params) and "views" not in f.metadata:
+                yield from value.named_parameters(f"{prefix}{f.name}.")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from item.named_parameters(f"{prefix}{f.metadata['item']}{i}.")
 
 
 @dataclass
-class LnParams:
+class LnParams(Params):
     gain: Tensor
     bias: Tensor
 
 
 @dataclass
-class HeadParams:
+class HeadParams(Params):
     """Projections for one head plus its two key/value normalizations.
 
     The same fields hold all heads of a layer on a leading head axis
@@ -35,20 +57,9 @@ class HeadParams:
     ln_local: LnParams
     ln_global: LnParams
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}wq", self.wq
-        yield f"{prefix}wk", self.wk
-        yield f"{prefix}wv", self.wv
-        if self.wp.shape[-1]:
-            yield f"{prefix}wp", self.wp
-        yield f"{prefix}ln_local.gain", self.ln_local.gain
-        yield f"{prefix}ln_local.bias", self.ln_local.bias
-        yield f"{prefix}ln_global.gain", self.ln_global.gain
-        yield f"{prefix}ln_global.bias", self.ln_global.bias
-
 
 @dataclass
-class MultiHeadParams:
+class MultiHeadParams(Params):
     """A layer's heads, stored once on a leading head axis, and its output projection.
 
     stacked holds wq, wk, wv as (h, d, d_k), wp as (h, d, r) at every rank, and the norm
@@ -58,18 +69,13 @@ class MultiHeadParams:
     reach the leaves are returned for the views.
     """
 
-    stacked: HeadParams
-    heads: list[HeadParams]
+    stacked: HeadParams = field(metadata={"views": "heads"})
+    heads: list[HeadParams] = field(metadata={"item": "h"})
     wo: Tensor
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for i, head in enumerate(self.heads):
-            yield from head.named_parameters(prefix=f"{prefix}h{i}.")
-        yield f"{prefix}wo", self.wo
 
 
 @dataclass
-class BlockParams:
+class BlockParams(Params):
     """One pre-LN transformer block: attention and a ReLU feed-forward layer."""
 
     ln_attn: LnParams
@@ -79,17 +85,6 @@ class BlockParams:
     ffn_in_bias: Tensor
     ffn_out: Tensor
     ffn_out_bias: Tensor
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}ln_attn.gain", self.ln_attn.gain
-        yield f"{prefix}ln_attn.bias", self.ln_attn.bias
-        yield from self.attn.named_parameters(prefix=f"{prefix}attn.")
-        yield f"{prefix}ln_ffn.gain", self.ln_ffn.gain
-        yield f"{prefix}ln_ffn.bias", self.ln_ffn.bias
-        yield f"{prefix}ffn_in", self.ffn_in
-        yield f"{prefix}ffn_in_bias", self.ffn_in_bias
-        yield f"{prefix}ffn_out", self.ffn_out
-        yield f"{prefix}ffn_out_bias", self.ffn_out_bias
 
 
 def _ln_params(dim: int) -> LnParams:
@@ -154,7 +149,8 @@ def init_multi_head_params(rng: Rng, cfg: LSConfig) -> MultiHeadParams:
 
 
 def init_block_params(rng: Rng, cfg: LSConfig, ffn_dim: int) -> BlockParams:
-    """Fresh block parameters: heads from rng, FFN matrices from its children 100 and 101.
+    """Fresh block parameters drawn from rng's children only: the heads and wo from
+    children 0 to cfg.heads (`init_multi_head_params`), the FFN matrices from 100 and 101.
 
     Norms start at identity and FFN biases at zero. Every tensor requires gradients.
     """
@@ -168,3 +164,11 @@ def init_block_params(rng: Rng, cfg: LSConfig, ffn_dim: int) -> BlockParams:
         ffn_out=init_matrix(rng.child(101), ffn_dim, d),
         ffn_out_bias=Tensor(np.zeros(d), requires_grad=True),
     )
+
+
+def init_blocks(rng: Rng, cfg: LSConfig, ffn_dim: int, layers: int) -> list[BlockParams]:
+    """A stack of fresh blocks, block i drawn from rng.child(10 + i).
+
+    Children below 10 are left to the caller's own draws.
+    """
+    return [init_block_params(rng.child(10 + i), cfg, ffn_dim) for i in range(layers)]

@@ -10,7 +10,8 @@ import pytest
 from lsattn.bench import fmt, run_norm_probe, run_scaling, sweep_csv_rows, write_csv
 from lsattn.config import LSConfig
 from lsattn.errors import ConfigError
-from lsattn.flops import PRESETS, ReferenceEncoder
+from lsattn import bench
+from lsattn.flops import PRESETS, reference_encoder
 from lsattn.tensor import (
     Tensor, cross_entropy_mean, matmul, reshape, slice_axis, swap_axes, track_peak_bytes,
 )
@@ -42,13 +43,18 @@ class TestRunScaling:
         assert 1.5 <= ratio <= 2.5
 
     def test_timed_forwards_interleave_lengths(self, monkeypatch):
-        forward, seen = ReferenceEncoder.forward, []
+        seen = []
 
-        def recording_forward(encoder, x):
-            seen.append(encoder.arch.seq_len)
-            return forward(encoder, x)
+        def recording_encoder(arch, rng):
+            forward = reference_encoder(arch, rng)
 
-        monkeypatch.setattr(ReferenceEncoder, "forward", recording_forward)
+            def recording_forward(x):
+                seen.append(arch.seq_len)
+                return forward(x)
+
+            return recording_forward
+
+        monkeypatch.setattr(bench, "reference_encoder", recording_encoder)
         lengths = [32, 64, 128]
         rows = run_scaling(arch("long-short", window=8, rank=8), lengths, reps=5, seed=0)
         assert all(r.status == "ok" for r in rows)
@@ -61,12 +67,10 @@ class TestRunScaling:
             run_scaling(arch("full"), [128, 64], reps=5, seed=0)
 
     def test_allocation_failure_marks_row_oom(self, monkeypatch):
-        from lsattn import bench
-
         def exploding_build(arch, rng):
             raise MemoryError("simulated")
 
-        monkeypatch.setattr(bench.ReferenceEncoder, "build", exploding_build)
+        monkeypatch.setattr(bench, "reference_encoder", exploding_build)
         rows = run_scaling(arch("full"), [64, 128], reps=5, seed=0)
         assert [r.status for r in rows] == ["oom", "oom"]
         assert all(r.flops > 0 for r in rows)  # modeled cost still reported

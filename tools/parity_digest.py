@@ -20,8 +20,11 @@ bit-identity can be checked by exit status. An array digest covers its
 shape, dtype and bytes. Covered:
 
 - the perfbench `bidir-long` layer (seed 901): output and every gradient;
-- the perfbench `lm-train` config: a 50-step `lm.train` at seed 901, its
-  train losses, val bpcs, final val bpc and trained parameters;
+- the perfbench `lm-train` config: its initial parameters, built with
+  `lm.build_model(cfg, Rng(901).child(0))` as `lm.train` builds them, so a
+  seeding change shows per tensor before training mixes it in; and a
+  50-step `lm.train` at seed 901, its train losses, val bpcs, final val bpc
+  and trained parameters;
 - five stacked-head `multi_head` layers, each on a batch of 2, with one
   branch empty or padding rows (window-only dual LN in both modes,
   projection-only, a padded causal layer with a padding-only projection
@@ -104,6 +107,8 @@ def lm_train() -> dict:
         "lm-train.flop_parity": repr(workload.flop_counts()),
     }
     result.update({f"lm-train.param.{name}": t.data for name, t in model.named_parameters()})
+    init = lm.build_model(workload.cfg, Rng(SEED).child(0))  # as lm.train builds it
+    result.update({f"lm-train.init.{name}": t.data for name, t in init.named_parameters()})
     return result
 
 
