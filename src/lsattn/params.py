@@ -26,9 +26,8 @@ class Params:
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, Tensor):
-                if value.size:
-                    yield prefix + f.name, value
+            if isinstance(value, Tensor) and value.size:
+                yield prefix + f.name, value
             elif isinstance(value, Params) and "views" not in f.metadata:
                 yield from value.named_parameters(f"{prefix}{f.name}.")
             elif isinstance(value, list):

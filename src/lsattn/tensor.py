@@ -747,18 +747,22 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class Rng:
-    """Deterministic random stream; identical seeds replay identical draws."""
+    """Deterministic random stream whose entropy is its seed and path of child keys.
 
-    def __init__(self, seed: int, _sequence: np.random.SeedSequence | None = None):
+    numpy pads the entropy with zero words, so child 0 draws what its parent
+    draws; no builder draws from both a stream and its child 0.
+    """
+
+    def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._sequence))
+        self._path = _path
+        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, *_path])))
 
     def child(self, key: int) -> "Rng":
-        """Independent stream derived from (seed, key); order of creation is irrelevant."""
-        return Rng(self.seed, _sequence=np.random.SeedSequence([self.seed, int(key)]))
+        """Independent stream keyed by this path plus key; order of creation is irrelevant."""
+        return Rng(self.seed, _path=(*self._path, int(key)))
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)

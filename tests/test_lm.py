@@ -1,6 +1,7 @@
 """Byte-level language model: structure, metrics, determinism, causality, memory."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -64,6 +65,21 @@ class TestModelStructure:
         for (name_a, ta), (name_b, tb) in zip(a.named_parameters(), b.named_parameters()):
             assert name_a == name_b
             assert np.array_equal(ta.data, tb.data)
+
+    def test_random_leaves_share_no_draws(self):
+        # init_matrix draws U[0, 1) and maps it to U[-limit, limit), limit = sqrt(3 / rows);
+        # two leaves from one stream would share their first unit draws.
+        cfg = toy_config()
+        model = build_model(cfg, Rng(5))
+        assert not np.array_equal(model.blocks[0].ffn_in.data, model.blocks[1].ffn_in.data)
+        unit = {}
+        for name, t in model.named_parameters():
+            if np.ptp(t.data) > 0:
+                limit = np.sqrt(3.0 / t.shape[0])
+                unit[name] = (t.data.ravel()[:8] / limit + 1.0) / 2.0
+        assert len(unit) > 10
+        for a, b in itertools.combinations(unit, 2):
+            assert not np.allclose(unit[a], unit[b], rtol=0, atol=1e-9), (a, b)
 
     def test_width_must_divide_heads(self):
         with pytest.raises(ConfigError):

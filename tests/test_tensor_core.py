@@ -395,6 +395,23 @@ class TestRng:
         c2_second = r2.child(2).normal((3,))
         assert np.array_equal(c2_first, c2_second)
 
+    def test_nested_child_differs_from_one_level_child(self):
+        nested = Rng(5).child(3).child(7).normal((4,))
+        assert not np.array_equal(nested, Rng(5).child(7).normal((4,)))
+        assert not np.array_equal(nested, Rng(5).child(3).normal((4,)))
+        assert np.array_equal(nested, Rng(5).child(3).child(7).normal((4,)))
+
+    def test_root_and_one_level_children_keep_their_draws(self):
+        def draws(entropy):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            return gen.normal(0.0, 1.0, size=4)
+
+        assert np.array_equal(Rng(901).normal((4,)), draws(901))
+        assert np.array_equal(Rng(901).child(999).normal((4,)), draws([901, 999]))
+        # numpy pads the entropy with zero words: child 0 draws what its parent draws.
+        assert np.array_equal(Rng(901).child(0).normal((4,)), draws(901))
+        assert np.array_equal(Rng(901).child(4).child(0).normal((4,)), draws([901, 4]))
+
 
 class TestAllocatorSetting:
     def test_missing_libc_leaves_the_import_quiet(self):
