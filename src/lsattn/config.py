@@ -38,10 +38,10 @@ class LSConfig:
     def __post_init__(self):
         if self.seq_len < 1 or self.model_dim < 1:
             raise ConfigError("seq_len and model_dim must be at least 1")
-        if self.heads < 1 or self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} must be divisible by heads {self.heads}"
-            )
+        if self.heads < 1:
+            raise ConfigError(f"heads must be positive, got {self.heads}")
+        if self.model_dim % self.heads != 0:
+            raise ConfigError(f"model_dim {self.model_dim} must be divisible by heads {self.heads}")
         if self.window < 0 or self.window % 2 != 0:
             raise ConfigError(f"window must be even and non-negative, got {self.window}")
         if self.rank < 0:

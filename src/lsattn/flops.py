@@ -59,10 +59,10 @@ class ArchSpec:
             raise ConfigError("window and rank must be non-negative and seg_len positive")
         if min(self.layers, self.docs, self.seq_len, self.model_dim, self.ffn_dim) < 1:
             raise ConfigError("layers, docs, seq_len, model_dim and ffn_dim must be positive")
-        if self.heads < 1 or self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} must be divisible by heads {self.heads}"
-            )
+        if self.heads < 1:
+            raise ConfigError(f"heads must be positive, got {self.heads}")
+        if self.model_dim % self.heads != 0:
+            raise ConfigError(f"model_dim {self.model_dim} must be divisible by heads {self.heads}")
         if self.variant == "window" and self.window < 2:
             raise ConfigError("window variant requires window >= 2")
         if self.variant == "projection":

@@ -460,11 +460,13 @@ def attend(
     (..., groups * size, h, d) for a head axis h, so joining the heads of
     each row into one of width h * d is a view.
 
-    Only the weights P are kept for the backward pass, which forms dP in one
-    buffer and v's and vbar's gradients, turns dP into dS = P * (dP -
-    rowsum(dP * P)) in place with the softmax gradient rule that
-    `masked_softmax` uses (`_softmax_grad`), drops P, and only then forms q's
-    and k's gradients; it reads the windows from k and v again (`_windows`).
+    The backward pass reads the operands and P, and drops each after its last
+    read; it writes none. It copies k's and v's rows into zero-padded windows
+    (`_windows`) and drops the rows; forms dP in one buffer and drops v's
+    windows and vbar; forms v's and vbar's gradients; turns dP into dS = P *
+    (dP - rowsum(dP * P)) in place by `masked_softmax`'s rule (`_softmax_grad`)
+    and drops P; forms k's and kbar's gradients and drops q; then forms q's,
+    dropping k's windows before the product with kbar.
     The runtime counter gets the MACs of the score and value products of
     both slot kinds, 2 * d per weight.
     """
@@ -506,30 +508,37 @@ def attend(
     if _flop_counter is not None:
         _flop_counter.matmul_macs += 2 * p.size * d
     if _tracking(q, *window, *projected):
+        q_node, k_node, v_node, kbar_node, vbar_node = (t._node for t in (q, k, v, kbar, vbar))
         def route(g: np.ndarray) -> None:
-            nonlocal p, p_far
+            nonlocal q, q_grouped, k, v, vbar, p, p_far  # each dropped after its last read
+            k_win = _windows(k.data, w, offset)
+            del k
+            v_win = _windows(v.data, w, offset)
+            del v
             g_grouped = g.reshape(batch + (groups, size, d))
             dp = np.empty(p.shape)
-            np.matmul(g_grouped, np.swapaxes(_windows(v.data, w, offset), -1, -2),
-                      out=dp[..., : 2 * w])
+            np.matmul(g_grouped, np.swapaxes(v_win, -1, -2), out=dp[..., : 2 * w])
             np.matmul(g_grouped, np.expand_dims(np.swapaxes(vbar.data, -1, -2), -3),
                       out=dp[..., 2 * w :])
-            if window and v.requires_grad:
-                _accum(v._node, _window_grad(p, g_grouped, w, offset))
-            if slots and vbar.requires_grad:
-                _accum(vbar._node, np.matmul(np.swapaxes(p_far, -1, -2), g))
+            del v_win, vbar
+            if w and v_node.requires_grad:
+                _accum(v_node, _window_grad(p, g_grouped, w, offset))
+            if slots and vbar_node.requires_grad:
+                _accum(vbar_node, np.matmul(np.swapaxes(p_far, -1, -2), g))
             ds = _softmax_grad(dp, p, owned=True)
-            del dp, p, p_far  # P's last readers; the closure runs at most once
+            del dp, p, p_far  # the closure runs at most once
             ds *= inv_scale
             ds_far = ds[..., 2 * w :].reshape(rows + (slots,))
-            if q.requires_grad:
-                dq = np.matmul(ds[..., : 2 * w], _windows(k.data, w, offset)).reshape(rows + (d,))
+            if w and k_node.requires_grad:
+                _accum(k_node, _window_grad(ds, q_grouped, w, offset))
+            if slots and kbar_node.requires_grad:
+                _accum(kbar_node, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
+            del q, q_grouped
+            if q_node.requires_grad:
+                dq = np.matmul(ds[..., : 2 * w], k_win).reshape(rows + (d,))
+                del k_win
                 dq += np.matmul(ds_far, kbar.data)
-                _accum(q._node, dq)
-            if window and k.requires_grad:
-                _accum(k._node, _window_grad(ds, q_grouped, w, offset))
-            if slots and kbar.requires_grad:
-                _accum(kbar._node, np.matmul(np.swapaxes(ds_far, -1, -2), q.data))
+                _accum(q_node, dq)
         _attach(out, (q, *window, *projected), route)
     return out, p
 

@@ -182,6 +182,94 @@ class TestAttendGradients:
             attend(q, kb, vb, kbar, vbar, attendable, offset)
 
 
+# Which leaf each of attend's operands q, k, v, kbar, vbar is, by index.
+ALIASES = {
+    "distinct": (0, 1, 2, 3, 4),
+    "k-is-v": (0, 1, 1, 3, 4),
+    "kbar-is-vbar": (0, 1, 2, 3, 3),
+    "q-is-k-is-v": (0, 0, 0, 3, 4),
+}
+
+
+class TestAttendOperandRelease:
+    """attend's backward drops each operand after its last read; it writes none.
+
+    An operand that is another operand too, or that the caller still holds,
+    must get the gradient it gets as separate copies. Two contributions sum
+    in either order to the same bits; three may round differently, so they
+    are held to 1e-15 relative.
+    """
+
+    @pytest.mark.parametrize("alias", sorted(ALIASES))
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_aliased_operands_get_the_summed_gradients_of_copies(self, name, alias):
+        # At w = 0 attend reads q in place of k and v, which get no gradient.
+        cfg, pattern = CONFIGS[name], ALIASES[alias]
+        leaves, attendable, offset = operands(cfg, seed=11, batch=(2,))
+        shared = [leaves[i] for i in sorted(set(pattern))]
+        before = [t.data.copy() for t in shared]
+        probe = Rng(12).normal(leaves[0].shape)
+        out, weights = attend(*[leaves[i] for i in pattern], attendable, offset)
+        held = weights.copy()
+        grads = dict(zip(sorted(set(pattern)), gradients(out, shared, seed=probe)))
+        copies = [Tensor(leaves[i].data.copy(), requires_grad=True) for i in pattern]
+        ref_out, _ = attend(*copies, attendable, offset)
+        ref_grads = gradients(ref_out, copies, seed=probe)
+        assert np.array_equal(out.data, ref_out.data)
+        assert np.array_equal(weights, held)
+        assert all(np.array_equal(t.data, b) for t, b in zip(shared, before))
+        for leaf, grad in grads.items():
+            parts = [g for i, g in zip(pattern, ref_grads) if i == leaf]
+            ref = sum(parts[1:], parts[0])
+            if len(parts) <= 2:
+                assert np.array_equal(grad, ref), (leaf, alias)
+            else:
+                assert np.linalg.norm(grad - ref) <= 1e-15 * np.linalg.norm(ref), (leaf, alias)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_operands_held_by_the_caller_or_not_give_the_same_bits(self, name):
+        # The window rows are fresh tensors that only attend's backward reads,
+        # or are also kept by this caller, which drops attend's weights or
+        # keeps them; none of that may change a gradient bit.
+        cfg = CONFIGS[name]
+        leaves, attendable, offset = operands(cfg, seed=13)
+        probe = Rng(14).normal(leaves[0].shape)
+        results = []
+        for keep in (False, True):
+            q, kb, vb, kbar, vbar = leaves
+            k, v = scale(kb, 1.0), scale(vb, 1.0)
+            kept = (k, v) if keep else ()
+            out, weights = attend(q, k, v, kbar, vbar, attendable, offset)
+            held = weights.copy() if keep else None
+            if not keep:
+                del k, v, weights
+            results.append(gradients(out, leaves, seed=probe))
+            if keep:
+                assert np.array_equal(weights, held)
+                assert all(np.array_equal(t.data, s.data) for t, s in zip(kept, (kb, vb)))
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+    @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+    def test_head_returning_its_weights_gives_the_same_bits(self, mode):
+        cfg = LSConfig(seq_len=13, model_dim=4, heads=1, window=4, rank=2, seg_len=4,
+                       mode=mode, dual_ln=True)
+        head = causal_aggregate_head if mode == "causal" else aggregate_head
+        p, x = make_head(cfg, seed=15)
+        x.requires_grad = True
+        leaves = [x] + [t for _, t in p.named_parameters()]
+        probe = Rng(16).normal(x.shape)
+        results = []
+        for keep in (False, True):
+            out = head(x, p, cfg, return_weights=keep)
+            if keep:
+                out, info = out
+                held = info.weights.copy()
+            results.append(gradients(out, leaves, seed=probe))
+            if keep:
+                assert np.array_equal(info.weights, held)
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+
 def composed_weights(x, p, cfg):
     """Weights from primitive ops: the window slots gathered by position with
     `take`, scaled logits joined with the projected ones, one masked softmax."""

@@ -290,6 +290,19 @@ class TestUsageErrors:
         assert code == 2
         assert "error:" in err and "seed" in err and out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["flops", "--heads", "0"],
+        ["flops", "--heads", "-2"],
+        ["norms", "--seeds", "10", "--heads", "0"],
+        ["sweep", "--n", "64", "--variant", "long-short", "--heads", "0"],
+        ["sweep", "--n", "64", "--variant", "full", "--heads", "-1"],
+    ], ids=["flops-0", "flops-neg", "norms-0", "sweep-0", "sweep-full-neg"])
+    def test_heads_below_one_exits_2_naming_heads(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: heads must be positive, got {argv[-1]}" in err
+        assert "divisible" not in err and out == ""
+
     @pytest.mark.parametrize("flags", [
         ["--layers", "0"], ["--layers", "-1"], ["--d", "0"], ["--d", "1", "--heads", "1"],
     ], ids=["layers-0", "layers-neg", "width-0", "head-width-1"])

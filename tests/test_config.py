@@ -5,6 +5,7 @@ import pytest
 from lsattn import LSConfig
 from lsattn.config import desk_causal_config
 from lsattn.errors import ConfigError
+from lsattn.flops import ArchSpec
 
 
 def test_odd_window_rejected():
@@ -45,6 +46,16 @@ def test_causal_seg_len_must_be_positive():
 def test_width_divisibility():
     with pytest.raises(ConfigError, match="divisible"):
         LSConfig(seq_len=8, model_dim=6, heads=4, window=2, rank=1)
+
+
+@pytest.mark.parametrize("heads", [0, -2])
+def test_heads_below_one_rejected_as_such(heads):
+    # Not as a width that heads does not divide.
+    message = f"heads must be positive, got {heads}"
+    with pytest.raises(ConfigError, match=message):
+        LSConfig(seq_len=8, model_dim=4, heads=heads, window=2, rank=1)
+    with pytest.raises(ConfigError, match=message):
+        ArchSpec(layers=1, model_dim=4, heads=heads, ffn_dim=8, seq_len=8)
 
 
 def test_unknown_mode():

@@ -143,32 +143,35 @@ def test_forward_keeps_only_what_backward_needs(monkeypatch):
 def test_backward_peak_is_held_buffers_plus_bounded_temporaries():
     # The tracemalloc peak of forward plus `gradients` stays within 1% of
     # the held buffers plus what backward adds at its fullest, in attend's
-    # backward while k's window gradient is formed. `gradients` has freed
-    # what wo's backward alone read, attend's output, and attend has dropped
-    # P once dS was formed in dP's buffer. Backward then holds:
+    # backward while v's window gradient is formed. `gradients` has freed
+    # what wo's backward alone read, attend's output. attend's backward has
+    # built k's and v's zero-padded window copies and dropped the rows they
+    # were copied from, then dropped v's copy once dP was formed. Backward
+    # then holds:
     # - the seed of ones (n, d) that `gradients` makes, and wo's gradient;
     # - the gradient in flight, of attend's output;
-    # - dS, the size of P;
-    # - v's window-gradient blocks (one more group of rows than v) and
-    #   vbar's gradient, formed from P before it was dropped;
-    # - q's gradient, k's window-gradient blocks and one run of k's
-    #   product: at most `tensor._BLOCK_BYTES`, half the product at this n.
-    # P kept beside dS would add 0.79 MB; a graph kept whole until the walk
-    # ends puts the peak 1.1 MB above this bound.
+    # - k's window copy, w rows per head longer than k's rows;
+    # - dP, the size of P, which is still held;
+    # - v's window-gradient blocks (one more group of rows than v) and one
+    #   run of their product: at most `tensor._BLOCK_BYTES`, half the product
+    #   at this n.
+    # Later phases hold less: dS takes dP's buffer once P is dropped, and q
+    # and k's window copy go before dq's products. Keeping every operand
+    # until attend's backward returns puts the peak 0.84 MB above this bound.
     params, x, forward = held_layer()
     leaves = [x] + [t for _, t in params.named_parameters()]
     gradients(forward(), leaves)
     blocks = ROWS * (N // W + 1) // (N // W)
     freed = {
         "attend output": READ_BY_BACKWARD["attend output"],
-        "attention weights": READ_BY_BACKWARD["attention weights"],
+        "normed window v": ROWS,
     }
     backward = {
         "seed and wo's gradient": ROWS + params.wo.data.nbytes,
         "gradient in flight": ROWS,
-        "dS in dP's buffer": READ_BY_BACKWARD["attention weights"],
-        "v's blocks and vbar's gradient": blocks + H * R * (D // H) * F8,
-        "q's gradient, k's blocks, one run": ROWS + blocks + ROWS // 2,
+        "k's window copy beyond k": W * D * F8,
+        "dP": READ_BY_BACKWARD["attention weights"],
+        "v's blocks, one run": blocks + ROWS // 2,
     }
     bound = HELD - sum(freed.values()) + sum(backward.values())
     gc.collect()

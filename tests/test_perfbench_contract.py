@@ -28,14 +28,19 @@ from workloads import make_workload  # noqa: E402
 
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 # Graph nodes of one step, and the most its tracemalloc peak may read (bytes):
-# 2% above the 8,045,636 of lm-train and 0.1% above the 53,367,204 of
-# bidir-long, measured once `gradients` consumed the graph it walks. The
-# nodes are those of `test_lm.py::test_training_step_graph_nodes` (108: one
+# 2% above the 8,045,636 of lm-train, measured once `gradients` consumed the
+# graph it walks, and 0.1% above the 47,045,156 of bidir-long. That peak falls
+# in attend's backward while v's window gradient is formed
+# (`tools/peak_walk.py bidir-long`): the 40.46 MB the graph holds after the
+# forward, less attend's output and v's window rows, both dropped by then
+# (2 x 4.19 MB), plus the gradient in flight (4.19 MB), dP (6.29 MB), v's
+# window-gradient blocks (4.20 MB) and one run of their product (0.26 MB).
+# The nodes are those of `test_lm.py::test_training_step_graph_nodes` (108: one
 # bias add per FFN product, 2 blocks x 2, plus the head's, on 103 ops and
 # leaves) and of one dual-LN layer with both branches, 32 as counted in
 # `test_multi_head.py::test_layer_graph_has_no_parameter_only_ops`.
 STEP_MEMORY = {"lm-train": (108, 1.02 * 8_045_636),
-               "bidir-long": (32, 1.001 * 53_367_204)}
+               "bidir-long": (32, 1.001 * 47_045_156)}
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
